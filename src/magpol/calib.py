@@ -31,8 +31,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConfigError, FitError
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI
 
 # Minimum fractional dip depth below the normalized baseline for the
 # data to count as containing a resonance at all.

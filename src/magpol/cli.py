@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -30,12 +29,11 @@ from .calib import (fit_kittel, fit_s11, load_field_points_csv,
 from .dynamics import run_sweep
 from .errors import (ConditioningError, ConfigError, DivergenceError,
                      FitError, InternalConsistencyError)
+from .model import TWO_PI
 from .phasemap import onset_monotonicity_flags, scan
 from .spectral import build_spectrogram
 from .stability import MARGIN_RTOL, classify
 from .steady import active_fixed_points, passive_fixed_points
-
-TWO_PI = 2.0 * math.pi
 
 
 def _mhz(rad_per_us) -> float:
@@ -170,7 +168,7 @@ def cmd_phase_diagram(run: config.RunConfig, out_dir: str,
     total = grid.x_count * grid.delta_m_count
     print(f"{grid.delta_m_count} x {grid.x_count} cells "
           f"({grid.system}, x axis {grid.x_axis}):")
-    for label, count in diagram.region_summary().items():
+    for label, count in sidecar["region_summary"].items():
         print(f"  {label:>10s}  {count:7d}  ({100.0 * count / total:5.1f}%)")
     flags = sidecar["onset_review_rows"]
     if flags:
@@ -224,10 +222,10 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
     n_low = int(result.low_confidence[:n_done].sum())
     print(f"{n_done}/{len(run.protocol.detunings)} steps integrated; "
           f"{n_low} low-confidence fit(s)")
-    if n_done:
-        omegas = result.omegas[:n_done]
-        print(f"  omega/2pi range [{_mhz(np.nanmin(omegas)):+.3f}, "
-              f"{_mhz(np.nanmax(omegas)):+.3f}] MHz")
+    omegas = result.omegas[np.isfinite(result.omegas)]
+    if omegas.size:
+        print(f"  omega/2pi range [{_mhz(omegas.min()):+.3f}, "
+              f"{_mhz(omegas.max()):+.3f}] MHz")
     if result.diverged_at is not None:
         print(f"  diverged at step {result.diverged_at}: {result.error}")
     return 0

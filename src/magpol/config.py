@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 from .dynamics import SweepProtocol, default_seed_state
 from .errors import ConfigError
-from .model import DriveSpec, ModeState, SystemParams, eta_from_power
+from .model import TWO_PI, DriveSpec, ModeState, SystemParams, \
+    eta_from_power
 from .phasemap import GridSpec, n0_to_drive_passive
-
-TWO_PI = 2.0 * math.pi
 
 FORMAT_VERSION = 1
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError
-from .model import DriveSpec, ModeState, SystemParams, rescale
+from .errors import DivergenceError, FitError
+from .model import DriveSpec, ModeState, SystemParams, rescale, \
+    vector_field
 from .spectral import phase_slope_offset
 
 # Squared-amplitude overflow guard, in rescaled units where the
@@ -86,38 +87,12 @@ def integrate_segment(state: ModeState, params: SystemParams,
         raise ValueError(f"duration {duration} shorter than one step {dt}")
     if not state.is_finite():
         raise ValueError("initial state is not finite")
-    if drive is None and params.delta_c != 0.0:
-        raise ValueError("active integration requires delta_c == 0")
 
     scale_sq = max(_natural_scale(params, drive), state.n_a, state.n_m, 1.0)
     state_s, params_s, drive_s = rescale(state, params, math.sqrt(scale_sq),
                                          drive)
 
-    hk = 0.5 * params_s.kappa
-    hg = 0.5 * params_s.gamma
-    g = params_s.g
-    kerr = params_s.kerr
-    dc = params_s.delta_c
-    dmg = params_s.delta_m
-    if drive_s is not None:
-        eta = drive_s.eta
-
-        def rhs(a: complex, m: complex) -> tuple[complex, complex]:
-            da = -(hk + 1j * dc) * a - 1j * g * m + eta
-            nm = m.real * m.real + m.imag * m.imag
-            dm = -(hg + 1j * (dmg + kerr * nm)) * m - 1j * g * a
-            return da, dm
-    else:
-        g_eff = params_s.gain_eff
-        gsat = params_s.gamma_sat
-
-        def rhs(a: complex, m: complex) -> tuple[complex, complex]:
-            na = a.real * a.real + a.imag * a.imag
-            da = (g_eff - gsat * na) * a - 1j * g * m
-            nm = m.real * m.real + m.imag * m.imag
-            dm = -(hg + 1j * (dmg + kerr * nm)) * m - 1j * g * a
-            return da, dm
-
+    rhs = vector_field(params_s, drive_s)
     a_out = np.empty(n + 1, dtype=complex)
     m_out = np.empty(n + 1, dtype=complex)
     a, m = state_s.a, state_s.m
@@ -196,7 +171,8 @@ class SweepResult:
     """Outcome of ``run_sweep``.
 
     ``omegas`` holds the fitted emission offsets (rad/us) per step,
-    NaN from the first diverged step onward; ``confidences`` the
+    NaN where the window had no power to fit and from the first
+    diverged step onward; ``confidences`` the
     phase-fit confidences (0 where never run); ``low_confidence``
     flags steps whose fit fell below LOW_CONFIDENCE.
     ``detunings_effective`` are the detunings actually applied.
@@ -238,7 +214,10 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
     default: no prior oscillation). A DivergenceError inside a step is
     recorded on the result (``diverged_at``, ``error``) rather than
     raised; completed steps keep their fits and the remaining ones
-    stay NaN.
+    stay NaN. A step whose analysis window has no power (an all-zero
+    seed of the active model never leaves the origin) keeps NaN omega
+    and confidence 0, is flagged low-confidence, and leaves the
+    detuning offset of the next step unchanged.
     """
     n_seg = len(protocol.detunings)
     result = SweepResult(
@@ -270,12 +249,16 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
                                 detuning_effective=d_eff)
         result.segments.append(seg)
         result.detunings_effective[k] = d_eff
-        omega, conf = phase_slope_offset(seg.times - seg.times[0], seg.a,
-                                         protocol.t_drop,
-                                         protocol.fit_fraction)
+        state = seg.final_state()
+        try:
+            omega, conf = phase_slope_offset(seg.times - seg.times[0], seg.a,
+                                             protocol.t_drop,
+                                             protocol.fit_fraction)
+        except FitError:  # no power in the window, nothing to fit
+            result.low_confidence[k] = True
+            continue
         result.omegas[k] = omega
         result.confidences[k] = conf
         result.low_confidence[k] = conf < LOW_CONFIDENCE
         omega_prev = omega
-        state = seg.final_state()
     return result

@@ -27,6 +27,11 @@ rotates at the gain center, so ``delta_c`` is zero exactly::
 holds G_eff directly when ``gain_absorbed`` is true (the default);
 otherwise it holds the raw pump gain and ``kappa/2`` is subtracted.
 
+This module holds the only copy of the equations, used by every
+solver: ``vector_field`` builds the right-hand side, and
+``jacobian_rows``/``jacobian`` its linearization in the doubled basis
+(a, a*, m, m*).
+
 Large occupations (1e9..1e15 quanta) make the raw nonlinear terms span
 many decades, so solvers rescale amplitudes by ``s = sqrt(n_ref)`` with
 ``rescale`` before doing numerics; the equations are form-invariant
@@ -39,6 +44,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # CODATA 2018 reduced Planck constant, J s. I/O conversions only.
 HBAR_JS = 1.054571817e-34
@@ -202,42 +209,98 @@ def power_from_drive(drive: DriveSpec, params: SystemParams) -> float:
     return flux_per_us * 1e6 * (HBAR_JS * params.omega_d * 1e6)
 
 
+def vector_field(params: SystemParams, drive: DriveSpec | None = None):
+    """Right-hand side ``rhs(a, m) -> (da/dt, dm/dt)`` at fixed parameters.
+
+    With ``drive`` the passive driven model, without it the active
+    model, whose frame is pinned to the gain center, so a nonzero
+    ``delta_c`` is rejected rather than silently ignored. The rates are
+    bound as closure locals for the inner loop of the integrator.
+    """
+    hk = 0.5 * params.kappa
+    hg = 0.5 * params.gamma
+    g = params.g
+    kerr = params.kerr
+    dc = params.delta_c
+    dmg = params.delta_m
+    if drive is not None:
+        eta = drive.eta
+
+        def rhs(a: complex, m: complex) -> tuple[complex, complex]:
+            da = -(hk + 1j * dc) * a - 1j * g * m + eta
+            nm = m.real * m.real + m.imag * m.imag
+            dm = -(hg + 1j * (dmg + kerr * nm)) * m - 1j * g * a
+            return da, dm
+        return rhs
+
+    if dc != 0.0:
+        raise ValueError(f"active model requires delta_c == 0, got {dc}")
+    g_eff = params.gain_eff
+    gsat = params.gamma_sat
+
+    def rhs(a: complex, m: complex) -> tuple[complex, complex]:
+        na = a.real * a.real + a.imag * a.imag
+        da = (g_eff - gsat * na) * a - 1j * g * m
+        nm = m.real * m.real + m.imag * m.imag
+        dm = -(hg + 1j * (dmg + kerr * nm)) * m - 1j * g * a
+        return da, dm
+    return rhs
+
+
+def jacobian_rows(params: SystemParams, a: complex, m: complex,
+                  omega: float = 0.0, active: bool = False
+                  ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """Rows d(da/dt) and d(dm/dt) of the doubled-basis linearization.
+
+    Columns are the derivatives with respect to (a, a*, m, m*) at the
+    state (a, m), in a frame co-rotating at ``omega`` (d/dt picks up
+    +i*omega). Only the photon row depends on the model: gain and
+    saturation with ``active``, else the passive cavity (the constant
+    drive drops out).
+    """
+    g = params.g
+    kerr = params.kerr
+    row_m = (-1j * g, 0j,
+             -(0.5 * params.gamma + 1j * (params.delta_m - omega))
+             - 2j * kerr * abs(m) ** 2,
+             -1j * kerr * m * m)
+    if active:
+        gsat = params.gamma_sat
+        row_a = (params.gain_eff + 1j * omega - 2.0 * gsat * abs(a) ** 2,
+                 -gsat * a * a, -1j * g, 0j)
+    else:
+        row_a = (-(0.5 * params.kappa + 1j * (params.delta_c - omega)), 0j,
+                 -1j * g, 0j)
+    return row_a, row_m
+
+
+def jacobian(params: SystemParams, a: complex, m: complex,
+             omega: float = 0.0, active: bool = False) -> np.ndarray:
+    """4x4 linearization acting on the doubled vector (da, da*, dm, dm*).
+
+    Rows 1 and 3 are rows 0 and 2 conjugated with the pairing swapped,
+    so the spectrum is closed under complex conjugation.
+    """
+    row_a, row_m = jacobian_rows(params, a, m, omega, active)
+    return np.array([row_a, [row_a[k].conjugate() for k in (1, 0, 3, 2)],
+                     row_m, [row_m[k].conjugate() for k in (1, 0, 3, 2)]])
+
+
 def rhs_passive(state: ModeState, params: SystemParams,
                 drive: DriveSpec) -> tuple[complex, complex]:
     """Time derivatives (da/dt, dm/dt) of the driven passive model."""
     if not state.is_finite():
         raise OverflowError(f"non-finite state at t={state.t}: {state!r}")
-    a, m = state.a, state.m
-    da = -(0.5 * params.kappa + 1j * params.delta_c) * a \
-        - 1j * params.g * m + drive.eta
-    dm = -(0.5 * params.gamma
-           + 1j * (params.delta_m + params.kerr * (m.real * m.real
-                                                   + m.imag * m.imag))) * m \
-        - 1j * params.g * a
-    return da, dm
+    return vector_field(params, drive)(state.a, state.m)
 
 
 def rhs_active(state: ModeState,
                params: SystemParams) -> tuple[complex, complex]:
-    """Time derivatives (da/dt, dm/dt) of the gain-driven model.
-
-    The active frame is pinned to the gain center, so a nonzero
-    ``delta_c`` is rejected rather than silently ignored.
-    """
-    if params.delta_c != 0.0:
-        raise ValueError(
-            f"active model requires delta_c == 0, got {params.delta_c}")
+    """Time derivatives (da/dt, dm/dt) of the gain-driven model."""
+    rhs = vector_field(params)
     if not state.is_finite():
         raise OverflowError(f"non-finite state at t={state.t}: {state!r}")
-    a, m = state.a, state.m
-    da = (params.gain_eff
-          - params.gamma_sat * (a.real * a.real + a.imag * a.imag)) * a \
-        - 1j * params.g * m
-    dm = -(0.5 * params.gamma
-           + 1j * (params.delta_m + params.kerr * (m.real * m.real
-                                                   + m.imag * m.imag))) * m \
-        - 1j * params.g * a
-    return da, dm
+    return rhs(state.a, state.m)
 
 
 def rescale(state: ModeState | None, params: SystemParams, s: float,

@@ -16,14 +16,12 @@ used by the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI
 
 # Weighted phase-fit mean square residual (rad^2) at which confidence
 # drops to 1/2; segments above it are flagged low-confidence.

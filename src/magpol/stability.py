@@ -2,10 +2,10 @@
 
 Fluctuations around a fixed point couple amplitudes to their
 conjugates through the Kerr and saturation terms, so the linearization
-acts on the doubled vector (da, da*, dm, dm*). Its 4x4 matrix has rows
-for the conjugate components that are elementwise conjugates of the
-direct rows with the pairing swapped; the spectrum is therefore closed
-under complex conjugation.
+acts on the doubled vector (da, da*, dm, dm*). Its 4x4 matrix
+(``model.jacobian``) has rows for the conjugate components that are
+elementwise conjugates of the direct rows with the pairing swapped;
+the spectrum is therefore closed under complex conjugation.
 
 Active fixed points are linearized in their own co-rotating frame
 (d/dt picks up +i*omega), where the limit cycle becomes a circle of
@@ -20,12 +20,11 @@ its full spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, jacobian
 from .steady import FixedPoint
 
 # |max Re eigenvalue| below MARGIN_RTOL * rate_scale counts as marginal.
@@ -58,56 +57,6 @@ class StabilityReport:
     neutral_suspect: bool
 
 
-def jacobian_passive(fp: FixedPoint, params: SystemParams) -> np.ndarray:
-    """Linearization of the driven passive model at a fixed point.
-
-    The drive is a constant and drops out; only the Kerr term couples
-    dm to dm*.
-    """
-    kappa, gamma, g = params.kappa, params.gamma, params.g
-    dc, dm_det, kerr = params.delta_c, params.delta_m, params.kerr
-    m0 = fp.m0
-    n_m = abs(m0) ** 2
-    jac = np.zeros((4, 4), dtype=complex)
-    jac[0, 0] = -(0.5 * kappa + 1j * dc)
-    jac[0, 2] = -1j * g
-    jac[2, 0] = -1j * g
-    jac[2, 2] = -(0.5 * gamma + 1j * dm_det) - 2j * kerr * n_m
-    jac[2, 3] = -1j * kerr * m0 * m0
-    _fill_conjugate_rows(jac)
-    return jac
-
-
-def jacobian_active(fp: FixedPoint, params: SystemParams) -> np.ndarray:
-    """Linearization of the gain-driven model, co-rotating at fp.omega."""
-    gamma, g = params.gamma, params.g
-    kerr, gsat = params.kerr, params.gamma_sat
-    w = fp.omega
-    a0, m0 = fp.a0, fp.m0
-    jac = np.zeros((4, 4), dtype=complex)
-    jac[0, 0] = params.gain_eff + 1j * w - 2.0 * gsat * abs(a0) ** 2
-    jac[0, 1] = -gsat * a0 * a0
-    jac[0, 2] = -1j * g
-    jac[2, 0] = -1j * g
-    jac[2, 2] = -(0.5 * gamma + 1j * (params.delta_m - w)) \
-        - 2j * kerr * abs(m0) ** 2
-    jac[2, 3] = -1j * kerr * m0 * m0
-    _fill_conjugate_rows(jac)
-    return jac
-
-
-def _fill_conjugate_rows(jac: np.ndarray) -> None:
-    """Rows 1 and 3 follow from rows 0 and 2 by the doubled-basis pairing."""
-    jac[1, 0] = np.conj(jac[0, 1])
-    jac[1, 1] = np.conj(jac[0, 0])
-    jac[1, 2] = np.conj(jac[0, 3])
-    jac[1, 3] = np.conj(jac[0, 2])
-    jac[3, 0] = np.conj(jac[2, 1])
-    jac[3, 1] = np.conj(jac[2, 0])
-    jac[3, 2] = np.conj(jac[2, 3])
-    jac[3, 3] = np.conj(jac[2, 2])
-
-
 def classify(fp: FixedPoint, params: SystemParams,
              margin_rtol: float = MARGIN_RTOL) -> StabilityReport:
     """Stability of one fixed point from the 4x4 doubled linearization.
@@ -116,10 +65,8 @@ def classify(fp: FixedPoint, params: SystemParams,
     taken. A margin within ``margin_rtol * params.rate_scale()`` of
     zero is reported as marginal rather than stable or unstable.
     """
-    if fp.kind == "active":
-        jac = jacobian_active(fp, params)
-    else:
-        jac = jacobian_passive(fp, params)
+    jac = jacobian(params, fp.a0, fp.m0, fp.omega,
+                   active=fp.kind == "active")
     try:
         eigs = np.linalg.eigvals(jac)
     except np.linalg.LinAlgError as exc:

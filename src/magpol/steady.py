@@ -31,15 +31,14 @@ solutions and are never returned.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, InternalConsistencyError
-from .model import DriveSpec, ModeState, SystemParams, rescale, rhs_active, \
-    rhs_passive
+from .model import DriveSpec, ModeState, SystemParams, jacobian_rows, \
+    rescale, vector_field
 
 # A polynomial root counts as real when |Im| <= RTOL*|root| + ATOL
 # (in the nondimensional variable, which is O(1) by construction).
@@ -158,22 +157,67 @@ def _real_roots(coeffs: np.ndarray, what: str) -> list[float]:
     return merged
 
 
-def _damped_newton4(f_and_jac, x: np.ndarray, tol: float,
-                    max_iter: int = 8) -> np.ndarray:
-    """Refine a 4-vector root of f with damped Newton steps.
+def _polish_state(z: np.ndarray, active: bool
+                  ) -> tuple[complex, complex, float]:
+    """(a, m, omega) from the polish unknowns: (Re a, Im a, Re m, Im m)
+    for passive points, (p, omega, Re m, Im m) for active ones, whose
+    photon amplitude a = p is real (the phase gauge)."""
+    x0, x1, mr, mi = z.tolist()
+    if active:
+        return complex(x0), complex(mr, mi), x1
+    return complex(x0, x1), complex(mr, mi), 0.0
+
+
+def _polish_defect(z: np.ndarray, rhs, active: bool) -> np.ndarray:
+    """(Re, Im) of da/dt and dm/dt, active points co-rotating at omega."""
+    a, m, w = _polish_state(z, active)
+    da, dm = rhs(a, m)
+    if active:
+        da += 1j * w * a
+        dm += 1j * w * m
+    return np.array([da.real, da.imag, dm.real, dm.imag])
+
+
+def _polish_jacobian(z: np.ndarray, params: SystemParams,
+                     active: bool) -> np.ndarray:
+    """Real Jacobian of ``_polish_defect`` in the polish unknowns.
+
+    From the doubled-basis columns J_z, J_z*, the real part of an
+    amplitude z has derivative J_z + J_z* and the imaginary part
+    i (J_z - J_z*); omega enters the active defect as i (a, m).
+    """
+    a, m, w = _polish_state(z, active)
+    row_a, row_m = jacobian_rows(params, a, m, w, active)
+    if active:
+        col1 = (1j * a, 1j * m)
+    else:
+        col1 = (1j * (row_a[0] - row_a[1]), 1j * (row_m[0] - row_m[1]))
+    jac = []
+    for row, c1 in zip((row_a, row_m), col1):
+        cols = (row[0] + row[1], c1, row[2] + row[3], 1j * (row[2] - row[3]))
+        jac.append([c.real for c in cols])
+        jac.append([c.imag for c in cols])
+    return np.array(jac)
+
+
+def _damped_newton4(x: np.ndarray, tol: float, rhs, params: SystemParams,
+                    active: bool, max_iter: int = 8
+                    ) -> tuple[np.ndarray, float]:
+    """Refine a root of ``_polish_defect`` with damped Newton steps.
 
     Polynomial roots carry the companion-matrix accuracy limit, which
     near double roots is far looser than the residual contract; a few
     Newton iterations on the full steady-state system restore machine
-    accuracy there. Returns the best iterate seen; never raises.
+    accuracy there. Returns the best iterate seen and its max-norm
+    defect; never raises.
     """
-    fx, jac = f_and_jac(x)
+    fx = _polish_defect(x, rhs, active)
     best_x, best_r = x, float(np.max(np.abs(fx)))
     for _ in range(max_iter):
         if best_r < 0.01 * tol:
             break
         try:
-            step = np.linalg.solve(jac, -fx)
+            step = np.linalg.solve(_polish_jacobian(x, params, active), -fx)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -182,17 +226,17 @@ def _damped_newton4(f_and_jac, x: np.ndarray, tol: float,
         improved = False
         for _ in range(5):
             xn = x + lam * step
-            fn, jn = f_and_jac(xn)
+            fn = _polish_defect(xn, rhs, active)
             rn = float(np.max(np.abs(fn)))
             if np.all(np.isfinite(fn)) and rn < best_r:
-                x, fx, jac = xn, fn, jn
+                x, fx = xn, fn
                 best_x, best_r = xn, rn
                 improved = True
                 break
             lam *= 0.5
         if not improved:
             break
-    return best_x
+    return best_x, best_r
 
 
 def residual(fp: FixedPoint, params: SystemParams,
@@ -205,12 +249,10 @@ def residual(fp: FixedPoint, params: SystemParams,
     """
     s = math.sqrt(max(fp.n_a, fp.n_m, 1.0))
     st, sp, sd = rescale(ModeState(a=fp.a0, m=fp.m0), params, s, drive)
-    if fp.kind == "passive":
-        if sd is None:
-            raise ValueError("passive residual needs the drive")
-        da, dm = rhs_passive(st, sp, sd)
-        return max(abs(da), abs(dm))
-    da, dm = rhs_active(st, sp)
+    if fp.kind == "passive" and sd is None:
+        raise ValueError("passive residual needs the drive")
+    rhs = vector_field(sp, sd if fp.kind == "passive" else None)
+    da, dm = rhs(st.a, st.m)
     return max(abs(da + 1j * fp.omega * st.a),
                abs(dm + 1j * fp.omega * st.m))
 
@@ -246,24 +288,8 @@ def passive_fixed_points(params: SystemParams,
     rate = params.rate_scale()
     tol = RESIDUAL_RTOL * rate
 
-    def f_and_jac(z):
-        ar, ai, mr, mi = z
-        delta = dm_det + kerr_s * (mr * mr + mi * mi)
-        f = np.array([
-            -0.5 * kappa * ar + dc * ai + g * mi + eta_s,
-            -0.5 * kappa * ai - dc * ar - g * mr,
-            -0.5 * gamma * mr + delta * mi + g * ai,
-            -0.5 * gamma * mi - delta * mr - g * ar,
-        ])
-        jac = np.array([
-            [-0.5 * kappa, dc, 0.0, g],
-            [-dc, -0.5 * kappa, -g, 0.0],
-            [0.0, g, -0.5 * gamma + 2.0 * kerr_s * mr * mi,
-             delta + 2.0 * kerr_s * mi * mi],
-            [-g, 0.0, -(delta + 2.0 * kerr_s * mr * mr),
-             -0.5 * gamma - 2.0 * kerr_s * mr * mi],
-        ])
-        return f, jac
+    sp = params.replace(kerr=kerr_s)
+    rhs = vector_field(sp, DriveSpec(eta=eta_s))
 
     out = []
     for x in roots:
@@ -277,9 +303,8 @@ def passive_fixed_points(params: SystemParams,
                                     "at zero effective detuning)")
         a = eta_s / ((0.5 * kappa + 1j * dc) + g * g / d_m)
         m = -1j * g * a / d_m
-        z = _damped_newton4(f_and_jac,
-                            np.array([a.real, a.imag, m.real, m.imag]), tol)
-        res = float(np.max(np.abs(f_and_jac(z)[0])))
+        z, res = _damped_newton4(np.array([a.real, a.imag, m.real, m.imag]),
+                                 tol, rhs, sp, active=False)
         if res > tol:
             raise InternalConsistencyError(
                 f"passive root n_m={n_m1 * n_ref:.6e} reconstructed with "
@@ -341,24 +366,8 @@ def active_fixed_points(params: SystemParams) -> list[FixedPoint]:
     rate = params.rate_scale()
     tol = RESIDUAL_RTOL * rate
 
-    def f_and_jac(z):
-        p, mr, mi, w = z
-        delta = dm_det - w + kerr_s * (mr * mr + mi * mi)
-        f = np.array([
-            (g_eff - gsat_s * p * p) * p + g * mi,
-            w * p - g * mr,
-            -0.5 * gamma * mr + delta * mi,
-            -0.5 * gamma * mi - delta * mr - g * p,
-        ])
-        jac = np.array([
-            [g_eff - 3.0 * gsat_s * p * p, 0.0, g, 0.0],
-            [w, -g, 0.0, p],
-            [0.0, -0.5 * gamma + 2.0 * kerr_s * mr * mi,
-             delta + 2.0 * kerr_s * mi * mi, -mi],
-            [-g, -(delta + 2.0 * kerr_s * mr * mr),
-             -0.5 * gamma - 2.0 * kerr_s * mr * mi, mr],
-        ])
-        return f, jac
+    sp = params.replace(kerr=kerr_s, gamma_sat=gsat_s)
+    rhs = vector_field(sp)
 
     out: list[FixedPoint] = []
     for x in roots:
@@ -381,16 +390,15 @@ def active_fixed_points(params: SystemParams) -> list[FixedPoint]:
             candidates = [w, -w] if w > 0 else [0.0]
         for w in candidates:
             m = (w - 1j * a_val) * p / g
-            z = _damped_newton4(f_and_jac,
-                                np.array([p, m.real, m.imag, w]), tol)
-            res = float(np.max(np.abs(f_and_jac(z)[0])))
+            z, res = _damped_newton4(np.array([p, w, m.real, m.imag]), tol,
+                                     rhs, sp, active=True)
             if res > tol:
                 if len(candidates) > 1:
                     continue  # rejected sign of the doublet branch
                 raise InternalConsistencyError(
                     f"active root A={a_val:.6e} reconstructed with "
                     f"residual {res:.3e} > {tol:.3e} rad/us")
-            p1, mr1, mi1, w1 = z
+            p1, w1, mr1, mi1 = z
             if p1 < 0:  # phase gauge: photon amplitude real positive
                 p1, mr1, mi1 = -p1, -mr1, -mi1
             nm1 = mr1 * mr1 + mi1 * mi1

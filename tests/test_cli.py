@@ -188,6 +188,28 @@ def test_sweep_csv_schema_and_memory_columns(tmp_path):
     assert float(body[0][1]) == float(body[0][2])
 
 
+def test_all_zero_seed_sweep_records_unfittable_steps(tmp_path):
+    """The active origin is a fixed point, so a zero seed never leaves
+    it: every step has a window without power, which is flagged, not
+    fatal."""
+    doc = json.loads((ROOT / "configs" / "sweep_low_gain.json").read_text())
+    doc.pop("out")
+    doc["sweep"]["steps"] = 3
+    doc["sweep"]["seed_state"] = {"a_re": 0.0, "a_im": 0.0,
+                                  "m_re": 0.0, "m_im": 0.0}
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    body = _read_csv_rows(out / "sweep.csv")[1:]
+    assert [int(r[0]) for r in body] == [0, 1, 2]
+    for r in body:
+        assert math.isnan(float(r[3]))
+        assert float(r[4]) == 0.0
+        assert r[5] == "true" and r[6] == "false"
+        # no fitted offset, so the detuning is never re-centered
+        assert float(r[1]) == float(r[2])
+
+
 def test_memoryless_sweep_has_no_detuning_shift(tmp_path):
     cfg = _write_config(tmp_path, _sweep_doc(memory_detuning=False,
                                              memory_state=False))

@@ -9,9 +9,11 @@ import pytest
 from _cases import broadline_params, narrowline_params
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.errors import ConditioningError
-from magpol.model import TWO_PI, DriveSpec, SystemParams
+from magpol.model import TWO_PI, DriveSpec, SystemParams, rescale, \
+    vector_field
 from magpol.phasemap import n0_to_drive_passive
-from magpol.steady import active_fixed_points, passive_fixed_points, residual
+from magpol.steady import _polish_defect, _polish_jacobian, \
+    active_fixed_points, passive_fixed_points, residual
 
 # Frozen three-solution set of the narrow-line gain system at
 # gain/2pi = 15.45 MHz, delta_m/2pi = -46.4 MHz (sorted by omega).
@@ -238,3 +240,57 @@ def test_solution_count_bounds():
             gain=TWO_PI * rng.uniform(0.5, 30),
             gamma_sat=TWO_PI * 10.0 ** rng.uniform(-13, -11))
         assert len(active_fixed_points(pa)) <= 5
+
+
+def _polish_jacobian_error(fp, p, drive=None):
+    """Max deviation of the polish Jacobian from central differences of
+    the polish defect, relative to the largest entry, at a fixed point
+    in unit-occupation scaling."""
+    s = math.sqrt(max(fp.n_a, fp.n_m, 1.0))
+    _, sp, sd = rescale(None, p, s, drive)
+    rhs = vector_field(sp, sd)
+    a, m = fp.a0 / s, fp.m0 / s
+    active = fp.kind == "active"
+    if active:
+        z = np.array([a.real, fp.omega, m.real, m.imag])
+    else:
+        z = np.array([a.real, a.imag, m.real, m.imag])
+    jac = _polish_jacobian(z, sp, active)
+    ref = np.empty((4, 4))
+    for k in range(4):
+        dz = np.zeros(4)
+        dz[k] = 1e-6 * max(abs(z[k]), 1.0)
+        up = _polish_defect(z + dz, rhs, active)
+        down = _polish_defect(z - dz, rhs, active)
+        ref[:, k] = (up - down) / (2.0 * dz[k])
+    return np.max(np.abs(jac - ref)) / np.max(np.abs(ref))
+
+
+def test_polish_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(74)
+    n_passive = n_active = 0
+    while n_passive < 20 or n_active < 20:
+        kappa = TWO_PI * rng.uniform(0.5, 5)
+        p = SystemParams(
+            kappa=kappa, gamma=TWO_PI * rng.uniform(2, 30),
+            g=TWO_PI * rng.uniform(1, 40),
+            delta_c=TWO_PI * rng.uniform(-100, 100),
+            delta_m=TWO_PI * rng.uniform(-100, 100))
+        n0 = 10.0 ** rng.uniform(9, 14)
+        shift = np.sign(rng.normal()) * TWO_PI * 10.0 ** rng.uniform(-2, 2)
+        p = p.replace(kerr=shift / n0)
+        drive = DriveSpec(
+            eta=math.sqrt(n0 * ((0.5 * kappa) ** 2 + p.delta_c ** 2)))
+        for fp in passive_fixed_points(p, drive):
+            assert _polish_jacobian_error(fp, p, drive) < 1e-5
+            n_passive += 1
+
+        gamma_sat = TWO_PI * 10.0 ** rng.uniform(-13, -11)
+        pa = SystemParams(
+            gamma=TWO_PI * rng.uniform(2, 30), g=TWO_PI * rng.uniform(1, 40),
+            kerr=np.sign(rng.normal()) * gamma_sat * 10.0 ** rng.uniform(-1, 1),
+            delta_m=TWO_PI * rng.uniform(-100, 100),
+            gain=TWO_PI * rng.uniform(0.5, 30), gamma_sat=gamma_sat)
+        for fp in active_fixed_points(pa):
+            assert _polish_jacobian_error(fp, pa) < 1e-5
+            n_active += 1
