@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, FitError
 from .model import TWO_PI
@@ -114,6 +113,10 @@ def fit_s11(spectrum) -> ReflectionFit:
     kappa_a <= gamma. Raises FitError when the data contain no dip or
     cannot bracket it.
     """
+    # imported here: scipy.optimize takes about 0.6 s and 45 MB to
+    # import, which every other command would pay at start-up
+    from scipy.optimize import least_squares
+
     arr = np.asarray(spectrum, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise FitError(f"spectrum must be (N, 2), got {arr.shape}")

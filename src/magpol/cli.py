@@ -33,7 +33,7 @@ from .model import TWO_PI
 from .phasemap import onset_monotonicity_flags, scan
 from .spectral import build_spectrogram
 from .stability import MARGIN_RTOL, classify
-from .steady import active_fixed_points, passive_fixed_points
+from .steady import RESIDUAL_RTOL, active_fixed_points, passive_fixed_points
 
 
 def _mhz(rad_per_us) -> float:
@@ -60,7 +60,14 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _fp_record(fp, report) -> dict:
+def _fp_record(fp, report, tol: float) -> dict:
+    """JSON record of one fixed point; ``tol`` is its residual tolerance.
+
+    The residual is written as a multiple of 1e-3 * tol: the polish
+    leaves defects of pure rounding (1e-14..1e-10 rad/us), which would
+    otherwise change the artifact whenever the arithmetic is reordered.
+    """
+    quantum = 1e-3 * tol
     if report.is_marginal:
         label = "marginal"
     elif report.is_stable:
@@ -75,7 +82,7 @@ def _fp_record(fp, report) -> dict:
         "a0": _complex_pair(fp.a0),
         "m0": _complex_pair(fp.m0),
         "net_gain_per_us": fp.net_gain,
-        "residual_per_us": fp.residual,
+        "residual_per_us": round(fp.residual / quantum) * quantum,
         "classification": label,
         "margin_per_us": report.margin,
         "eigenvalues_per_us": [_complex_pair(e) for e in report.eigenvalues],
@@ -93,9 +100,10 @@ def cmd_fixed_points(run: config.RunConfig, out_dir: str) -> int:
         fps = active_fixed_points(params)
     records = []
     n_stable = n_unstable = n_marginal = 0
+    tol = RESIDUAL_RTOL * params.rate_scale()
     for fp in fps:
         report = classify(fp, params)
-        rec = _fp_record(fp, report)
+        rec = _fp_record(fp, report, tol)
         records.append(rec)
         if rec["classification"] == "stable":
             n_stable += 1
@@ -303,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "field, else current directory)")
         if name == "phase-diagram":
             p.add_argument("--threads", type=int, default=1,
-                           help="worker processes for the scan")
+                           help="worker processes for passive scans; "
+                                "active maps are solved in one process "
+                                "as batched array computations")
             p.add_argument("--resolution", default=None, metavar="NxM",
                            help="override grid size (x count x detuning "
                                 "count)")

@@ -30,7 +30,9 @@ otherwise it holds the raw pump gain and ``kappa/2`` is subtracted.
 This module holds the only copy of the equations, used by every
 solver: ``vector_field`` builds the right-hand side, and
 ``jacobian_rows``/``jacobian`` its linearization in the doubled basis
-(a, a*, m, m*).
+(a, a*, m, m*). All three evaluate elementwise on arrays of states of
+any leading shape, with the rates taken from a ``SystemParams`` or, for
+a batch of parameter points, from a ``Rates`` of broadcasting arrays.
 
 Large occupations (1e9..1e15 quanta) make the raw nonlinear terms span
 many decades, so solvers rescale amplitudes by ``s = sqrt(n_ref)`` with
@@ -42,8 +44,10 @@ eta -> eta/s``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,7 +213,45 @@ def power_from_drive(drive: DriveSpec, params: SystemParams) -> float:
     return flux_per_us * 1e6 * (HBAR_JS * params.omega_d * 1e6)
 
 
-def vector_field(params: SystemParams, drive: DriveSpec | None = None):
+class Rates(NamedTuple):
+    """The rates the equations read, as floats or broadcasting arrays.
+
+    ``vector_field`` and ``jacobian_rows`` read only these attributes,
+    so they take a ``Rates`` wherever they take a ``SystemParams``: a
+    batch of parameter points (one detuning, gain or rescaled
+    nonlinearity per state) then evaluates as one array expression.
+    ``gain_eff`` is G_eff itself. Build one with ``batch_rates``.
+    """
+
+    kappa: float | np.ndarray
+    gamma: float | np.ndarray
+    g: float | np.ndarray
+    kerr: float | np.ndarray
+    delta_c: float | np.ndarray
+    delta_m: float | np.ndarray
+    gain_eff: float | np.ndarray
+    gamma_sat: float | np.ndarray
+
+    def rate_scale(self):
+        """``SystemParams.rate_scale`` of each batch member."""
+        return functools.reduce(np.maximum, (
+            self.kappa, self.gamma, 2.0 * self.g, np.abs(self.delta_c),
+            np.abs(self.delta_m), np.abs(self.gain_eff), 1e-9))
+
+    def take(self, idx) -> "Rates":
+        """The rates of the batch members ``idx`` (floats pass through)."""
+        return Rates(*(v[idx] if np.ndim(v) else v for v in self))
+
+
+def batch_rates(params: SystemParams, **arrays) -> Rates:
+    """``params``' rates with some replaced by per-member arrays."""
+    fields = {name: getattr(params, name) for name in Rates._fields}
+    fields.update(arrays)
+    return Rates(**fields)
+
+
+def vector_field(params: SystemParams | Rates,
+                 drive: DriveSpec | None = None):
     """Right-hand side ``rhs(a, m) -> (da/dt, dm/dt)`` at fixed parameters.
 
     With ``drive`` the passive driven model, without it the active
@@ -247,16 +289,16 @@ def vector_field(params: SystemParams, drive: DriveSpec | None = None):
     return rhs
 
 
-def jacobian_rows(params: SystemParams, a: complex, m: complex,
-                  omega: float = 0.0, active: bool = False
-                  ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+def jacobian_rows(params: SystemParams | Rates, a, m, omega=0.0,
+                  active: bool = False) -> tuple[tuple, tuple]:
     """Rows d(da/dt) and d(dm/dt) of the doubled-basis linearization.
 
     Columns are the derivatives with respect to (a, a*, m, m*) at the
     state (a, m), in a frame co-rotating at ``omega`` (d/dt picks up
     +i*omega). Only the photon row depends on the model: gain and
     saturation with ``active``, else the passive cavity (the constant
-    drive drops out).
+    drive drops out). Entries are scalars or arrays broadcasting over
+    the states.
     """
     g = params.g
     kerr = params.kerr
@@ -274,16 +316,21 @@ def jacobian_rows(params: SystemParams, a: complex, m: complex,
     return row_a, row_m
 
 
-def jacobian(params: SystemParams, a: complex, m: complex,
-             omega: float = 0.0, active: bool = False) -> np.ndarray:
-    """4x4 linearization acting on the doubled vector (da, da*, dm, dm*).
+def jacobian(params: SystemParams | Rates, a, m, omega=0.0,
+             active: bool = False) -> np.ndarray:
+    """Linearization acting on the doubled vector (da, da*, dm, dm*).
 
-    Rows 1 and 3 are rows 0 and 2 conjugated with the pairing swapped,
-    so the spectrum is closed under complex conjugation.
+    Shape (..., 4, 4) over the broadcast shape of the states. Rows 1
+    and 3 are rows 0 and 2 conjugated with the pairing swapped, so the
+    spectrum is closed under complex conjugation.
     """
     row_a, row_m = jacobian_rows(params, a, m, omega, active)
-    return np.array([row_a, [row_a[k].conjugate() for k in (1, 0, 3, 2)],
-                     row_m, [row_m[k].conjugate() for k in (1, 0, 3, 2)]])
+    entries = [*row_a, *(row_a[k].conjugate() for k in (1, 0, 3, 2)),
+               *row_m, *(row_m[k].conjugate() for k in (1, 0, 3, 2))]
+    out = np.empty(np.broadcast(*entries).shape + (16,), dtype=complex)
+    for k, entry in enumerate(entries):
+        out[..., k] = entry
+    return out.reshape(out.shape[:-1] + (4, 4))
 
 
 def rhs_passive(state: ModeState, params: SystemParams,

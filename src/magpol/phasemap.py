@@ -13,8 +13,12 @@ active one through ``n0_to_gain_active``) or the effective gain
 directly. n0 axes are sampled logarithmically, gain axes linearly,
 detuning always linearly.
 
-Scans are deterministic: cells are evaluated independently and
-assembled by index, so the result is identical for any worker count.
+An active grid is solved in one process as batched array computations
+over blocks of ``ACTIVE_BLOCK`` cells (``steady.solve_active`` and
+``stability.classify_points``); a passive grid cell by cell, its rows
+optionally spread over worker processes. Scans are deterministic:
+every cell's result depends only on that cell and is assembled by
+index, so it is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,12 +30,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import steady
-from .model import DriveSpec, SystemParams
-from .stability import MARGIN_RTOL, classify
-from .steady import active_fixed_points, passive_fixed_points
+from .model import DriveSpec, SystemParams, batch_rates
+from .stability import MARGIN_RTOL, classify, classify_points
+# active_fixed_points is unused here but stays a module attribute:
+# perfbench/tracing.py rebinds the solver names it finds on phasemap.
+from .steady import active_fixed_points, passive_fixed_points  # noqa: F401
 
 _VALID_SYSTEMS = ("passive", "active")
 _VALID_AXES = ("n0", "gain")
+
+# Cells an active scan solves per batch. The stacked arrays take about
+# 3 kB per cell, so this bounds the scan's memory for any grid size;
+# larger blocks are no faster.
+ACTIVE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -105,13 +116,17 @@ class PhaseDiagram:
 
     def region_summary(self) -> dict[str, int]:
         """Cell count per phase label, for reporting."""
-        out: dict[str, int] = {}
-        ny, nx = self.stable.shape
-        for iy in range(ny):
-            for ix in range(nx):
-                lab = self.phase_label(iy, ix)
-                out[lab] = out.get(lab, 0) + 1
-        return dict(sorted(out.items()))
+        # one integer per distinct label, then one phase_label call each
+        base = int(max(self.stable.max(), self.unstable.max(),
+                       self.marginal.max(), 0)) + 1
+        code = ((self.stable.astype(np.int64) * base + self.unstable)
+                * base + self.marginal)
+        code = np.where(self.errors, -2, np.where(self.blank, -1, code))
+        _, first, counts = np.unique(code, return_index=True,
+                                     return_counts=True)
+        return dict(sorted(
+            (self.phase_label(*np.unravel_index(i, code.shape)), int(n))
+            for i, n in zip(first, counts)))
 
 
 def n0_to_drive_passive(n0: float, params: SystemParams) -> DriveSpec:
@@ -148,20 +163,12 @@ def n0_to_gain_active(n0: float, params: SystemParams) -> float:
 
 def _eval_cell(grid: GridSpec, x: float, delta_m: float,
                margin_rtol: float) -> tuple[int, int, int, int, str | None]:
-    """(n_stable, n_unstable, n_marginal, n_total, error) for one cell."""
+    """(n_stable, n_unstable, n_marginal, n_total, error) for one
+    passive cell."""
     try:
         params = grid.base.replace(delta_m=delta_m)
-        if grid.system == "passive":
-            drive = n0_to_drive_passive(x, params)
-            fps = passive_fixed_points(params, drive)
-        else:
-            if grid.x_axis == "gain":
-                g_eff = x
-            else:
-                g_eff = n0_to_gain_active(x, params)
-            params = params.replace(gain=g_eff, gain_absorbed=True,
-                                    delta_c=0.0)
-            fps = active_fixed_points(params)
+        drive = n0_to_drive_passive(x, params)
+        fps = passive_fixed_points(params, drive)
         ns = nu = nm = 0
         for fp in fps:
             rep = classify(fp, params, margin_rtol=margin_rtol)
@@ -173,7 +180,11 @@ def _eval_cell(grid: GridSpec, x: float, delta_m: float,
                 nu += 1
         return ns, nu, nm, len(fps), None
     except Exception as exc:  # cell errors must not abort the scan
-        return 0, 0, 0, 0, f"{type(exc).__name__}: {exc}"
+        return 0, 0, 0, 0, _error_text(exc)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _eval_row(args) -> list[tuple[int, int, int, int, str | None]]:
@@ -182,41 +193,82 @@ def _eval_row(args) -> list[tuple[int, int, int, int, str | None]]:
     return [_eval_cell(grid, x, dm, margin_rtol) for x in grid.x_values()]
 
 
-def scan(grid: GridSpec, workers: int = 1,
-         margin_rtol: float = MARGIN_RTOL) -> PhaseDiagram:
-    """Evaluate every cell of the grid; see the module docstring.
-
-    ``workers`` > 1 distributes rows over processes. Results do not
-    depend on the worker count.
-    """
-    ny, nx = grid.delta_m_count, grid.x_count
-    stable = np.zeros((ny, nx), dtype=np.int16)
-    unstable = np.zeros((ny, nx), dtype=np.int16)
-    marginal = np.zeros((ny, nx), dtype=np.int16)
-    blank = np.zeros((ny, nx), dtype=bool)
-    errors = np.zeros((ny, nx), dtype=bool)
-    messages: dict[tuple[int, int], str] = {}
-
-    tasks = [(grid, iy, margin_rtol) for iy in range(ny)]
+def _scan_passive(grid: GridSpec, workers: int, margin_rtol: float):
+    """Per-cell passive scan, rows spread over ``workers`` processes."""
+    tasks = [(grid, iy, margin_rtol) for iy in range(grid.delta_m_count)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_row, tasks, chunksize=1))
     else:
         rows = [_eval_row(t) for t in tasks]
+    cells = [cell for row in rows for cell in row]
+    counts = np.array([cell[:4] for cell in cells], dtype=np.int64)
+    messages = {k: cell[4] for k, cell in enumerate(cells)
+                if cell[4] is not None}
+    return counts.T, messages
 
-    for iy, row in enumerate(rows):
-        for ix, (ns, nu, nm, ntot, err) in enumerate(row):
-            if err is not None:
-                errors[iy, ix] = True
-                messages[(iy, ix)] = err
-                continue
-            stable[iy, ix] = ns
-            unstable[iy, ix] = nu
-            marginal[iy, ix] = nm
-            blank[iy, ix] = ntot == 0
-    return PhaseDiagram(grid=grid, stable=stable, unstable=unstable,
-                        marginal=marginal, blank=blank, errors=errors,
-                        error_messages=messages)
+
+def _scan_active(grid: GridSpec, margin_rtol: float):
+    """All cells of an active grid, solved in blocks of ACTIVE_BLOCK cells:
+    ``steady.solve_active`` for the fixed points of a block, one
+    ``classify_points`` for their spectra."""
+    n = grid.x_count * grid.delta_m_count
+    xs = grid.x_values()
+    try:
+        gains = xs if grid.x_axis == "gain" else np.array(
+            [n0_to_gain_active(x, grid.base) for x in xs])
+    except ValueError as exc:
+        return np.zeros((4, n), dtype=np.int64), dict.fromkeys(
+            range(n), _error_text(exc))
+    cells = batch_rates(grid.base, delta_c=0.0,
+                        delta_m=np.repeat(grid.delta_m_values(), grid.x_count),
+                        gain_eff=np.tile(gains, grid.delta_m_count))
+    counts = np.zeros((4, n), dtype=np.int64)
+    errors: dict[int, Exception] = {}
+    for lo in range(0, n, ACTIVE_BLOCK):
+        block = cells.take(slice(lo, lo + ACTIVE_BLOCK))
+        size = min(ACTIVE_BLOCK, n - lo)
+        sol = steady.solve_active(block)
+        rates = block.take(sol.cell)
+        spectra = classify_points(rates, sol.a0, sol.m0, sol.omega, True,
+                                  margin_rtol * rates.rate_scale())
+        failed = dict(sol.errors)
+        for i, exc in spectra.errors.items():
+            failed.setdefault(int(sol.cell[i]), exc)
+        ok = ~np.isin(sol.cell, list(failed))
+        marginal = spectra.is_marginal
+        for row, mask in enumerate((~marginal & spectra.is_stable,
+                                    ~marginal & ~spectra.is_stable,
+                                    marginal, ok)):
+            counts[row, lo:lo + size] = np.bincount(sol.cell[ok & mask],
+                                                    minlength=size)
+        errors.update((lo + k, exc) for k, exc in failed.items())
+    return counts, {k: _error_text(e) for k, e in sorted(errors.items())}
+
+
+def scan(grid: GridSpec, workers: int = 1,
+         margin_rtol: float = MARGIN_RTOL) -> PhaseDiagram:
+    """Evaluate every cell of the grid; see the module docstring.
+
+    Active grids are solved in this process, as batched array
+    computations over blocks of cells. Passive grids are solved cell by
+    cell, and ``workers`` > 1 distributes their rows over processes.
+    Results do not depend on the worker count.
+    """
+    shape = (grid.delta_m_count, grid.x_count)
+    if grid.system == "active":
+        counts, messages = _scan_active(grid, margin_rtol)
+    else:
+        counts, messages = _scan_passive(grid, workers, margin_rtol)
+    ns, nu, nm, ntot = (c.reshape(shape) for c in counts)
+    errors = np.zeros(shape, dtype=bool)
+    errors.flat[list(messages)] = True
+    return PhaseDiagram(
+        grid=grid, stable=ns.astype(np.int16), unstable=nu.astype(np.int16),
+        marginal=nm.astype(np.int16), blank=(ntot == 0) & ~errors,
+        errors=errors,
+        error_messages={divmod(k, grid.x_count): msg
+                        for k, msg in messages.items()})
 
 
 def bistable_onset(diagram: PhaseDiagram,

@@ -21,10 +21,11 @@ its full spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import SystemParams, jacobian
+from .model import Rates, SystemParams, jacobian
 from .steady import FixedPoint
 
 # |max Re eigenvalue| below MARGIN_RTOL * rate_scale counts as marginal.
@@ -57,6 +58,74 @@ class StabilityReport:
     neutral_suspect: bool
 
 
+class Spectra(NamedTuple):
+    """Classification of a batch of fixed points, one row per point.
+
+    ``eigenvalues`` (M, 4) is each 4x4 spectrum sorted by descending
+    real part; ``discarded`` is the index in it of the dropped neutral
+    mode, or -1. The other fields are those of ``StabilityReport``.
+    ``errors`` maps the rows whose eigenvalue solve failed to the
+    exception; their other fields are meaningless.
+    """
+
+    eigenvalues: np.ndarray
+    discarded: np.ndarray
+    margin: np.ndarray
+    is_stable: np.ndarray
+    is_marginal: np.ndarray
+    neutral_suspect: np.ndarray
+    errors: dict[int, Exception]
+
+
+def classify_points(params: SystemParams | Rates, a0, m0, omega,
+                    active: bool, band) -> Spectra:
+    """Stability of M fixed points of one model, in one batched solve.
+
+    ``a0``, ``m0`` and ``omega`` are arrays (M,) or, for one point,
+    scalars; the ``params`` rates broadcast over them. Oscillating
+    active points drop their neutral phase mode before the margin is
+    taken; a margin within ``band`` (per point, rad/us) of zero is
+    marginal.
+    """
+    jac = jacobian(params, a0, m0, omega, active).reshape(-1, 4, 4)
+    a0, m0 = np.atleast_1d(a0), np.atleast_1d(m0)
+    errors: dict[int, Exception] = {}
+    try:
+        eigs = np.linalg.eigvals(jac)
+    except np.linalg.LinAlgError:  # one failed matrix fails the stack
+        eigs = np.full(jac.shape[:-1], np.nan, dtype=complex)
+        for i, mat in enumerate(jac):
+            try:
+                eigs[i] = np.linalg.eigvals(mat)
+            except np.linalg.LinAlgError as exc:
+                kind = "active" if active else "passive"
+                errors[i] = np.linalg.LinAlgError(
+                    f"eigenvalue solve failed for {kind} fixed point; "
+                    f"matrix:\n{np.array2string(mat, precision=8)}")
+                errors[i].__cause__ = exc
+
+    rows = np.arange(len(eigs))
+    eigs = eigs[rows[:, None], np.argsort(-eigs.real, axis=-1)]
+    discarded = np.full(len(eigs), -1)
+    neutral_suspect = np.zeros(len(eigs), dtype=bool)
+    retained = eigs.real
+    if active:
+        # The origin has no phase orbit, so its spectrum carries no
+        # neutral mode to drop; only oscillating points get the discard.
+        drop = np.abs(a0) ** 2 + np.abs(m0) ** 2 > 0
+        mag = np.abs(eigs)
+        discarded[drop] = mag[drop].argmin(axis=-1)
+        kept = np.arange(4) != discarded[:, None]
+        span = np.where(kept, mag, -np.inf).max(axis=-1)
+        neutral_suspect = drop & (span > 0) & (
+            mag[rows, discarded] >= NEUTRAL_SUSPECT_REL * span)
+        retained = np.where(kept, retained, -np.inf)
+    margin = retained.max(axis=-1)
+    return Spectra(eigenvalues=eigs, discarded=discarded, margin=margin,
+                   is_stable=margin < 0.0, is_marginal=np.abs(margin) < band,
+                   neutral_suspect=neutral_suspect, errors=errors)
+
+
 def classify(fp: FixedPoint, params: SystemParams,
              margin_rtol: float = MARGIN_RTOL) -> StabilityReport:
     """Stability of one fixed point from the 4x4 doubled linearization.
@@ -65,39 +134,19 @@ def classify(fp: FixedPoint, params: SystemParams,
     taken. A margin within ``margin_rtol * params.rate_scale()`` of
     zero is reported as marginal rather than stable or unstable.
     """
-    jac = jacobian(params, fp.a0, fp.m0, fp.omega,
-                   active=fp.kind == "active")
-    try:
-        eigs = np.linalg.eigvals(jac)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigenvalue solve failed for {fp.kind} fixed point; matrix:\n"
-            f"{np.array2string(jac, precision=8)}") from exc
-
-    order = np.argsort(-eigs.real)
-    eigs = eigs[order]
-    discarded = None
-    retained = eigs
-    neutral_suspect = False
-    # The origin has no phase orbit, so its spectrum carries no neutral
-    # mode to drop; only oscillating points get the discard.
-    if fp.kind == "active" and fp.n_a + fp.n_m > 0:
-        idx = int(np.argmin(np.abs(eigs)))
-        discarded = complex(eigs[idx])
-        retained = np.delete(eigs, idx)
-        span = float(np.max(np.abs(retained))) if retained.size else 0.0
-        if span > 0 and abs(discarded) >= NEUTRAL_SUSPECT_REL * span:
-            neutral_suspect = True
-
-    margin = float(np.max(retained.real)) if retained.size else 0.0
-    band = margin_rtol * params.rate_scale()
-    is_marginal = abs(margin) < band
+    sp = classify_points(params, fp.a0, fp.m0, fp.omega,
+                         fp.kind == "active",
+                         margin_rtol * params.rate_scale())
+    if sp.errors:
+        raise sp.errors[0]
+    eigs = [complex(e) for e in sp.eigenvalues[0]]
+    idx = int(sp.discarded[0])
     return StabilityReport(
-        eigenvalues=tuple(complex(e) for e in eigs),
-        retained=tuple(complex(e) for e in retained),
-        discarded=discarded,
-        margin=margin,
-        is_stable=bool(margin < 0.0),
-        is_marginal=is_marginal,
-        neutral_suspect=neutral_suspect,
+        eigenvalues=tuple(eigs),
+        retained=tuple(e for k, e in enumerate(eigs) if k != idx),
+        discarded=eigs[idx] if idx >= 0 else None,
+        margin=float(sp.margin[0]),
+        is_stable=bool(sp.is_stable[0]),
+        is_marginal=bool(sp.is_marginal[0]),
+        neutral_suspect=bool(sp.neutral_suspect[0]),
     )

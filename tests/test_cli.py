@@ -4,6 +4,9 @@ import csv
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,17 @@ def _read_csv_rows(path):
         return list(csv.reader(fh))
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    import magpol
+    src = Path(magpol.__file__).resolve().parents[1]
+    code = ("import sys, magpol.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -115,6 +129,8 @@ def test_shipped_bistable_point(tmp_path, capsys):
     assert labels.count("stable") == 2 and labels.count("unstable") == 1
     for rec in payload["fixed_points"]:
         assert rec["residual_per_us"] < 1e-6
+        # rounding-level polish defects are written as exactly zero
+        assert rec["residual_per_us"] == 0.0
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from _cases import broadline_params, narrowline_params
+from _oracles import active_fixed_points_newton
+from magpol import phasemap
 from magpol.model import TWO_PI, SystemParams, eta_from_power
 from magpol.phasemap import (GridSpec, PhaseDiagram, bistable_onset,
                              n0_to_drive_passive, n0_to_gain_active,
                              onset_monotonicity_flags, scan)
+from magpol.stability import classify
+from magpol.steady import active_fixed_points
 
 
 def test_n0_mapping_inverts_the_bare_occupation():
@@ -176,22 +180,154 @@ def test_bistable_onset_and_monotonicity():
     assert onset_monotonicity_flags(diagram) == []
 
 
-def test_scan_counts_match_direct_enumeration():
-    from magpol.steady import active_fixed_points
-    from magpol.stability import classify
-    grid = active_gain_grid(n=7)
+def _cell_params(grid, iy, ix):
+    """The parameters of one active cell, built the way a per-cell scan
+    builds them."""
+    params = grid.base.replace(delta_m=grid.delta_m_values()[iy])
+    x = grid.x_values()[ix]
+    g_eff = x if grid.x_axis == "gain" else n0_to_gain_active(x, params)
+    return params.replace(gain=g_eff, gain_absorbed=True, delta_c=0.0)
+
+
+def _enumerate_cell(grid, iy, ix):
+    """(stable, unstable, marginal, total, error text) of one active
+    cell from one-cell ``active_fixed_points`` and ``classify`` calls."""
+    try:
+        p = _cell_params(grid, iy, ix)
+        reps = [classify(fp, p) for fp in active_fixed_points(p)]
+    except Exception as exc:
+        return 0, 0, 0, 0, f"{type(exc).__name__}: {exc}"
+    nm = sum(r.is_marginal for r in reps)
+    ns = sum(r.is_stable and not r.is_marginal for r in reps)
+    return ns, len(reps) - ns - nm, nm, len(reps), None
+
+
+def _assert_scan_matches_cells(grid):
     diagram = scan(grid)
-    xs = grid.x_values()
-    dms = grid.delta_m_values()
-    rng = np.random.default_rng(42)
-    for _ in range(6):
-        iy = int(rng.integers(len(dms)))
-        ix = int(rng.integers(len(xs)))
-        p = grid.base.replace(delta_m=dms[iy], gain=xs[ix])
-        fps = active_fixed_points(p)
-        reps = [classify(fp, p) for fp in fps]
-        ns = sum(r.is_stable and not r.is_marginal for r in reps)
-        nu = sum((not r.is_stable) and not r.is_marginal for r in reps)
-        assert diagram.stable[iy, ix] == ns
-        assert diagram.unstable[iy, ix] == nu
-        assert diagram.blank[iy, ix] == (len(fps) == 0)
+    for iy in range(grid.delta_m_count):
+        for ix in range(grid.x_count):
+            ns, nu, nm, total, err = _enumerate_cell(grid, iy, ix)
+            where = f"cell ({iy}, {ix})"
+            assert diagram.error_messages.get((iy, ix)) == err, where
+            assert diagram.errors[iy, ix] == (err is not None), where
+            assert (diagram.stable[iy, ix], diagram.unstable[iy, ix],
+                    diagram.marginal[iy, ix]) == (ns, nu, nm), where
+            assert diagram.blank[iy, ix] == (err is None and total == 0), \
+                where
+    return diagram
+
+
+def test_scan_counts_match_direct_enumeration():
+    _assert_scan_matches_cells(active_gain_grid(n=7))
+
+
+def _doublet_grid():
+    # narrow-line base: the polariton doublet line delta_m = -K (G -
+    # gamma/2) / gamma_sat = -4 (G - 2pi 5.15 MHz) passes through the
+    # cells (5, 5) and (1, 8) of this grid
+    return GridSpec(system="active", x_axis="gain", x_min=TWO_PI * 14.6,
+                    x_max=TWO_PI * 16.6, x_count=11,
+                    delta_m_min=-TWO_PI * 44.8, delta_m_max=-TWO_PI * 38.8,
+                    delta_m_count=11, base=narrowline_params(gain=0.0))
+
+
+ACTIVE_GRIDS = {
+    "gain_axis_through_threshold": lambda: GridSpec(
+        system="active", x_axis="gain", x_min=-TWO_PI * 6.0,
+        x_max=TWO_PI * 20.0, x_count=9, delta_m_min=-TWO_PI * 70.0,
+        delta_m_max=TWO_PI * 10.0, delta_m_count=9,
+        base=narrowline_params(gain=0.0)),
+    "n0_axis": lambda: GridSpec(
+        system="active", x_axis="n0", x_min=1e9, x_max=1e15, x_count=9,
+        delta_m_min=-TWO_PI * 100.0, delta_m_max=TWO_PI * 100.0,
+        delta_m_count=9,
+        base=broadline_params(gamma_sat=TWO_PI * 2.0e-12, gain=0.0)),
+    "doublet_line": _doublet_grid,
+    "kerr_zero_cubic": lambda: GridSpec(
+        system="active", x_axis="gain", x_min=TWO_PI * 2.0,
+        x_max=TWO_PI * 22.0, x_count=9, delta_m_min=-TWO_PI * 60.0,
+        delta_m_max=TWO_PI * 60.0, delta_m_count=9,
+        base=narrowline_params(kerr=0.0, gain=0.0)),
+    "uncoupled_g_zero": lambda: GridSpec(
+        system="active", x_axis="gain", x_min=-TWO_PI * 2.0,
+        x_max=TWO_PI * 22.0, x_count=5, delta_m_min=-TWO_PI * 60.0,
+        delta_m_max=TWO_PI * 60.0, delta_m_count=4,
+        base=narrowline_params(g=0.0, gain=0.0)),
+    "no_saturation": lambda: GridSpec(
+        system="active", x_axis="gain", x_min=TWO_PI * 10.0,
+        x_max=TWO_PI * 22.0, x_count=4, delta_m_min=-TWO_PI * 60.0,
+        delta_m_max=TWO_PI * 60.0, delta_m_count=3,
+        base=narrowline_params(gamma_sat=0.0, gain=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVE_GRIDS))
+def test_batched_scan_matches_per_cell_enumeration(name, monkeypatch):
+    # blocks of 7 cells: every grid spans several, the last one ragged
+    monkeypatch.setattr(phasemap, "ACTIVE_BLOCK", 7)
+    grid = ACTIVE_GRIDS[name]()
+    diagram = _assert_scan_matches_cells(grid)
+    total = diagram.stable + diagram.unstable + diagram.marginal
+    if name == "no_saturation":
+        assert diagram.errors.all()
+        assert set(diagram.error_messages.values()) == {
+            "ValueError: active model needs gamma_sat > 0 to saturate"}
+        return
+    assert not diagram.errors.any()
+    if name == "gain_axis_through_threshold":
+        gains = grid.x_values()
+        assert diagram.blank[:, gains <= 0].all()
+        assert not diagram.blank[:, gains > TWO_PI * 10.0].any()
+    if name == "uncoupled_g_zero":
+        assert (total == (grid.x_values() > 0)).all()
+        return
+    # the counts agree with the multi-start Newton oracle
+    rng = np.random.default_rng(43)
+    cells = [(int(rng.integers(grid.delta_m_count)),
+              int(rng.integers(grid.x_count))) for _ in range(4)]
+    if name == "doublet_line":
+        cells += [(5, 5), (1, 8)]
+    for iy, ix in cells:
+        p = _cell_params(grid, iy, ix)
+        for n_starts in (48, 512):
+            ref = active_fixed_points_newton(p, n_starts=n_starts)
+            if len(ref) == total[iy, ix]:
+                break
+        assert len(ref) == total[iy, ix], f"cell ({iy}, {ix})"
+
+
+def test_every_passive_cell_has_one_or_three_fixed_points():
+    grid = GridSpec(system="passive", x_axis="n0", x_min=1e13, x_max=1e15,
+                    x_count=25, delta_m_min=TWO_PI * (-100.0),
+                    delta_m_max=TWO_PI * (-60.0), delta_m_count=21,
+                    base=broadline_params(delta_c=TWO_PI * 80.0))
+    diagram = scan(grid)
+    assert not diagram.errors.any()
+    total = diagram.stable + diagram.unstable + diagram.marginal
+    assert set(np.unique(total)) == {1, 3}
+
+
+def test_region_summary_matches_per_cell_labels():
+    rng = np.random.default_rng(44)
+    shape = (37, 23)
+    grid = GridSpec(system="active", x_axis="gain", x_min=1.0, x_max=2.0,
+                    x_count=shape[1], delta_m_min=-1.0, delta_m_max=1.0,
+                    delta_m_count=shape[0], base=narrowline_params())
+    diagram = PhaseDiagram(
+        grid=grid,
+        stable=rng.integers(0, 4, shape).astype(np.int16),
+        unstable=rng.integers(0, 4, shape).astype(np.int16),
+        marginal=(rng.random(shape) < 0.2) * rng.integers(1, 3, shape)
+        .astype(np.int16),
+        blank=rng.random(shape) < 0.15,
+        errors=rng.random(shape) < 0.1)
+    want: dict[str, int] = {}
+    for iy in range(shape[0]):
+        for ix in range(shape[1]):
+            lab = diagram.phase_label(iy, ix)
+            want[lab] = want.get(lab, 0) + 1
+    got = diagram.region_summary()
+    assert list(got) == sorted(want)
+    assert got == want
+    assert {"error", "blank"} <= set(got)
+    assert any(lab.endswith("M") for lab in got)

@@ -9,11 +9,11 @@ import pytest
 from _cases import broadline_params, narrowline_params
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.errors import ConditioningError
-from magpol.model import TWO_PI, DriveSpec, SystemParams, rescale, \
-    vector_field
+from magpol.model import TWO_PI, DriveSpec, Rates, SystemParams, \
+    rescale, vector_field
 from magpol.phasemap import n0_to_drive_passive
-from magpol.steady import _polish_defect, _polish_jacobian, \
-    active_fixed_points, passive_fixed_points, residual
+from magpol.steady import _polish_defect, _polish_jacobian, _real_roots, \
+    active_fixed_points, passive_fixed_points, residual, solve_active
 
 # Frozen three-solution set of the narrow-line gain system at
 # gain/2pi = 15.45 MHz, delta_m/2pi = -46.4 MHz (sorted by omega).
@@ -218,6 +218,100 @@ def test_active_route_matches_newton_oracle():
                 w, rel=1e-6, abs=1e-6 * p.rate_scale())
             assert fp.n_a == pytest.approx(abs(a0) ** 2, rel=1e-6)
             assert fp.n_m == pytest.approx(abs(m0) ** 2, rel=1e-6)
+
+
+def test_doublet_line_cell_of_the_gain_map():
+    # cell (iy=94, ix=70) of configs/active_gain_map.json lies on the
+    # polariton doublet line, where the quintic has an exact double
+    # root at A = gamma/2; its companion eigenvalues split it into a
+    # conjugate pair just off the real axis
+    gains = np.linspace(TWO_PI * 10.0, TWO_PI * 22.0, 151)
+    detunings = np.linspace(-TWO_PI * 70.0, -TWO_PI * 25.0, 151)
+    p = narrowline_params(gain=gains[70], delta_m=detunings[94])
+    fps = active_fixed_points(p)
+    ref = active_fixed_points_newton(p, n_starts=512)
+    assert len(fps) == len(ref) == 3
+    for fp, (a0, m0, w) in zip(fps, ref):
+        assert fp.omega == pytest.approx(w, rel=1e-6)
+        assert fp.n_a == pytest.approx(abs(a0) ** 2, rel=1e-6)
+        assert fp.n_m == pytest.approx(abs(m0) ** 2, rel=1e-6)
+    doublet = [fp for fp in fps if fp.net_gain == pytest.approx(
+        0.5 * p.gamma, rel=1e-6)]
+    assert len(doublet) == 2
+    assert doublet[0].omega == pytest.approx(-doublet[1].omega, rel=1e-9)
+
+
+def test_real_roots_batch_matches_rows_and_np_roots():
+    rng = np.random.default_rng(75)
+    rows = rng.normal(size=(40, 6))
+    rows[::5, 0] = 0.0          # quartic
+    rows[1::5, :2] = 0.0        # cubic
+    rows[2::5, -1] = 0.0        # one root at 0
+    rows[3::5, -2:] = 0.0       # double root at 0
+    rows[4] = 0.0               # no polynomial at all
+    x, optional, errors = _real_roots(rows, "test")
+    assert not errors
+    for i, row in enumerate(rows):
+        xi, oi, _ = _real_roots(row, "test")
+        assert np.array_equal(xi[0], x[i], equal_nan=True)
+        assert np.array_equal(oi[0], optional[i])
+        got = np.sort(x[i][np.isfinite(x[i]) & ~optional[i]])
+        if not row.any():
+            assert got.size == 0
+            continue
+        r = np.roots(row / np.max(np.abs(row)))
+        want = np.unique(r.real[np.abs(r.imag)
+                                <= 1e-7 * np.abs(r) + 1e-10])
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_near_real_pairs_are_optional_candidates():
+    split = np.poly([0.5 + 1e-7j, 0.5 - 1e-7j, -2.0]).real
+    x, optional, _ = _real_roots(split, "test")
+    roots = x[0][np.isfinite(x[0])]
+    assert roots == pytest.approx([-2.0, 0.5], rel=1e-6)
+    assert optional[0][np.isfinite(x[0])].tolist() == [False, True]
+    wide = np.poly([0.5 + 1e-3j, 0.5 - 1e-3j, -2.0]).real
+    x, optional, _ = _real_roots(wide, "test")
+    assert x[0][np.isfinite(x[0])] == pytest.approx([-2.0])
+    _, _, errors = _real_roots([1.0, np.nan, 1.0], "test")
+    assert isinstance(errors[0], ConditioningError)
+
+
+def test_solve_active_batch_matches_one_cell_calls():
+    # one batch mixing quintic and cubic (kerr = 0) cells, uncoupled
+    # (g = 0), sub-threshold and unsaturated (error) cells
+    rng = np.random.default_rng(76)
+    cells = []
+    for k in range(60):
+        gamma_sat = TWO_PI * 10.0 ** rng.uniform(-13, -11)
+        cells.append(SystemParams(
+            gamma=TWO_PI * rng.uniform(2, 30),
+            g=0.0 if k % 10 == 3 else TWO_PI * rng.uniform(1, 40),
+            kerr=0.0 if k % 4 == 1 else np.sign(rng.normal()) * gamma_sat
+            * 10.0 ** rng.uniform(-1.5, 1.5),
+            delta_m=TWO_PI * rng.uniform(-100, 100),
+            gain=TWO_PI * rng.uniform(-5, 30),
+            gamma_sat=0.0 if k % 15 == 7 else gamma_sat))
+    batch = Rates(*(np.array([getattr(p, f) for p in cells])
+                    for f in Rates._fields))
+    sol = solve_active(batch)
+    solved = set(sol.cell.tolist())
+    assert solved & set(range(1, 60, 4))    # cubic cells with points
+    assert solved & set(range(3, 60, 10))   # uncoupled cells
+    assert sol.errors
+    for k, p in enumerate(cells):
+        try:
+            fps = active_fixed_points(p)
+        except ValueError as exc:
+            assert str(sol.errors[k]) == str(exc)
+            continue
+        assert k not in sol.errors
+        rows = np.flatnonzero(sol.cell == k)
+        assert len(rows) == len(fps)
+        for i, fp in zip(rows, fps):
+            assert (sol.a0[i], sol.m0[i], sol.omega[i]) == \
+                (fp.a0, fp.m0, fp.omega)
 
 
 def test_solution_count_bounds():
