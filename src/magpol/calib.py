@@ -215,12 +215,12 @@ def detuning_from_field(b_t: float, kittel: KittelFit,
 
 
 def _read_two_column_csv(path: str, expect_tag: str,
-                         units: dict[str, float]) -> tuple[str, np.ndarray]:
+                         units: dict[str, float]) -> tuple[float, np.ndarray]:
     """Strict two-column CSV with a one-line unit header.
 
     The header must be ``<expect_tag>,<unit>`` with the unit one of
-    ``units``; returns (unit, data rows). Errors carry the path and
-    1-based line number.
+    ``units``, a unit -> scale table; returns (the unit's scale, data
+    rows). Errors carry the path and 1-based line number.
     """
     rows = []
     unit = None
@@ -254,7 +254,7 @@ def _read_two_column_csv(path: str, expect_tag: str,
                           f"'{expect_tag},<unit>' header")
     if not rows:
         raise ConfigError(f"{path}: no data rows after the header")
-    return unit, np.asarray(rows, dtype=float)
+    return units[unit], np.asarray(rows, dtype=float)
 
 
 def load_spectrum_csv(path: str) -> np.ndarray:
@@ -263,9 +263,8 @@ def load_spectrum_csv(path: str) -> np.ndarray:
     Format: header line ``freq_unit,Hz`` or ``freq_unit,GHz``, then
     two columns (frequency, linear magnitude).
     """
-    unit, data = _read_two_column_csv(path, "freq_unit",
-                                      {"Hz": 1.0, "GHz": 1e9})
-    scale = {"Hz": 1.0, "GHz": 1e9}[unit]
+    scale, data = _read_two_column_csv(path, "freq_unit",
+                                       {"Hz": 1.0, "GHz": 1e9})
     out = data.copy()
     out[:, 0] = TWO_PI * data[:, 0] * scale
     return out
@@ -277,9 +276,8 @@ def load_field_points_csv(path: str) -> np.ndarray:
     Format: header line ``field_unit,mT`` or ``field_unit,G``
     (1 G = 0.1 mT), then two columns (field, frequency in GHz).
     """
-    unit, data = _read_two_column_csv(path, "field_unit",
-                                      {"mT": 1e-3, "G": 1e-4})
-    scale = {"mT": 1e-3, "G": 1e-4}[unit]
+    scale, data = _read_two_column_csv(path, "field_unit",
+                                       {"mT": 1e-3, "G": 1e-4})
     out = data.copy()
     out[:, 0] = data[:, 0] * scale
     out[:, 1] = TWO_PI * data[:, 1] * 1e9

@@ -32,7 +32,7 @@ from .errors import (ConditioningError, ConfigError, DivergenceError,
 from .model import TWO_PI
 from .phasemap import onset_monotonicity_flags, scan
 from .spectral import build_spectrogram
-from .stability import MARGIN_RTOL, classify
+from .stability import MARGIN_RTOL, VERDICTS, classify, phase_label, verdict
 from .steady import RESIDUAL_RTOL, active_fixed_points, passive_fixed_points
 
 
@@ -68,12 +68,6 @@ def _fp_record(fp, report, tol: float) -> dict:
     otherwise change the artifact whenever the arithmetic is reordered.
     """
     quantum = 1e-3 * tol
-    if report.is_marginal:
-        label = "marginal"
-    elif report.is_stable:
-        label = "stable"
-    else:
-        label = "unstable"
     return {
         "kind": fp.kind,
         "omega_mhz_over_2pi": _mhz(fp.omega),
@@ -83,7 +77,8 @@ def _fp_record(fp, report, tol: float) -> dict:
         "m0": _complex_pair(fp.m0),
         "net_gain_per_us": fp.net_gain,
         "residual_per_us": round(fp.residual / quantum) * quantum,
-        "classification": label,
+        "classification": VERDICTS[verdict(report.is_stable,
+                                           report.is_marginal)],
         "margin_per_us": report.margin,
         "eigenvalues_per_us": [_complex_pair(e) for e in report.eigenvalues],
         "discarded_per_us": (_complex_pair(report.discarded)
@@ -98,26 +93,14 @@ def cmd_fixed_points(run: config.RunConfig, out_dir: str) -> int:
         fps = passive_fixed_points(params, run.drive)
     else:
         fps = active_fixed_points(params)
-    records = []
-    n_stable = n_unstable = n_marginal = 0
     tol = RESIDUAL_RTOL * params.rate_scale()
-    for fp in fps:
-        report = classify(fp, params)
-        rec = _fp_record(fp, report, tol)
-        records.append(rec)
-        if rec["classification"] == "stable":
-            n_stable += 1
-        elif rec["classification"] == "unstable":
-            n_unstable += 1
-        else:
-            n_marginal += 1
-    phase = f"{n_stable}S+{n_unstable}U"
-    if n_marginal:
-        phase += f"+{n_marginal}M"
+    records = [_fp_record(fp, classify(fp, params), tol) for fp in fps]
+    counts = {v: sum(rec["classification"] == v for rec in records)
+              for v in VERDICTS}
+    phase = phase_label(*counts.values())
     payload = {
         "phase": phase,
-        "counts": {"stable": n_stable, "unstable": n_unstable,
-                   "marginal": n_marginal},
+        "counts": counts,
         "fixed_points": records,
         "margin_rtol": MARGIN_RTOL,
         "version": __version__,
@@ -311,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "field, else current directory)")
         if name == "phase-diagram":
             p.add_argument("--threads", type=int, default=1,
-                           help="worker processes for passive scans; "
-                                "active maps are solved in one process "
-                                "as batched array computations")
+                           help="worker processes that solve the grid's "
+                                "cell ranges (passive and active maps)")
             p.add_argument("--resolution", default=None, metavar="NxM",
                            help="override grid size (x count x detuning "
                                 "count)")

@@ -48,8 +48,6 @@ class TrajectorySegment:
     times: np.ndarray
     a: np.ndarray
     m: np.ndarray
-    detuning_nominal: float = 0.0
-    detuning_effective: float = 0.0
 
     def final_state(self) -> ModeState:
         return ModeState(a=complex(self.a[-1]), m=complex(self.m[-1]),
@@ -118,9 +116,7 @@ def integrate_segment(state: ModeState, params: SystemParams,
 
     s = math.sqrt(scale_sq)
     times = state.t + dt * np.arange(n + 1)
-    return TrajectorySegment(times=times, a=a_out * s, m=m_out * s,
-                             detuning_nominal=params.delta_m,
-                             detuning_effective=params.delta_m)
+    return TrajectorySegment(times=times, a=a_out * s, m=m_out * s)
 
 
 @dataclass(frozen=True)
@@ -244,9 +240,6 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
             result.error = (f"step {k} (detuning {d_nom:.6g} rad/us, "
                             f"effective {d_eff:.6g}): {exc}")
             break
-        seg = TrajectorySegment(times=seg.times, a=seg.a, m=seg.m,
-                                detuning_nominal=d_nom,
-                                detuning_effective=d_eff)
         result.segments.append(seg)
         result.detunings_effective[k] = d_eff
         state = seg.final_state()

@@ -13,12 +13,13 @@ active one through ``n0_to_gain_active``) or the effective gain
 directly. n0 axes are sampled logarithmically, gain axes linearly,
 detuning always linearly.
 
-An active grid is solved in one process as batched array computations
-over blocks of ``ACTIVE_BLOCK`` cells (``steady.solve_active`` and
-``stability.classify_points``); a passive grid cell by cell, its rows
-optionally spread over worker processes. Scans are deterministic:
-every cell's result depends only on that cell and is assembled by
-index, so it is identical for any worker count.
+A scan cuts the grid into row-major ranges of at most ``BLOCK`` cells
+and solves range by range, in one process or spread over worker
+processes. An active range is solved as batched array computations
+(``steady.solve_active`` and ``stability.classify_points``), a passive
+range cell by cell. Scans are deterministic: every cell's result
+depends only on that cell and is assembled by index, so it is
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import steady
-from .model import DriveSpec, SystemParams, batch_rates
-from .stability import MARGIN_RTOL, classify, classify_points
+from .model import DriveSpec, SystemParams, batch_rates, power_from_drive
+from .stability import (MARGIN_RTOL, classify, classify_points, phase_label,
+                        verdict)
 # active_fixed_points is unused here but stays a module attribute:
 # perfbench/tracing.py rebinds the solver names it finds on phasemap.
 from .steady import active_fixed_points, passive_fixed_points  # noqa: F401
@@ -39,10 +41,10 @@ from .steady import active_fixed_points, passive_fixed_points  # noqa: F401
 _VALID_SYSTEMS = ("passive", "active")
 _VALID_AXES = ("n0", "gain")
 
-# Cells an active scan solves per batch. The stacked arrays take about
-# 3 kB per cell, so this bounds the scan's memory for any grid size;
-# larger blocks are no faster.
-ACTIVE_BLOCK = 4096
+# Most cells a scan solves per range. An active range's stacked arrays
+# take about 3 kB per cell, so this bounds the scan's memory for any
+# grid size; larger ranges are no faster.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,8 @@ class PhaseDiagram:
             return "error"
         if self.blank[iy, ix]:
             return "blank"
-        lab = f"{self.stable[iy, ix]}S+{self.unstable[iy, ix]}U"
-        if self.marginal[iy, ix]:
-            lab += f"+{self.marginal[iy, ix]}M"
-        return lab
+        return phase_label(self.stable[iy, ix], self.unstable[iy, ix],
+                           self.marginal[iy, ix])
 
     def region_summary(self) -> dict[str, int]:
         """Cell count per phase label, for reporting."""
@@ -146,7 +146,6 @@ def n0_to_drive_passive(n0: float, params: SystemParams) -> DriveSpec:
     eta = math.sqrt(n0 * denom)
     if params.kappa_ext <= 0.0 or params.omega_d <= 0.0:
         return DriveSpec(eta=eta)
-    from .model import power_from_drive
     drive = DriveSpec(eta=eta)
     return DriveSpec(eta=eta, s_in=eta / math.sqrt(params.kappa_ext),
                      power_w=power_from_drive(drive, params))
@@ -161,106 +160,85 @@ def n0_to_gain_active(n0: float, params: SystemParams) -> float:
     return n0 * params.gamma_sat
 
 
-def _eval_cell(grid: GridSpec, x: float, delta_m: float,
-               margin_rtol: float) -> tuple[int, int, int, int, str | None]:
-    """(n_stable, n_unstable, n_marginal, n_total, error) for one
-    passive cell."""
-    try:
-        params = grid.base.replace(delta_m=delta_m)
-        drive = n0_to_drive_passive(x, params)
-        fps = passive_fixed_points(params, drive)
-        ns = nu = nm = 0
-        for fp in fps:
-            rep = classify(fp, params, margin_rtol=margin_rtol)
-            if rep.is_marginal:
-                nm += 1
-            elif rep.is_stable:
-                ns += 1
-            else:
-                nu += 1
-        return ns, nu, nm, len(fps), None
-    except Exception as exc:  # cell errors must not abort the scan
-        return 0, 0, 0, 0, _error_text(exc)
+def _eval_cell(grid: GridSpec, x: float, delta_m: float) -> list:
+    """Stability reports of one passive cell's fixed points."""
+    params = grid.base.replace(delta_m=delta_m)
+    fps = passive_fixed_points(params, n0_to_drive_passive(x, params))
+    return [classify(fp, params) for fp in fps]
 
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _eval_row(args) -> list[tuple[int, int, int, int, str | None]]:
-    grid, iy, margin_rtol = args
-    dm = grid.delta_m_values()[iy]
-    return [_eval_cell(grid, x, dm, margin_rtol) for x in grid.x_values()]
+def _solve_block(grid: GridSpec, lo: int, hi: int):
+    """Counts and error texts of the cells ``lo .. hi - 1``, row-major.
 
-
-def _scan_passive(grid: GridSpec, workers: int, margin_rtol: float):
-    """Per-cell passive scan, rows spread over ``workers`` processes."""
-    tasks = [(grid, iy, margin_rtol) for iy in range(grid.delta_m_count)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_row, tasks, chunksize=1))
+    Returns the (4, hi - lo) stable, unstable, marginal and total counts
+    and {cell index: error text}. An active range is one
+    ``steady.solve_active`` and one ``classify_points``; a passive
+    range goes cell by cell through ``_eval_cell``.
+    """
+    iy, ix = np.divmod(np.arange(lo, hi), grid.x_count)
+    xs, dms = grid.x_values()[ix], grid.delta_m_values()[iy]
+    failed: dict[int, Exception] = {}
+    if grid.system == "passive":
+        points = []  # (cell, report) of every fixed point
+        for k, (x, dm) in enumerate(zip(xs, dms)):
+            try:
+                points += [(k, r) for r in _eval_cell(grid, x, dm)]
+            except Exception as exc:  # cell errors must not abort the scan
+                failed[k] = exc
+        cell = np.array([k for k, _ in points], dtype=np.intp)
+        code = verdict(np.array([r.is_stable for _, r in points], dtype=bool),
+                       np.array([r.is_marginal for _, r in points],
+                                dtype=bool))
     else:
-        rows = [_eval_row(t) for t in tasks]
-    cells = [cell for row in rows for cell in row]
-    counts = np.array([cell[:4] for cell in cells], dtype=np.int64)
-    messages = {k: cell[4] for k, cell in enumerate(cells)
-                if cell[4] is not None}
-    return counts.T, messages
-
-
-def _scan_active(grid: GridSpec, margin_rtol: float):
-    """All cells of an active grid, solved in blocks of ACTIVE_BLOCK cells:
-    ``steady.solve_active`` for the fixed points of a block, one
-    ``classify_points`` for their spectra."""
-    n = grid.x_count * grid.delta_m_count
-    xs = grid.x_values()
-    try:
-        gains = xs if grid.x_axis == "gain" else np.array(
-            [n0_to_gain_active(x, grid.base) for x in xs])
-    except ValueError as exc:
-        return np.zeros((4, n), dtype=np.int64), dict.fromkeys(
-            range(n), _error_text(exc))
-    cells = batch_rates(grid.base, delta_c=0.0,
-                        delta_m=np.repeat(grid.delta_m_values(), grid.x_count),
-                        gain_eff=np.tile(gains, grid.delta_m_count))
-    counts = np.zeros((4, n), dtype=np.int64)
-    errors: dict[int, Exception] = {}
-    for lo in range(0, n, ACTIVE_BLOCK):
-        block = cells.take(slice(lo, lo + ACTIVE_BLOCK))
-        size = min(ACTIVE_BLOCK, n - lo)
-        sol = steady.solve_active(block)
-        rates = block.take(sol.cell)
+        try:
+            gains = xs if grid.x_axis == "gain" else np.array(
+                [n0_to_gain_active(x, grid.base) for x in xs])
+        except ValueError as exc:
+            return np.zeros((4, hi - lo), dtype=np.int64), dict.fromkeys(
+                range(lo, hi), _error_text(exc))
+        cells = batch_rates(grid.base, delta_c=0.0, delta_m=dms,
+                            gain_eff=gains)
+        sol = steady.solve_active(cells)
+        rates = cells.take(sol.cell)
         spectra = classify_points(rates, sol.a0, sol.m0, sol.omega, True,
-                                  margin_rtol * rates.rate_scale())
-        failed = dict(sol.errors)
+                                  MARGIN_RTOL * rates.rate_scale())
+        failed.update(sol.errors)
         for i, exc in spectra.errors.items():
             failed.setdefault(int(sol.cell[i]), exc)
-        ok = ~np.isin(sol.cell, list(failed))
-        marginal = spectra.is_marginal
-        for row, mask in enumerate((~marginal & spectra.is_stable,
-                                    ~marginal & ~spectra.is_stable,
-                                    marginal, ok)):
-            counts[row, lo:lo + size] = np.bincount(sol.cell[ok & mask],
-                                                    minlength=size)
-        errors.update((lo + k, exc) for k, exc in failed.items())
-    return counts, {k: _error_text(e) for k, e in sorted(errors.items())}
+        cell = sol.cell
+        code = verdict(spectra.is_stable, spectra.is_marginal)
+    ok = ~np.isin(cell, list(failed))
+    counts = np.zeros((4, hi - lo), dtype=np.int64)
+    np.add.at(counts, (code[ok], cell[ok]), 1)
+    counts[3] = counts[:3].sum(axis=0)
+    return counts, {lo + k: _error_text(e) for k, e in sorted(failed.items())}
 
 
-def scan(grid: GridSpec, workers: int = 1,
-         margin_rtol: float = MARGIN_RTOL) -> PhaseDiagram:
+def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     """Evaluate every cell of the grid; see the module docstring.
 
-    Active grids are solved in this process, as batched array
-    computations over blocks of cells. Passive grids are solved cell by
-    cell, and ``workers`` > 1 distributes their rows over processes.
-    Results do not depend on the worker count.
+    The cells are cut into row-major ranges of at most ``BLOCK`` cells,
+    about four per worker; ``workers`` > 1 solves the ranges in that
+    many processes. Results do not depend on the worker count.
     """
-    shape = (grid.delta_m_count, grid.x_count)
-    if grid.system == "active":
-        counts, messages = _scan_active(grid, margin_rtol)
+    n = grid.x_count * grid.delta_m_count
+    size = min(BLOCK, -(-n // (4 * max(workers, 1))))
+    los = range(0, n, size)
+    his = [min(lo + size, n) for lo in los]
+    grids = [grid] * len(los)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_solve_block, grids, los, his))
     else:
-        counts, messages = _scan_passive(grid, workers, margin_rtol)
-    ns, nu, nm, ntot = (c.reshape(shape) for c in counts)
+        blocks = list(map(_solve_block, grids, los, his))
+    shape = (grid.delta_m_count, grid.x_count)
+    ns, nu, nm, ntot = (c.reshape(shape) for c in
+                        np.concatenate([c for c, _ in blocks], axis=1))
+    messages = {k: msg for _, errs in blocks for k, msg in errs.items()}
     errors = np.zeros(shape, dtype=bool)
     errors.flat[list(messages)] = True
     return PhaseDiagram(

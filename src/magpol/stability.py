@@ -35,6 +35,27 @@ MARGIN_RTOL = 1e-6
 # above this relative size the discard is flagged for review.
 NEUTRAL_SUSPECT_REL = 1e-3
 
+# Verdict names, indexed by what ``verdict`` returns.
+VERDICTS = ("stable", "unstable", "marginal")
+
+
+def verdict(is_stable, is_marginal):
+    """Index into ``VERDICTS`` of classified points, elementwise.
+
+    A marginal point is marginal whatever the sign of its margin, so it
+    counts as neither stable nor unstable.
+    """
+    return np.where(is_marginal, 2, np.where(is_stable, 0, 1))
+
+
+def phase_label(n_stable: int, n_unstable: int, n_marginal: int) -> str:
+    """Label of a set of fixed points by verdict count, like '2S+1U';
+    marginal points, if any, add '+1M'."""
+    label = f"{n_stable}S+{n_unstable}U"
+    if n_marginal:
+        label += f"+{n_marginal}M"
+    return label
+
 
 @dataclass(frozen=True)
 class StabilityReport:

@@ -172,6 +172,21 @@ def test_resolution_override(tmp_path):
                  "--resolution", "3by4"]) == 2
 
 
+@pytest.mark.parametrize("config", ["active_gain_map", "passive_detuned_map"])
+def test_phase_diagram_files_do_not_depend_on_threads(tmp_path, config):
+    cfg = str(ROOT / "configs" / f"{config}.json")
+    for threads in ("1", "2"):
+        assert main(["phase-diagram", "--config", cfg,
+                     "--out", str(tmp_path / threads),
+                     "--resolution", "12x9", "--threads", threads]) == 0
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "2"))
+    assert "phase_diagram.json" in names and "errors.csv" in names
+    for name in names:
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
+                           shallow=False), name
+
+
 def test_phase_diagram_sidecar(tmp_path):
     cfg = _write_config(tmp_path, _grid_doc())
     out = tmp_path / "out"

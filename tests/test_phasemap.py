@@ -109,16 +109,37 @@ def active_gain_grid(n=9, kerr_sign=1.0, dm_lo=-70.0, dm_hi=-25.0):
                     delta_m_count=n, base=base)
 
 
-def test_scan_deterministic_and_worker_invariant():
-    grid = active_gain_grid(n=9)
+WORKER_GRIDS = {
+    "active": lambda: active_gain_grid(n=9),
+    "passive": lambda: GridSpec(
+        system="passive", x_axis="n0", x_min=1e13, x_max=1e15, x_count=13,
+        delta_m_min=TWO_PI * (-100.0), delta_m_max=TWO_PI * (-60.0),
+        delta_m_count=11, base=broadline_params(delta_c=TWO_PI * 80.0)),
+    # gain <= 0 cells are blank, gain > 0 cells fail: nothing saturates
+    "active_with_errors": lambda: GridSpec(
+        system="active", x_axis="gain", x_min=-TWO_PI * 6.0,
+        x_max=TWO_PI * 20.0, x_count=9, delta_m_min=-TWO_PI * 60.0,
+        delta_m_max=TWO_PI * 60.0, delta_m_count=7,
+        base=narrowline_params(gamma_sat=0.0, gain=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_GRIDS))
+def test_scan_deterministic_and_worker_invariant(name):
+    grid = WORKER_GRIDS[name]()
     one = scan(grid, workers=1)
-    two = scan(grid, workers=1)
-    par = scan(grid, workers=3)
-    for field in ("stable", "unstable", "marginal", "blank", "errors"):
-        assert np.array_equal(getattr(one, field), getattr(two, field))
-        assert np.array_equal(getattr(one, field), getattr(par, field))
-    assert not one.errors.any()
-    assert one.region_summary()  # non-empty
+    for workers in (1, 2, 3):
+        other = scan(grid, workers=workers)
+        for field in ("stable", "unstable", "marginal", "blank", "errors"):
+            assert np.array_equal(getattr(one, field),
+                                  getattr(other, field)), (workers, field)
+        assert other.error_messages == one.error_messages, workers
+    assert len(one.region_summary()) > 1
+    if name == "active_with_errors":
+        assert one.errors[:, grid.x_values() > 0].all()
+        assert one.blank[:, grid.x_values() <= 0].all()
+    else:
+        assert not one.errors.any()
 
 
 def test_kerr_detuning_mirror_symmetry():
@@ -264,7 +285,7 @@ ACTIVE_GRIDS = {
 @pytest.mark.parametrize("name", sorted(ACTIVE_GRIDS))
 def test_batched_scan_matches_per_cell_enumeration(name, monkeypatch):
     # blocks of 7 cells: every grid spans several, the last one ragged
-    monkeypatch.setattr(phasemap, "ACTIVE_BLOCK", 7)
+    monkeypatch.setattr(phasemap, "BLOCK", 7)
     grid = ACTIVE_GRIDS[name]()
     diagram = _assert_scan_matches_cells(grid)
     total = diagram.stable + diagram.unstable + diagram.marginal
