@@ -24,11 +24,14 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import SweepProtocol, default_seed_state
 from .errors import ConfigError
 from .model import TWO_PI, DriveSpec, ModeState, SystemParams, \
     eta_from_power
 from .phasemap import GridSpec, n0_to_drive_passive
+from .spectral import spectrum_freqs
 
 FORMAT_VERSION = 1
 
@@ -193,7 +196,6 @@ class RunConfig:
     """
 
     command: str
-    seed: int | None
     out: str | None
     resolved: dict
     kind: str | None = None
@@ -377,7 +379,8 @@ def _parse_sweep(blk: _Block, params: SystemParams,
     return protocol, state
 
 
-def _parse_spectrogram(blk: _Block | None) -> dict | None:
+def _parse_spectrogram(blk: _Block | None,
+                       protocol: SweepProtocol) -> dict | None:
     if blk is None:
         return None
     out = {
@@ -388,6 +391,10 @@ def _parse_spectrogram(blk: _Block | None) -> dict | None:
     blk.finish()
     if not out["f_min_mhz"] < out["f_max_mhz"]:
         raise ConfigError(f"{blk.path}: f_min_mhz must be < f_max_mhz")
+    freqs = spectrum_freqs(protocol.window_samples(), protocol.dt)
+    if not np.any((freqs >= out["f_min_mhz"]) & (freqs <= out["f_max_mhz"])):
+        raise ConfigError(f"{blk.path}: f_min_mhz..f_max_mhz holds no FFT "
+                          f"bin (bins span {freqs[0]:.6g}..{freqs[-1]:.6g})")
     return out
 
 
@@ -411,11 +418,10 @@ def parse_run(doc: dict, command: str) -> RunConfig:
     elif cmd_in_doc != command:
         raise ConfigError(f"$.command: config was written for "
                           f"{cmd_in_doc!r}, not {command!r}")
-    seed = top.integer("seed", lo=0)
     out = top.string("out")
     data.pop("out", None)
 
-    run = RunConfig(command=command, seed=seed, out=out, resolved=data)
+    run = RunConfig(command=command, out=out, resolved=data)
 
     if command in ("fit-s11", "fit-kittel"):
         run.data_csv = top.string("data_csv", required=True)
@@ -445,7 +451,8 @@ def parse_run(doc: dict, command: str) -> RunConfig:
         sweep_blk = top.block("sweep", required=True)
         run.protocol, run.initial_state = _parse_sweep(sweep_blk, params,
                                                        run.drive)
-        run.spectrogram = _parse_spectrogram(top.block("spectrogram"))
+        run.spectrogram = _parse_spectrogram(top.block("spectrogram"),
+                                             run.protocol)
     top.finish()
     return run
 

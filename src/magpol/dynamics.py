@@ -158,26 +158,38 @@ class SweepProtocol:
         if not 0.0 < self.fit_fraction <= 1.0:
             raise ValueError(f"fit_fraction must be in (0, 1], got "
                              f"{self.fit_fraction}")
-        if (self.t_total - self.t_drop) / self.dt < 16:
+        window = self.window_samples()
+        if window < 16:
             raise ValueError("fewer than 16 samples would survive t_drop")
+        # later steps start at rounded times and can keep one sample less
+        if int(round(self.fit_fraction * (window - 1))) < 8:
+            raise ValueError(f"fit_fraction {self.fit_fraction} fits fewer "
+                             f"than 8 of {window} samples after t_drop")
+
+    def window_samples(self) -> int:
+        """Samples after ``t_drop`` in a step that starts at t = 0: those
+        with k * dt >= t_drop, k = 0 .. round(t_total / dt)."""
+        first = math.ceil(self.t_drop / self.dt)
+        first -= (first - 1) * self.dt >= self.t_drop
+        first += first * self.dt < self.t_drop
+        return int(round(self.t_total / self.dt)) + 1 - first
 
 
 @dataclass
 class SweepResult:
-    """Outcome of ``run_sweep``.
+    """Outcome of ``run_sweep``: the ``protocol`` run and, per step,
+    its ``segments`` (up to the first divergence) and fits.
 
     ``omegas`` holds the fitted emission offsets (rad/us) per step,
     NaN where the window had no power to fit and from the first
-    diverged step onward; ``confidences`` the
-    phase-fit confidences (0 where never run); ``low_confidence``
-    flags steps whose fit fell below LOW_CONFIDENCE.
-    ``detunings_effective`` are the detunings actually applied.
-    ``diverged_at`` is the index of the step whose integration
-    overflowed, or None; ``error`` carries its message.
+    diverged step onward; ``confidences`` the phase-fit confidences
+    (0 where never run); ``low_confidence`` flags steps whose fit fell
+    below LOW_CONFIDENCE. ``detunings_effective`` are the detunings
+    actually applied. ``diverged_at`` is the index of the step whose
+    integration overflowed, or None; ``error`` carries its message.
     """
 
     protocol: SweepProtocol
-    params: SystemParams
     segments: list[TrajectorySegment] = field(default_factory=list)
     detunings_nominal: np.ndarray = field(default_factory=lambda: np.empty(0))
     detunings_effective: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -217,7 +229,7 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
     """
     n_seg = len(protocol.detunings)
     result = SweepResult(
-        protocol=protocol, params=params,
+        protocol=protocol,
         detunings_nominal=np.asarray(protocol.detunings, dtype=float),
         detunings_effective=np.full(n_seg, np.nan),
         omegas=np.full(n_seg, np.nan),

@@ -170,14 +170,12 @@ class DriveSpec:
     """Coherent drive on the passive cavity.
 
     ``eta`` is the drive amplitude as it enters the photon equation,
-    in sqrt(quanta)/us; phase is gauged away, so eta >= 0. ``s_in``
-    (sqrt(quanta)/sqrt(us)) and ``power_w`` (watts) are kept when the
-    drive was built from an input power, for reporting only.
+    in sqrt(quanta)/us; phase is gauged away, so eta >= 0. It is the
+    only drive quantity the equations see: ``eta_from_power`` and
+    ``power_from_drive`` convert to and from an input power.
     """
 
     eta: float
-    s_in: float | None = None
-    power_w: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.eta) or self.eta < 0:
@@ -201,8 +199,7 @@ def eta_from_power(power_w: float, params: SystemParams) -> DriveSpec:
     # quanta/us needs another 1e-6.
     flux_per_us = power_w / (HBAR_JS * params.omega_d * 1e6) * 1e-6
     s_in = math.sqrt(flux_per_us)
-    return DriveSpec(eta=math.sqrt(params.kappa_ext) * s_in,
-                     s_in=s_in, power_w=power_w)
+    return DriveSpec(eta=math.sqrt(params.kappa_ext) * s_in)
 
 
 def power_from_drive(drive: DriveSpec, params: SystemParams) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import steady
-from .model import DriveSpec, SystemParams, batch_rates, power_from_drive
+from .model import DriveSpec, SystemParams, batch_rates
 from .stability import (MARGIN_RTOL, classify, classify_points, phase_label,
                         verdict)
 # active_fixed_points is unused here but stays a module attribute:
@@ -132,23 +132,17 @@ class PhaseDiagram:
 def n0_to_drive_passive(n0: float, params: SystemParams) -> DriveSpec:
     """Drive that puts n0 photons in the bare (uncoupled) cavity.
 
-    Inverts n0 = eta^2 / ((kappa/2)^2 + delta_c^2). When the external
-    port is configured (kappa_ext > 0 and omega_d > 0) the equivalent
-    input power and flux are attached for reporting; without a port the
-    drive amplitude alone is returned, since the steady-state problem
-    only sees eta.
+    Inverts n0 = eta^2 / ((kappa/2)^2 + delta_c^2). The drive is its
+    amplitude alone, the one number the steady-state problem sees;
+    ``model.power_from_drive`` gives the input power behind it when the
+    external port is configured.
     """
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0}")
     denom = (0.5 * params.kappa) ** 2 + params.delta_c ** 2
     if denom <= 0.0:
         raise ValueError("degenerate mapping: kappa and delta_c both zero")
-    eta = math.sqrt(n0 * denom)
-    if params.kappa_ext <= 0.0 or params.omega_d <= 0.0:
-        return DriveSpec(eta=eta)
-    drive = DriveSpec(eta=eta)
-    return DriveSpec(eta=eta, s_in=eta / math.sqrt(params.kappa_ext),
-                     power_w=power_from_drive(drive, params))
+    return DriveSpec(eta=math.sqrt(n0 * denom))
 
 
 def n0_to_gain_active(n0: float, params: SystemParams) -> float:
@@ -249,15 +243,13 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
                         for k, msg in messages.items()})
 
 
-def bistable_onset(diagram: PhaseDiagram,
-                   n_stable: int = 2, n_unstable: int = 1) -> np.ndarray:
-    """First x index per detuning row matching the given phase, else -1."""
+def bistable_onset(diagram: PhaseDiagram) -> np.ndarray:
+    """First x index per detuning row in the 2S+1U phase, else -1."""
     ny, nx = diagram.stable.shape
     out = np.full(ny, -1, dtype=int)
     for iy in range(ny):
         hits = np.flatnonzero(
-            (diagram.stable[iy] == n_stable)
-            & (diagram.unstable[iy] == n_unstable)
+            (diagram.stable[iy] == 2) & (diagram.unstable[iy] == 1)
             & ~diagram.blank[iy] & ~diagram.errors[iy])
         if hits.size:
             out[iy] = hits[0]

@@ -35,9 +35,7 @@ def _analysis_window(times: np.ndarray, values: np.ndarray,
 
 
 def phase_slope_offset(times: np.ndarray, a: np.ndarray, t_drop: float,
-                       fit_fraction: float = 0.5,
-                       residual_scale: float = PHASE_RESIDUAL_SCALE,
-                       ) -> tuple[float, float]:
+                       fit_fraction: float = 0.5) -> tuple[float, float]:
     """Emission offset (rad/us) from the slope of the unwrapped phase.
 
     Drops the first ``t_drop`` of the trace as transient, then fits
@@ -45,7 +43,7 @@ def phase_slope_offset(times: np.ndarray, a: np.ndarray, t_drop: float,
     of the unwrapped phase, weighted by instantaneous power so dim
     intervals do not pollute the slope. Returns (omega, confidence);
     the offset follows the blue-positive convention, and confidence is
-    1 / (1 + mse/residual_scale), which drops well below 1/2 for
+    1 / (1 + mse/PHASE_RESIDUAL_SCALE), which drops well below 1/2 for
     multi-tone or drifting segments. A window with zero total power
     has no phase to fit and raises FitError.
     """
@@ -70,8 +68,16 @@ def phase_slope_offset(times: np.ndarray, a: np.ndarray, t_drop: float,
     slope = float(np.sum(w * dt_ * (phi - p_bar))) / var_t
     resid = phi - p_bar - slope * dt_
     mse = float(np.sum(w * resid * resid)) / w_sum
-    confidence = 1.0 / (1.0 + mse / residual_scale)
+    confidence = 1.0 / (1.0 + mse / PHASE_RESIDUAL_SCALE)
     return -slope, confidence
+
+
+def spectrum_freqs(n: int, dt: float) -> np.ndarray:
+    """Frequency axis (MHz, ascending) of ``hann_fft`` on n samples
+    spaced dt (us): the FFT axis flipped, since exp(-i W t) peaks at
+    -W/(2 pi) in FFT convention and blue shifts (W > 0) belong at
+    positive frequencies."""
+    return -np.fft.fftshift(np.fft.fftfreq(n, d=dt))[::-1]
 
 
 def hann_fft(times: np.ndarray, a: np.ndarray, t_drop: float = 0.0,
@@ -87,13 +93,8 @@ def hann_fft(times: np.ndarray, a: np.ndarray, t_drop: float = 0.0,
     t, z = _analysis_window(np.asarray(times), np.asarray(a), t_drop)
     if t.size < 8:
         raise ValueError(f"FFT needs >= 8 samples, got {t.size}")
-    dt = float(t[1] - t[0])
-    win = np.hanning(t.size)
-    spec = np.fft.fftshift(np.fft.fft(win * z))
-    freqs = np.fft.fftshift(np.fft.fftfreq(t.size, d=dt))
-    # exp(-i W t) peaks at -W/(2 pi) in FFT convention; flip the axis
-    # so blue shifts (W > 0) appear at positive frequencies.
-    freqs = -freqs[::-1]
+    freqs = spectrum_freqs(t.size, float(t[1] - t[0]))
+    spec = np.fft.fftshift(np.fft.fft(np.hanning(t.size) * z))
     mags = np.abs(spec)[::-1]
     if normalize:
         peak = float(np.max(mags))
@@ -144,10 +145,13 @@ def build_spectrogram(segments, detunings, t_drop: float,
     """Hann spectra of many segments stacked into one matrix.
 
     ``segments`` is an iterable of objects with ``times`` and ``a``
-    arrays (one per sweep step, equal length and spacing). The
-    frequency axis can be cropped to [f_min, f_max] MHz. Columns are
-    normalized to unit maximum independently, matching how swept
-    emission spectra are usually displayed.
+    arrays (one per sweep step, equal length and spacing). The window
+    after ``t_drop`` is decided once, on the first segment, and every
+    segment gives the same trailing samples: each sweep step starts at
+    a rounded absolute time, so a cut per segment can keep one sample
+    more or less. The frequency axis can be cropped to [f_min, f_max]
+    MHz. Columns are normalized to unit maximum independently,
+    matching how swept emission spectra are usually displayed.
     """
     segs = list(segments)
     detunings = np.asarray(detunings, dtype=float)
@@ -156,25 +160,20 @@ def build_spectrogram(segments, detunings, t_drop: float,
     if detunings.size != len(segs):
         raise ValueError(f"{len(segs)} segments but {detunings.size} "
                          "detunings")
-    freqs_ref: np.ndarray | None = None
-    cols = []
-    for seg in segs:
-        freqs, mags = hann_fft(seg.times, seg.a, t_drop, normalize=False)
-        if freqs_ref is None:
-            sel = np.ones(freqs.size, dtype=bool)
-            if f_min is not None:
-                sel &= freqs >= f_min
-            if f_max is not None:
-                sel &= freqs <= f_max
-            if not np.any(sel):
-                raise ValueError("frequency crop leaves no bins")
-            freqs_ref = freqs[sel]
-        elif freqs.size != sel.size:
-            raise ValueError("segments have mismatched sample counts")
-        col = mags[sel]
-        peak = float(np.max(col))
-        if peak > 0:
-            col = col / peak
-        cols.append(col)
-    return Spectrogram(freqs=freqs_ref, detunings=detunings,
-                       magnitudes=np.column_stack(cols), floor=floor)
+    t_first = np.asarray(segs[0].times)
+    if any(len(seg.times) != t_first.size for seg in segs):
+        raise ValueError("segments have mismatched sample counts")
+    tail = slice(t_first.size - _analysis_window(t_first, t_first,
+                                                 t_drop)[0].size, None)
+    spectra = (hann_fft(seg.times[tail], seg.a[tail], normalize=False)
+               for seg in segs)
+    freqs, first = next(spectra)
+    sel = ((freqs >= (-np.inf if f_min is None else f_min))
+           & (freqs <= (np.inf if f_max is None else f_max)))
+    if not np.any(sel):
+        raise ValueError("frequency crop leaves no bins")
+    mags = np.column_stack([first[sel], *(m[sel] for _, m in spectra)])
+    peak = mags.max(axis=0)
+    return Spectrogram(freqs=freqs[sel], detunings=detunings,
+                       magnitudes=mags / np.where(peak > 0, peak, 1.0),
+                       floor=floor)

@@ -147,17 +147,17 @@ def classify_points(params: SystemParams | Rates, a0, m0, omega,
                    neutral_suspect=neutral_suspect, errors=errors)
 
 
-def classify(fp: FixedPoint, params: SystemParams,
-             margin_rtol: float = MARGIN_RTOL) -> StabilityReport:
+def classify(fp: FixedPoint, params: SystemParams) -> StabilityReport:
     """Stability of one fixed point from the 4x4 doubled linearization.
 
     Active points drop their neutral phase mode before the margin is
-    taken. A margin within ``margin_rtol * params.rate_scale()`` of
-    zero is reported as marginal rather than stable or unstable.
+    taken. A margin within ``MARGIN_RTOL * params.rate_scale()`` of
+    zero is reported as marginal rather than stable or unstable; for
+    another band call ``classify_points``.
     """
     sp = classify_points(params, fp.a0, fp.m0, fp.omega,
                          fp.kind == "active",
-                         margin_rtol * params.rate_scale())
+                         MARGIN_RTOL * params.rate_scale())
     if sp.errors:
         raise sp.errors[0]
     eigs = [complex(e) for e in sp.eigenvalues[0]]

@@ -127,15 +127,6 @@ def active_quintic_coefficients(params: SystemParams | Rates) -> np.ndarray:
     ), axis=-1)
 
 
-def _horner(columns: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Polynomials at x, given their descending coefficients as columns
-    (one entry per point); the arithmetic of ``np.polyval``."""
-    y = columns[0]
-    for col in columns[1:]:
-        y = y * x + col
-    return y
-
-
 def _real_roots(coeffs: np.ndarray, what: str
                 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Real roots of a batch of polynomials in a nondimensional variable.
@@ -145,8 +136,9 @@ def _real_roots(coeffs: np.ndarray, what: str
     eigenvalues of the companion matrix ``np.roots`` builds (exact
     leading and trailing zeros trimmed, each trailing zero a root at
     0), solved for all rows of one degree in a single stacked call.
-    Real roots and near-real pairs get a few Newton steps on the
-    polynomial; roots that then coincide are merged.
+    Real roots and the real parts of near-real pairs are returned
+    unrefined (``_damped_newton4`` on the full system is the one
+    polish); roots that coincide are merged.
 
     Returns (x, optional, errors): ``x`` (N, degree) holds each row's
     roots in ascending order with NaN where there is none; ``optional``
@@ -185,26 +177,7 @@ def _real_roots(coeffs: np.ndarray, what: str
     im = np.abs(roots.imag)
     real = im <= REAL_ROOT_RTOL * mag + REAL_ROOT_ATOL
     optional = ~real & (im <= NEAR_REAL_RTOL * np.maximum(mag, 1.0))
-
-    # a few Newton steps on the polynomial for every candidate root
-    row, slot = np.nonzero(real | optional)
-    xs = roots.real[row, slot]
-    cr = c[row]
-    cols = list(cr.T)
-    dcols = list((cr[:, :-1] * np.arange(d, 0, -1)).T)
-    live = np.ones(xs.size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(3):
-            dp = _horner(dcols, xs)
-            step = _horner(cols, xs) / dp
-            live &= ((np.abs(dp) >= 1e-12) & (np.abs(step) <= 0.1 * np.maximum(
-                np.abs(xs), 1.0)))
-            moved = np.where(live, xs - step, xs)
-            if np.array_equal(moved, xs):
-                break  # a fixed point of the iteration: further steps equal
-            xs = moved
-    x = np.full((n, d), np.nan)
-    x[row, slot] = xs
+    x = np.where(real | optional, roots.real, np.nan)
 
     # sort each row (NaN last) and merge roots closer than _DEDUPE_RTOL
     # to the last root kept
@@ -281,18 +254,18 @@ def _solve_rows(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _damped_newton4(x: np.ndarray, tol, rates: Rates,
-                    drive: DriveSpec | None, active: bool,
-                    max_iter: int = 8) -> tuple[np.ndarray, np.ndarray]:
+                    drive: DriveSpec | None,
+                    active: bool) -> tuple[np.ndarray, np.ndarray]:
     """Refine roots of ``_polish_defect``, one row of x (M, 4) each.
 
-    Polynomial roots carry the companion-matrix accuracy limit, which
-    near double roots is far looser than the residual contract; a few
-    damped Newton iterations on the full steady-state system restore
-    machine accuracy there. Each row iterates on its own (``tol`` and
-    the ``rates`` arrays broadcast over the rows) until its defect is
-    below 1% of its tolerance, a step fails, or no damped step
-    improves it. Returns the best iterate of every row and its
-    max-norm defect; never raises.
+    The only refinement of the unpolished companion-matrix roots, which
+    near double roots are only about sqrt(eps) accurate: up to 8 damped
+    Newton iterations on the full steady-state system restore machine
+    accuracy, and the residual left is what admits a near-real
+    candidate. Each row iterates on its own (``tol`` and the ``rates``
+    arrays broadcast over the rows) until its defect is below 1% of
+    its tolerance, a step fails, or no damped step improves it. Returns
+    the best iterate of every row and its max-norm defect; never raises.
     """
     x = np.array(x, dtype=float)
     tol = np.zeros(len(x)) + tol
@@ -300,7 +273,7 @@ def _damped_newton4(x: np.ndarray, tol, rates: Rates,
         fx = _polish_defect(x, vector_field(rates, drive), active)
         res = np.max(np.abs(fx), axis=-1)
         live = np.arange(len(x))
-        for _ in range(max_iter):
+        for _ in range(8):
             live = live[res[live] >= 0.01 * tol[live]]
             if not live.size:
                 break

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from magpol import config
 from magpol.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -157,6 +158,39 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
                                shallow=False), f"{cmd}/{name} differs"
 
 
+# every shipped config and the command it is written for
+SHIPPED_CONFIGS = {
+    "active_bistable_point": "fixed-points",
+    "active_gain_map": "phase-diagram",
+    "active_photon_number_map": "phase-diagram",
+    "passive_detuned_map": "phase-diagram",
+    "passive_zero_detuning_map": "phase-diagram",
+    "sweep_sidebands": "sweep",
+    "sweep_low_gain": "sweep",
+    "sweep_broadband": "sweep",
+    "s11_fit": "fit-s11",
+    "kittel_fit": "fit-kittel",
+}
+
+
+def test_shipped_config_table_covers_the_directory():
+    names = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+    assert names == sorted(SHIPPED_CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_manifest_is_a_fixpoint(tmp_path, name):
+    command = SHIPPED_CONFIGS[name]
+    run = config.parse_run(
+        config.load_config(str(ROOT / "configs" / f"{name}.json")), command)
+    again = config.parse_run(run.resolved, command)
+    assert again.resolved == run.resolved
+    config.dump_manifest(run, str(tmp_path / "first.json"))
+    config.dump_manifest(again, str(tmp_path / "second.json"))
+    assert filecmp.cmp(tmp_path / "first.json", tmp_path / "second.json",
+                       shallow=False)
+
+
 def test_resolution_override(tmp_path):
     cfg = _write_config(tmp_path, _grid_doc())
     out = tmp_path / "out"
@@ -267,6 +301,37 @@ def test_sweep_spectrogram_artifacts(tmp_path):
     assert np.allclose(mat.max(axis=0), 1.0)
 
 
+def test_sweep_spectrogram_with_uneven_step_windows(tmp_path):
+    """At dt 6e-4 the cut at each step's absolute start time + t_drop
+    keeps 4833 samples on step 0 and 4834 on step 2; the spectrogram
+    takes the same trailing samples from every step."""
+    doc = json.loads((ROOT / "configs" / "sweep_sidebands.json").read_text())
+    doc.pop("out")
+    doc["sweep"].update(steps=3, dt_us=6e-4, t_total_us=5.0, t_drop_us=2.1)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    mat = _read_csv_rows(out / "spectrogram.csv")
+    assert len(mat) > 0 and all(len(r) == 3 for r in mat)
+
+
+@pytest.mark.parametrize("change, fragment", [
+    ({"spectrogram": {"f_min_mhz": 600.0, "f_max_mhz": 700.0}},
+     "$.spectrogram: f_min_mhz..f_max_mhz holds no FFT bin"),
+    ({"sweep": {"fit_fraction": 0.005}}, "$.sweep: fit_fraction 0.005 fits"),
+], ids=["crop_without_bins", "fit_window_under_8_samples"])
+def test_sweep_config_rejected_before_integration(tmp_path, capsys, change,
+                                                  fragment):
+    doc = _sweep_doc()
+    for key, block in change.items():
+        doc.setdefault(key, {}).update(block)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()  # nothing integrated, nothing written
+
+
 def test_fit_commands_on_shipped_data(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)  # shipped configs use repo-relative data paths
     out = tmp_path / "s11"
@@ -318,6 +383,10 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
     doc = _sweep_doc()
     del doc["system"]["gain_mhz_over_2pi"]
     expect_2(doc, "sweep", "gain_mhz_over_2pi: missing required key")
+
+    doc = _sweep_doc()
+    doc["seed"] = 7  # runs are deterministic; there is no seed to set
+    expect_2(doc, "sweep", "$: unknown key(s): seed")
 
     doc = _sweep_doc()
     doc["format_version"] = 99

@@ -1,0 +1,76 @@
+"""Static checks on the package source, with the standard library only.
+
+- A module-level import must be used in its module, unless the name is
+  in ``__all__`` or its statement carries ``# noqa: F401``.
+- A module-level ``_private`` function or class must be referenced
+  somewhere in the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "magpol"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _referenced(tree) -> set[str]:
+    """Names read, attributes taken and names imported anywhere."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    lines = path.read_text().splitlines()
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _exported(tree)
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used and name not in exported:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_private_definitions_are_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set().union(*map(_referenced, trees.values()))
+    orphans = [f"{name}:{node.lineno} {node.name}"
+               for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and node.name not in referenced]
+    assert not orphans, f"unreferenced private definitions: {orphans}"

@@ -97,8 +97,10 @@ def test_params_validation():
 
 
 def test_power_conversion_frozen_values():
-    drive = eta_from_power(1e-6, drive_port_params())
-    assert drive.s_in ** 2 == pytest.approx(FLUX_PER_US, rel=1e-12)
+    p = drive_port_params()
+    drive = eta_from_power(1e-6, p)
+    assert drive.eta ** 2 / p.kappa_ext == pytest.approx(FLUX_PER_US,
+                                                         rel=1e-12)
     assert drive.eta == pytest.approx(ETA_1UW, rel=1e-12)
     kappa = TWO_PI * 1.5
     n0 = drive.eta ** 2 / (0.5 * kappa) ** 2

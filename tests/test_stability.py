@@ -13,7 +13,7 @@ from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams, \
 from magpol.phasemap import n0_to_drive_passive, n0_to_gain_active
 from magpol.steady import FixedPoint, active_fixed_points, \
     passive_fixed_points
-from magpol.stability import classify
+from magpol.stability import classify, classify_points
 
 
 def _random_passive_draw(rng):
@@ -198,8 +198,9 @@ def test_marginal_band():
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
     fp = active_fixed_points(p)[1]
     assert not classify(fp, p).is_marginal
-    wide = classify(fp, p, margin_rtol=1.0)
-    assert wide.is_marginal  # |margin| << rate scale once the band is 1x
+    wide = classify_points(p, fp.a0, fp.m0, fp.omega, True,
+                           band=1.0 * p.rate_scale())
+    assert wide.is_marginal[0]  # |margin| << rate scale once the band is 1x
 
 
 def test_neutral_suspect_flags_wrong_frame():
