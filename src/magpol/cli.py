@@ -48,12 +48,14 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    """One CSV row per grid row; repr keeps floats round-trippable."""
+    """One CSV row per grid row. Counts and flags are written as
+    integers, floats by the csv module's repr, which round-trips. Rows
+    are converted one at a time, so a large float matrix is never held
+    as Python floats all at once."""
+    if matrix.dtype.kind != "f":
+        matrix = matrix.astype(np.int64)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([repr(v) if isinstance(v, float) else int(v)
-                             for v in row.tolist()])
+        csv.writer(fh).writerows(map(np.ndarray.tolist, matrix))
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -127,10 +129,8 @@ def cmd_phase_diagram(run: config.RunConfig, out_dir: str,
                       diagram.unstable)
     _write_matrix_csv(os.path.join(out_dir, "marginal_count.csv"),
                       diagram.marginal)
-    _write_matrix_csv(os.path.join(out_dir, "blank.csv"),
-                      diagram.blank.astype(np.int16))
-    _write_matrix_csv(os.path.join(out_dir, "errors.csv"),
-                      diagram.errors.astype(np.int16))
+    _write_matrix_csv(os.path.join(out_dir, "blank.csv"), diagram.blank)
+    _write_matrix_csv(os.path.join(out_dir, "errors.csv"), diagram.errors)
 
     grid = run.grid
     x = grid.x_values()

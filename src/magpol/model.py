@@ -28,11 +28,12 @@ holds G_eff directly when ``gain_absorbed`` is true (the default);
 otherwise it holds the raw pump gain and ``kappa/2`` is subtracted.
 
 This module holds the only copy of the equations, used by every
-solver: ``vector_field`` builds the right-hand side, and
-``jacobian_rows``/``jacobian`` its linearization in the doubled basis
-(a, a*, m, m*). All three evaluate elementwise on arrays of states of
-any leading shape, with the rates taken from a ``SystemParams`` or, for
-a batch of parameter points, from a ``Rates`` of broadcasting arrays.
+solver: ``vector_field`` builds the right-hand side, ``jacobian_rows``
+its linearization as coefficients of (a, a*, m, m*), and ``jacobian``
+the same linearization as a real matrix on (Re a, Im a, Re m, Im m).
+All three evaluate elementwise on arrays of states of any leading
+shape, with the rates taken from a ``SystemParams`` or, for a batch of
+parameter points, from a ``Rates`` of broadcasting arrays.
 
 Large occupations (1e9..1e15 quanta) make the raw nonlinear terms span
 many decades, so solvers rescale amplitudes by ``s = sqrt(n_ref)`` with
@@ -288,7 +289,7 @@ def vector_field(params: SystemParams | Rates,
 
 def jacobian_rows(params: SystemParams | Rates, a, m, omega=0.0,
                   active: bool = False) -> tuple[tuple, tuple]:
-    """Rows d(da/dt) and d(dm/dt) of the doubled-basis linearization.
+    """Rows d(da/dt) and d(dm/dt) of the linearization.
 
     Columns are the derivatives with respect to (a, a*, m, m*) at the
     state (a, m), in a frame co-rotating at ``omega`` (d/dt picks up
@@ -315,19 +316,23 @@ def jacobian_rows(params: SystemParams | Rates, a, m, omega=0.0,
 
 def jacobian(params: SystemParams | Rates, a, m, omega=0.0,
              active: bool = False) -> np.ndarray:
-    """Linearization acting on the doubled vector (da, da*, dm, dm*).
+    """Real linearization acting on (Re a, Im a, Re m, Im m).
 
-    Shape (..., 4, 4) over the broadcast shape of the states. Rows 1
-    and 3 are rows 0 and 2 conjugated with the pairing swapped, so the
-    spectrum is closed under complex conjugation.
+    Shape (..., 4, 4) over the broadcast shape of the states. A pair of
+    ``jacobian_rows`` coefficients (A, B) of (z, z*) becomes the block
+    [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]]. The matrix is similar to
+    the doubled-basis one on (da, da*, dm, dm*), so it has the same
+    spectrum, closed under complex conjugation.
     """
-    row_a, row_m = jacobian_rows(params, a, m, omega, active)
-    entries = [*row_a, *(row_a[k].conjugate() for k in (1, 0, 3, 2)),
-               *row_m, *(row_m[k].conjugate() for k in (1, 0, 3, 2))]
-    out = np.empty(np.broadcast(*entries).shape + (16,), dtype=complex)
-    for k, entry in enumerate(entries):
-        out[..., k] = entry
-    return out.reshape(out.shape[:-1] + (4, 4))
+    cols = [(row[0] + row[1], 1j * (row[0] - row[1]),
+             row[2] + row[3], 1j * (row[2] - row[3]))
+            for row in jacobian_rows(params, a, m, omega, active)]
+    out = np.empty(np.broadcast(*cols[0], *cols[1]).shape + (4, 4))
+    for i, row in enumerate(cols):
+        for k, col in enumerate(row):
+            out[..., 2 * i, k] = np.real(col)
+            out[..., 2 * i + 1, k] = np.imag(col)
+    return out
 
 
 def rhs_passive(state: ModeState, params: SystemParams,

@@ -1,11 +1,12 @@
-"""Linear stability of fixed points in the doubled amplitude basis.
+"""Linear stability of fixed points from their real 4x4 linearization.
 
 Fluctuations around a fixed point couple amplitudes to their
 conjugates through the Kerr and saturation terms, so the linearization
-acts on the doubled vector (da, da*, dm, dm*). Its 4x4 matrix
-(``model.jacobian``) has rows for the conjugate components that are
-elementwise conjugates of the direct rows with the pairing swapped;
-the spectrum is therefore closed under complex conjugation.
+is not complex-linear in (da, dm). ``model.jacobian`` writes it as a
+real 4x4 matrix on (Re a, Im a, Re m, Im m), similar to the complex
+one on the doubled vector (da, da*, dm, dm*). Its spectrum is closed
+under complex conjugation: real eigenvalues come out with an imaginary
+part of exactly 0, and conjugate pairs exactly conjugate.
 
 Active fixed points are linearized in their own co-rotating frame
 (d/dt picks up +i*omega), where the limit cycle becomes a circle of
@@ -112,7 +113,7 @@ def classify_points(params: SystemParams | Rates, a0, m0, omega,
     a0, m0 = np.atleast_1d(a0), np.atleast_1d(m0)
     errors: dict[int, Exception] = {}
     try:
-        eigs = np.linalg.eigvals(jac)
+        eigs = np.linalg.eigvals(jac).astype(complex, copy=False)
     except np.linalg.LinAlgError:  # one failed matrix fails the stack
         eigs = np.full(jac.shape[:-1], np.nan, dtype=complex)
         for i, mat in enumerate(jac):
@@ -148,7 +149,7 @@ def classify_points(params: SystemParams | Rates, a0, m0, omega,
 
 
 def classify(fp: FixedPoint, params: SystemParams) -> StabilityReport:
-    """Stability of one fixed point from the 4x4 doubled linearization.
+    """Stability of one fixed point from its real 4x4 linearization.
 
     Active points drop their neutral phase mode before the margin is
     taken. A margin within ``MARGIN_RTOL * params.rate_scale()`` of

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConditioningError, InternalConsistencyError
 from .model import DriveSpec, ModeState, Rates, SystemParams, batch_rates, \
-    jacobian_rows, rescale, vector_field
+    jacobian, rescale, vector_field
 
 # A polynomial root counts as real when |Im| <= RTOL*|root| + ATOL
 # (in the nondimensional variable, which is O(1) by construction).
@@ -220,22 +220,13 @@ def _polish_jacobian(z: np.ndarray, params: SystemParams | Rates,
                      active: bool) -> np.ndarray:
     """Real Jacobian (..., 4, 4) of ``_polish_defect`` in its unknowns.
 
-    From the doubled-basis columns J_z, J_z*, the real part of an
-    amplitude z has derivative J_z + J_z* and the imaginary part
-    i (J_z - J_z*); omega enters the active defect as i (a, m).
+    That is ``model.jacobian``, except that for active points column 1
+    is the derivative in omega, which enters the defect as i (a, m).
     """
     a, m, w = _polish_state(z, active)
-    row_a, row_m = jacobian_rows(params, a, m, w, active)
+    jac = jacobian(params, a, m, w, active)
     if active:
-        col1 = (1j * a, 1j * m)
-    else:
-        col1 = (1j * (row_a[0] - row_a[1]), 1j * (row_m[0] - row_m[1]))
-    jac = np.empty(np.shape(z)[:-1] + (4, 4))
-    for i, (row, c1) in enumerate(zip((row_a, row_m), col1)):
-        cols = (row[0] + row[1], c1, row[2] + row[3], 1j * (row[2] - row[3]))
-        for k, col in enumerate(cols):
-            jac[..., 2 * i, k] = np.real(col)
-            jac[..., 2 * i + 1, k] = np.imag(col)
+        jac[..., :, 1] = (1j * np.stack((a, m), axis=-1)).view(float)
     return jac
 
 

@@ -182,13 +182,11 @@ def active_fixed_points_newton(params: SystemParams, n_starts: int = 48):
 def jacobian_fd(params: SystemParams, a0: complex, m0: complex,
                 omega: float = 0.0, drive: DriveSpec | None = None,
                 eps: float | None = None) -> np.ndarray:
-    """Finite-difference Jacobian in the doubled basis (da, da*, dm, dm*).
+    """Finite-difference Jacobian on (Re a, Im a, Re m, Im m).
 
-    Differentiates the model right-hand side (co-rotated by omega for
-    the active system) with respect to the real and imaginary parts of
-    each amplitude, then converts to Wirtinger derivatives. Rows for
-    the conjugate components follow from conjugation, which is a
-    structural fact of the doubled basis, not an implementation detail.
+    Central differences of the model right-hand side (co-rotated by
+    omega for the active system) in the real and imaginary parts of
+    each amplitude; rows are (Re, Im) of da/dt and dm/dt.
     """
     from magpol.model import rhs_active, rhs_passive
 
@@ -203,26 +201,9 @@ def jacobian_fd(params: SystemParams, a0: complex, m0: complex,
 
     amp = max(abs(a0), abs(m0), 1.0)
     h = (eps if eps is not None else 1e-6) * amp
-    cols = []
-    for which in ("a", "m"):
-        def shifted(d):
-            if which == "a":
-                return rhs(a0 + d, m0)
-            return rhs(a0, m0 + d)
-        fx = (shifted(h) - shifted(-h)) / (2.0 * h)
-        fy = (shifted(1j * h) - shifted(-1j * h)) / (2.0 * h)
-        d_z = 0.5 * (fx - 1j * fy)       # d rhs / d z
-        d_zbar = 0.5 * (fx + 1j * fy)    # d rhs / d conj(z)
-        cols.append((d_z, d_zbar))
-    (fa_a, fa_ab), (fm_a, fm_ab) = cols
-    jac = np.zeros((4, 4), dtype=complex)
-    jac[0] = [fa_a[0], fa_ab[0], fm_a[0], fm_ab[0]]
-    jac[2] = [fa_a[1], fa_ab[1], fm_a[1], fm_ab[1]]
-    jac[1] = [np.conj(jac[0, 1]), np.conj(jac[0, 0]),
-              np.conj(jac[0, 3]), np.conj(jac[0, 2])]
-    jac[3] = [np.conj(jac[2, 1]), np.conj(jac[2, 0]),
-              np.conj(jac[2, 3]), np.conj(jac[2, 2])]
-    return jac
+    cols = [(rhs(a0 + ua * h, m0 + um * h) - rhs(a0 - ua * h, m0 - um * h))
+            / (2.0 * h) for ua, um in ((1, 0), (1j, 0), (0, 1), (0, 1j))]
+    return np.array(cols).view(float).T
 
 
 def integrate_reference(params: SystemParams, a: complex, m: complex,

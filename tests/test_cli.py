@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from magpol import config
-from magpol.cli import main
+from magpol.cli import _write_matrix_csv, main
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -219,6 +219,22 @@ def test_phase_diagram_files_do_not_depend_on_threads(tmp_path, config):
     for name in names:
         assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
                            shallow=False), name
+
+
+@pytest.mark.parametrize("matrix,expected", [
+    (np.array([[True, False, True], [False, False, True]]),
+     b"1,0,1\r\n0,0,1\r\n"),
+    (np.array([[0, 3, -2], [32767, -32768, 1]], dtype=np.int16),
+     b"0,3,-2\r\n32767,-32768,1\r\n"),
+    (np.array([[0.1, 1e-300, -0.0], [1e16, np.nan, -np.inf],
+               [1.0 / 3.0, 5e-324, 12.5]]),
+     b"0.1,1e-300,-0.0\r\n1e+16,nan,-inf\r\n"
+     b"0.3333333333333333,5e-324,12.5\r\n"),
+], ids=["bool", "int16", "float"])
+def test_matrix_csv_bytes(tmp_path, matrix, expected):
+    path = tmp_path / "m.csv"
+    _write_matrix_csv(str(path), matrix)
+    assert path.read_bytes() == expected
 
 
 def test_phase_diagram_sidecar(tmp_path):

@@ -1,19 +1,23 @@
 """Linearization and classification around fixed points."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _cases import broadline_params, narrowline_params
 from _oracles import jacobian_fd
+from magpol import config
 from magpol.dynamics import integrate_segment
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams, \
-    jacobian
-from magpol.phasemap import n0_to_drive_passive, n0_to_gain_active
+    batch_rates, jacobian, jacobian_rows
+from magpol.phasemap import BLOCK, n0_to_drive_passive, n0_to_gain_active
 from magpol.steady import FixedPoint, active_fixed_points, \
-    passive_fixed_points
-from magpol.stability import classify, classify_points
+    passive_fixed_points, solve_active
+from magpol.stability import MARGIN_RTOL, classify, classify_points
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _random_passive_draw(rng):
@@ -65,6 +69,112 @@ def test_active_jacobian_matches_finite_differences():
             checked += 1
 
 
+def _doubled_jacobian(params, a, m, omega=0.0, active=False):
+    """Complex linearization (..., 4, 4) on (da, da*, dm, dm*): rows 1
+    and 3 are rows 0 and 2 conjugated with the pairing swapped."""
+    row_a, row_m = jacobian_rows(params, a, m, omega, active)
+    entries = [*row_a, *(np.conj(row_a[k]) for k in (1, 0, 3, 2)),
+               *row_m, *(np.conj(row_m[k]) for k in (1, 0, 3, 2))]
+    out = np.empty(np.broadcast(*entries).shape + (16,), dtype=complex)
+    for k, entry in enumerate(entries):
+        out[..., k] = entry
+    return out.reshape(out.shape[:-1] + (4, 4))
+
+
+def test_real_basis_keeps_the_doubled_basis_spectrum():
+    rng = np.random.default_rng(35)
+    checked = {False: 0, True: 0}
+    while min(checked.values()) < 20:
+        p, drive = _random_passive_draw(rng)
+        pa = _random_active_draw(rng)
+        for params, fps in ((p, passive_fixed_points(p, drive)),
+                            (pa, active_fixed_points(pa))):
+            tol = 1e-9 * params.rate_scale()
+            for fp in fps:
+                active = fp.kind == "active"
+                args = (params, fp.a0, fp.m0, fp.omega, active)
+                ref = np.linalg.eigvals(_doubled_jacobian(*args))
+                real = jacobian(*args)
+                assert real.dtype == float
+                eigs = np.linalg.eigvals(real)
+                for x, y in ((eigs, ref), (ref, eigs)):
+                    assert max(np.min(np.abs(y - e)) for e in x) < tol
+                rep = classify(fp, params)
+                got = np.array(rep.eigenvalues)
+                assert np.all((got.imag == 0) | np.isin(np.conj(got), got))
+                assert np.all(got[np.abs(got.imag) < tol].imag == 0)
+                if active:
+                    assert rep.discarded.imag == 0.0
+                checked[active] += 1
+
+
+def test_classify_points_fallback_isolates_a_failed_row():
+    """A non-finite point fails its own row only; the rest classify as
+    in a clean batch."""
+    cases = []
+    p = broadline_params(delta_c=TWO_PI * 80.0, delta_m=TWO_PI * (-85.0))
+    cases.append((p, passive_fixed_points(p, n0_to_drive_passive(8e14, p))))
+    p = narrowline_params(delta_m=TWO_PI * (-46.4))
+    cases.append((p, active_fixed_points(p)))
+    for p, fps in cases:
+        active = fps[0].kind == "active"
+        a0, m0, omega = (np.array([getattr(fp, k) for fp in fps])
+                         for k in ("a0", "m0", "omega"))
+        band = MARGIN_RTOL * p.rate_scale()
+        clean = classify_points(p, a0, m0, omega, active, band)
+        assert len(fps) == 3 and not clean.errors
+        bad = 1
+        spoilt = classify_points(p, np.insert(a0, bad, a0[0]),
+                                 np.insert(m0, bad, np.nan),
+                                 np.insert(omega, bad, omega[0]), active,
+                                 band)
+        assert list(spoilt.errors) == [bad]
+        err = spoilt.errors[bad]
+        assert isinstance(err, np.linalg.LinAlgError)
+        assert f"{fps[0].kind} fixed point" in str(err)
+        keep = np.arange(len(fps) + 1) != bad
+        for field in ("eigenvalues", "discarded", "margin", "is_stable",
+                      "is_marginal", "neutral_suspect"):
+            np.testing.assert_array_equal(getattr(spoilt, field)[keep],
+                                          getattr(clean, field))
+
+
+def test_gain_map_verdicts_match_the_doubled_basis():
+    """Every fixed point of the shipped 151x151 gain map gets the same
+    verdict from the real basis as from complex doubled-basis solves."""
+    run = config.parse_run(config.load_config(
+        str(ROOT / "configs" / "active_gain_map.json")), "phase-diagram")
+    grid = run.grid
+    assert grid.x_axis == "gain"
+    n_cells = grid.x_count * grid.delta_m_count
+    n_points = 0
+    for lo in range(0, n_cells, BLOCK):
+        iy, ix = np.divmod(np.arange(lo, min(lo + BLOCK, n_cells)),
+                           grid.x_count)
+        cells = batch_rates(grid.base, delta_c=0.0,
+                            delta_m=grid.delta_m_values()[iy],
+                            gain_eff=grid.x_values()[ix])
+        sol = solve_active(cells)
+        assert not sol.errors
+        rates = cells.take(sol.cell)
+        band = MARGIN_RTOL * rates.rate_scale()
+        got = classify_points(rates, sol.a0, sol.m0, sol.omega, True, band)
+        assert not got.errors
+
+        eigs = np.linalg.eigvals(
+            _doubled_jacobian(rates, sol.a0, sol.m0, sol.omega, True))
+        neutral = np.abs(eigs).argmin(axis=-1)
+        oscillating = np.abs(sol.a0) ** 2 + np.abs(sol.m0) ** 2 > 0
+        retained = eigs.real.copy()
+        retained[np.flatnonzero(oscillating), neutral[oscillating]] = -np.inf
+        margin = retained.max(axis=-1)
+        np.testing.assert_array_equal(got.is_stable, margin < 0.0)
+        np.testing.assert_array_equal(got.is_marginal, np.abs(margin) < band)
+        assert np.all(np.abs(got.margin - margin) < 1e-3 * band)
+        n_points += len(margin)
+    assert n_points > 2 * n_cells
+
+
 def test_decoupled_passive_spectrum():
     p = broadline_params(g=0.0, kerr=0.0, delta_c=TWO_PI * 7.0,
                          delta_m=TWO_PI * (-3.0))
@@ -110,7 +220,7 @@ def test_uncoupled_oscillator_spectrum():
 
 
 def test_conjugate_pairing_closure():
-    """The doubled-basis spectrum is closed under conjugation."""
+    """The spectrum is closed under conjugation."""
     rng = np.random.default_rng(33)
     for _ in range(15):
         p = _random_active_draw(rng)
@@ -167,8 +277,8 @@ def test_coexisting_unstable_pair():
 
 
 def _origin_margin(p):
-    # At the origin the doubled basis splits into a (da, dm) block and
-    # its conjugate; the coupled 2x2 block sets the growth rate.
+    # At the origin the linearization splits into a complex-linear
+    # (da, dm) block and its conjugate; the 2x2 block sets the growth.
     blk = np.array([[p.gain_eff, -1j * p.g],
                     [-1j * p.g, -(0.5 * p.gamma + 1j * p.delta_m)]])
     return float(np.max(np.linalg.eigvals(blk).real))
