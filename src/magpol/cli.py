@@ -194,7 +194,6 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
         spec = build_spectrogram(
             result.segments,
             result.detunings_nominal[:len(result.segments)],
-            t_drop=run.protocol.t_drop,
             f_min=run.spectrogram["f_min_mhz"],
             f_max=run.spectrogram["f_max_mhz"],
             floor=run.spectrogram["floor"])

@@ -126,11 +126,11 @@ class _Block:
         return v
 
     def angular(self, base: str, *, required: bool = False, default=None,
-                lo=None, hi=None) -> float | None:
+                lo=None, hi=None, lo_open: bool = False) -> float | None:
         """Read `{base}_{unit}_over_2pi` in any unit; returns rad/us.
 
-        ``default`` and the bounds are rad/us. A materialized default
-        is written back under the mhz key.
+        ``default`` and the bounds are rad/us (``lo_open`` excludes
+        ``lo``). A materialized default is written under the mhz key.
         """
         hits = [u for u in _ANGULAR_UNITS
                 if f"{base}_{u}_over_2pi" in self.data]
@@ -153,9 +153,10 @@ class _Block:
         key = f"{base}_{unit}_over_2pi"
         raw = self.number(key, required=True)
         value = raw * _ANGULAR_UNITS[unit]
-        if lo is not None and value < lo:
+        if lo is not None and (value <= lo if lo_open else value < lo):
+            bound = f"must be > {lo}" if lo_open else f"below the minimum {lo}"
             raise ConfigError(f"{self.path}.{key}: {raw} maps to {value} "
-                              f"rad/us, below the minimum {lo}")
+                              f"rad/us, {bound}")
         if hi is not None and value > hi:
             raise ConfigError(f"{self.path}.{key}: {raw} maps to {value} "
                               f"rad/us, above the maximum {hi}")
@@ -234,7 +235,9 @@ def _parse_system(blk: _Block, command: str,
         delta_m = blk.angular("delta_m", default=0.0)
 
     kerr = blk.angular("kerr", default=0.0)
-    gamma = blk.angular("gamma", required=True, lo=0.0)
+    # the active steady-state solve needs damping; sweeps only integrate
+    gamma = blk.angular("gamma", required=True, lo=0.0,
+                        lo_open=kind == "active" and command != "sweep")
     g = blk.angular("g", required=True, lo=0.0)
 
     if kind == "passive":

@@ -40,9 +40,9 @@ LOW_CONFIDENCE = 0.5
 class TrajectorySegment:
     """One integrated stretch at fixed parameters.
 
-    ``times`` has length n_steps + 1 and includes the initial sample;
-    ``a`` and ``m`` are the complex photon and magnon amplitudes at
-    those times, in sqrt quanta.
+    ``a`` and ``m`` are the complex photon and magnon amplitudes, in
+    sqrt quanta, at ``times``: every step of ``integrate_segment``,
+    initial sample included, or a sweep step's analysis window.
     """
 
     times: np.ndarray
@@ -125,8 +125,8 @@ class SweepProtocol:
 
     ``detunings`` are the programmed magnon detunings (rad/us) in
     sweep order. Each step runs for ``t_total`` us at step ``dt``;
-    analysis drops the first ``t_drop`` us and fits the trailing
-    ``fit_fraction`` of the remainder. With ``memory_state`` each step
+    analysis keeps its ``window_samples()`` after ``t_drop`` and fits
+    the trailing ``fit_fraction`` of them. With ``memory_state`` each step
     continues from the previous final state; with ``memory_detuning``
     the detuning applied at step k is detunings[k] minus the emission
     offset measured at step k - 1 (the previously developed
@@ -161,14 +161,14 @@ class SweepProtocol:
         window = self.window_samples()
         if window < 16:
             raise ValueError("fewer than 16 samples would survive t_drop")
-        # later steps start at rounded times and can keep one sample less
-        if int(round(self.fit_fraction * (window - 1))) < 8:
+        if int(round(self.fit_fraction * window)) < 8:
             raise ValueError(f"fit_fraction {self.fit_fraction} fits fewer "
                              f"than 8 of {window} samples after t_drop")
 
     def window_samples(self) -> int:
-        """Samples after ``t_drop`` in a step that starts at t = 0: those
-        with k * dt >= t_drop, k = 0 .. round(t_total / dt)."""
+        """Trailing samples every step keeps for analysis: those with
+        k * dt >= t_drop, k = 0 .. round(t_total / dt), as if the step
+        started at t = 0, so the count does not depend on its start."""
         first = math.ceil(self.t_drop / self.dt)
         first -= (first - 1) * self.dt >= self.t_drop
         first += first * self.dt < self.t_drop
@@ -178,7 +178,8 @@ class SweepProtocol:
 @dataclass
 class SweepResult:
     """Outcome of ``run_sweep``: the ``protocol`` run and, per step,
-    its ``segments`` (up to the first divergence) and fits.
+    its ``segments`` (up to the first divergence; each holds only the
+    step's analysis window, in arrays of its own) and fits.
 
     ``omegas`` holds the fitted emission offsets (rad/us) per step,
     NaN where the window had no power to fit and from the first
@@ -218,14 +219,16 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
               initial_state: ModeState | None = None) -> SweepResult:
     """Run a stepped detuning sweep and fit each step's emission offset.
 
-    The first step is offset by ``protocol.omega_initial`` (zero by
-    default: no prior oscillation). A DivergenceError inside a step is
-    recorded on the result (``diverged_at``, ``error``) rather than
-    raised; completed steps keep their fits and the remaining ones
-    stay NaN. A step whose analysis window has no power (an all-zero
-    seed of the active model never leaves the origin) keeps NaN omega
-    and confidence 0, is flagged low-confidence, and leaves the
-    detuning offset of the next step unchanged.
+    Each step keeps a copy of its analysis window only, and fits the
+    phase on it with times relative to the step start. The first step
+    is offset by ``protocol.omega_initial`` (zero by default: no prior
+    oscillation). A DivergenceError inside a step is recorded on the
+    result (``diverged_at``, ``error``) rather than raised; completed
+    steps keep their fits and the remaining ones stay NaN. A step
+    whose analysis window has no power (an all-zero seed of the active
+    model never leaves the origin) keeps NaN omega and confidence 0,
+    is flagged low-confidence, and leaves the detuning offset of the
+    next step unchanged.
     """
     n_seg = len(protocol.detunings)
     result = SweepResult(
@@ -240,6 +243,7 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
         else default_seed_state(params, drive)
     state = seed
     omega_prev = protocol.omega_initial
+    window = protocol.window_samples()
     for k, d_nom in enumerate(protocol.detunings):
         d_eff = d_nom - omega_prev if protocol.memory_detuning else d_nom
         params_k = params.replace(delta_m=d_eff)
@@ -252,12 +256,13 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
             result.error = (f"step {k} (detuning {d_nom:.6g} rad/us, "
                             f"effective {d_eff:.6g}): {exc}")
             break
+        seg = TrajectorySegment(*(v[-window:].copy()
+                                  for v in (seg.times, seg.a, seg.m)))
         result.segments.append(seg)
         result.detunings_effective[k] = d_eff
         state = seg.final_state()
         try:
-            omega, conf = phase_slope_offset(seg.times - seg.times[0], seg.a,
-                                             protocol.t_drop,
+            omega, conf = phase_slope_offset(seg.times - seg_state.t, seg.a,
                                              protocol.fit_fraction)
         except FitError:  # no power in the window, nothing to fit
             result.low_confidence[k] = True

@@ -1,7 +1,8 @@
 """Emission-frequency extraction and spectra from time traces.
 
 All functions take plain (times, amplitude) arrays in us and sqrt
-quanta. Frequencies are reported as ordinary frequencies in MHz
+quanta and analyse all the samples they are given; the caller cuts
+any transient. Frequencies are reported as ordinary frequencies in MHz
 (cycles/us) on an axis where positive means blue-shifted emission: a
 rotating amplitude a(t) = a0 exp(-i W t) with W > 0 radiates above the
 reference frequency and lands at +W/2pi on this axis.
@@ -28,28 +29,21 @@ from .model import TWO_PI
 PHASE_RESIDUAL_SCALE = 1e-2
 
 
-def _analysis_window(times: np.ndarray, values: np.ndarray,
-                     t_drop: float) -> tuple[np.ndarray, np.ndarray]:
-    keep = times >= times[0] + t_drop
-    return times[keep], values[keep]
-
-
-def phase_slope_offset(times: np.ndarray, a: np.ndarray, t_drop: float,
+def phase_slope_offset(times: np.ndarray, a: np.ndarray,
                        fit_fraction: float = 0.5) -> tuple[float, float]:
     """Emission offset (rad/us) from the slope of the unwrapped phase.
 
-    Drops the first ``t_drop`` of the trace as transient, then fits
-    the trailing ``fit_fraction`` of what remains with a linear model
-    of the unwrapped phase, weighted by instantaneous power so dim
-    intervals do not pollute the slope. Returns (omega, confidence);
-    the offset follows the blue-positive convention, and confidence is
-    1 / (1 + mse/PHASE_RESIDUAL_SCALE), which drops well below 1/2 for
-    multi-tone or drifting segments. A window with zero total power
-    has no phase to fit and raises FitError.
+    Fits the trailing ``fit_fraction`` of the samples with a linear
+    model of the unwrapped phase, weighted by instantaneous power so
+    dim intervals do not pollute the slope. Returns (omega,
+    confidence); the offset follows the blue-positive convention, and
+    confidence is 1 / (1 + mse/PHASE_RESIDUAL_SCALE), which drops well
+    below 1/2 for multi-tone or drifting segments. A window with zero
+    total power has no phase to fit and raises FitError.
     """
     if not 0.0 < fit_fraction <= 1.0:
         raise ValueError(f"fit_fraction must be in (0, 1], got {fit_fraction}")
-    t, z = _analysis_window(np.asarray(times), np.asarray(a), t_drop)
+    t, z = np.asarray(times), np.asarray(a)
     start = t.size - int(round(fit_fraction * t.size))
     t, z = t[start:], z[start:]
     if t.size < 8:
@@ -80,38 +74,31 @@ def spectrum_freqs(n: int, dt: float) -> np.ndarray:
     return -np.fft.fftshift(np.fft.fftfreq(n, d=dt))[::-1]
 
 
-def hann_fft(times: np.ndarray, a: np.ndarray, t_drop: float = 0.0,
-             normalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Hann-windowed magnitude spectrum of a complex trace.
+def hann_fft(times: np.ndarray,
+             a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hann-windowed magnitude spectrum of all the given samples.
 
     Returns (freqs, mags) with freqs in MHz, ascending, on the
-    blue-positive emission axis (see module docstring). With
-    ``normalize`` the magnitudes are scaled to unit maximum;
-    otherwise they are raw windowed-FFT magnitudes, which satisfy the
+    blue-positive emission axis (see module docstring). The
+    magnitudes are raw windowed-FFT magnitudes, which satisfy the
     usual Parseval identity against the windowed samples.
     """
-    t, z = _analysis_window(np.asarray(times), np.asarray(a), t_drop)
+    t, z = np.asarray(times), np.asarray(a)
     if t.size < 8:
         raise ValueError(f"FFT needs >= 8 samples, got {t.size}")
     freqs = spectrum_freqs(t.size, float(t[1] - t[0]))
     spec = np.fft.fftshift(np.fft.fft(np.hanning(t.size) * z))
-    mags = np.abs(spec)[::-1]
-    if normalize:
-        peak = float(np.max(mags))
-        if peak > 0:
-            mags = mags / peak
-    return freqs, mags
+    return freqs, np.abs(spec)[::-1]
 
 
-def fft_peak_offset(times: np.ndarray, a: np.ndarray,
-                    t_drop: float = 0.0) -> tuple[float, float]:
+def fft_peak_offset(times: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     """Dominant emission offset (rad/us) from the Hann FFT peak bin.
 
     Returns (omega, bin_width_rad_per_us); the estimate is quantized
     to the bin grid, so agreement with the phase-slope route is only
     expected to one bin.
     """
-    freqs, mags = hann_fft(times, a, t_drop, normalize=False)
+    freqs, mags = hann_fft(times, a)
     i = int(np.argmax(mags))
     bin_w = float(freqs[1] - freqs[0])
     return TWO_PI * float(freqs[i]), TWO_PI * bin_w
@@ -138,20 +125,18 @@ class Spectrogram:
         return np.log10(np.maximum(self.magnitudes, self.floor))
 
 
-def build_spectrogram(segments, detunings, t_drop: float,
+def build_spectrogram(segments, detunings,
                       f_min: float | None = None,
                       f_max: float | None = None,
                       floor: float = 1e-6) -> Spectrogram:
     """Hann spectra of many segments stacked into one matrix.
 
     ``segments`` is an iterable of objects with ``times`` and ``a``
-    arrays (one per sweep step, equal length and spacing). The window
-    after ``t_drop`` is decided once, on the first segment, and every
-    segment gives the same trailing samples: each sweep step starts at
-    a rounded absolute time, so a cut per segment can keep one sample
-    more or less. The frequency axis can be cropped to [f_min, f_max]
-    MHz. Columns are normalized to unit maximum independently,
-    matching how swept emission spectra are usually displayed.
+    arrays (one per sweep step, equal length and spacing), each cut
+    to the samples to analyse, as ``run_sweep`` keeps them. The
+    frequency axis can be cropped to [f_min, f_max] MHz. Columns are
+    normalized to unit maximum independently, matching how swept
+    emission spectra are usually displayed.
     """
     segs = list(segments)
     detunings = np.asarray(detunings, dtype=float)
@@ -160,13 +145,9 @@ def build_spectrogram(segments, detunings, t_drop: float,
     if detunings.size != len(segs):
         raise ValueError(f"{len(segs)} segments but {detunings.size} "
                          "detunings")
-    t_first = np.asarray(segs[0].times)
-    if any(len(seg.times) != t_first.size for seg in segs):
+    if any(len(seg.times) != len(segs[0].times) for seg in segs):
         raise ValueError("segments have mismatched sample counts")
-    tail = slice(t_first.size - _analysis_window(t_first, t_first,
-                                                 t_drop)[0].size, None)
-    spectra = (hann_fft(seg.times[tail], seg.a[tail], normalize=False)
-               for seg in segs)
+    spectra = (hann_fft(seg.times, seg.a) for seg in segs)
     freqs, first = next(spectra)
     sel = ((freqs >= (-np.inf if f_min is None else f_min))
            & (freqs <= (np.inf if f_max is None else f_max)))

@@ -319,8 +319,9 @@ def passive_fixed_points(params: SystemParams,
 
     Solves the magnon-number cubic in units of the bare-cavity photon
     number n0 = eta^2 / ((kappa/2)^2 + delta_c^2), then reconstructs
-    amplitudes root by root. Raises InternalConsistencyError if a
-    reconstructed point fails its residual check.
+    amplitudes root by root. Raises ConditioningError if n0 ** 3
+    overflows and InternalConsistencyError if a reconstructed point
+    fails its residual check.
     """
     kappa, gamma, g = params.kappa, params.gamma, params.g
     dc, dm_det = params.delta_c, params.delta_m
@@ -331,10 +332,14 @@ def passive_fixed_points(params: SystemParams,
     if drive.eta == 0.0:
         return [FixedPoint(a0=0.0j, m0=0.0j, omega=0.0, kind="passive",
                            net_gain=0.0, residual=0.0)]
-    n_ref = drive.eta ** 2 / denom0
+    try:
+        n_ref = drive.eta ** 2 / denom0
+        scale_pow = np.array([n_ref ** 3, n_ref ** 2, n_ref, 1.0])
+    except OverflowError:
+        raise ConditioningError(f"passive cubic: drive eta = {drive.eta:.6e}"
+                                f" /us overflows n0 ** 3") from None
 
     c = passive_cubic_coefficients(params, drive)
-    scale_pow = np.array([n_ref ** 3, n_ref ** 2, n_ref, 1.0])
     x, optional, errors = _real_roots(c * scale_pow, "passive cubic")
     if errors:
         raise errors[0]

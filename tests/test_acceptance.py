@@ -208,7 +208,7 @@ def test_criterion_05_low_gain_sweep_shift_and_switch(low_gain_sweep):
 def test_criterion_06_sidebands_near_the_switching_point(sideband_sweep):
     result = sideband_sweep
     spg = build_spectrogram(result.segments, result.detunings_nominal,
-                            t_drop=3.0, f_min=-80.0, f_max=80.0)
+                            f_min=-80.0, f_max=80.0)
     best = None
     for j in range(spg.magnitudes.shape[1]):
         col = spg.magnitudes[:, j]
@@ -360,7 +360,7 @@ def test_criterion_09_spectral_routes_and_step_halving(low_gain_sweep,
         for k, seg in enumerate(result.segments):
             if result.low_confidence[k]:
                 continue
-            w_fft, bin_w = fft_peak_offset(seg.times, seg.a, t_drop=3.0)
+            w_fft, bin_w = fft_peak_offset(seg.times, seg.a)
             frac = abs(w_fft - result.omegas[k]) / bin_w
             worst_bins = max(worst_bins, frac)
             n_checked += 1
@@ -376,10 +376,13 @@ def test_criterion_09_spectral_routes_and_step_halving(low_gain_sweep,
 
     p = narrowline_params(delta_m=-TWO_PI * 60.0)
     st = default_seed_state(p)
-    w_c, _ = phase_slope_offset(*(lambda s: (s.times, s.a))(
-        integrate_segment(st, p, 8.0, 1e-3)), t_drop=3.0)
-    w_f, _ = phase_slope_offset(*(lambda s: (s.times, s.a))(
-        integrate_segment(st, p, 8.0, 5e-4)), t_drop=3.0)
+
+    def late_fit(dt):  # phase fit on the samples from t = 3 us on
+        seg = integrate_segment(st, p, 8.0, dt)
+        keep = seg.times >= 3.0
+        return phase_slope_offset(seg.times[keep], seg.a[keep])[0]
+
+    w_c, w_f = late_fit(1e-3), late_fit(5e-4)
     omega_dev = abs(w_c - w_f) / abs(w_f)
 
     ok = off_grid == 0 and state_dev < 1e-5 and omega_dev < 1e-5
@@ -421,7 +424,7 @@ def test_qualitative_broadband_support():
     det = tuple(TWO_PI * d for d in np.linspace(-80.0, 40.0, 121))
     result = run_sweep(SweepProtocol(detunings=det), p)
     spg = build_spectrogram(result.segments, result.detunings_nominal,
-                            t_drop=3.0, f_min=-150.0, f_max=150.0)
+                            f_min=-150.0, f_max=150.0)
     thresh = 10 ** (-30.0 / 20.0)
     widths = np.zeros(spg.magnitudes.shape[1])
     for j in range(widths.size):

@@ -191,6 +191,37 @@ def test_shipped_config_manifest_is_a_fixpoint(tmp_path, name):
                        shallow=False)
 
 
+# what each command writes besides manifest.json
+ARTIFACTS = {
+    "fixed-points": ["fixed_points.json"],
+    "phase-diagram": ["blank.csv", "errors.csv", "marginal_count.csv",
+                      "phase_diagram.json", "stable_count.csv",
+                      "unstable_count.csv"],
+    "sweep": ["sweep.csv"],
+    "fit-s11": ["fit_s11.json"],
+    "fit-kittel": ["fit_kittel.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_runs(tmp_path, monkeypatch, name):
+    """Every shipped config runs as written, cut only in size: maps at
+    12x9 and sweeps to 3 steps, with their own dt, t_total and t_drop."""
+    monkeypatch.chdir(ROOT)  # shipped configs use repo-relative data paths
+    command = SHIPPED_CONFIGS[name]
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    extra = ["--resolution", "12x9"] if command == "phase-diagram" else []
+    expected = ARTIFACTS[command] + ["manifest.json"]
+    if command == "sweep":
+        doc["sweep"]["steps"] = 3
+    if "spectrogram" in doc:
+        expected += ["spectrogram.csv", "spectrogram_axes.json"]
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path, doc),
+                 "--out", str(out), *extra]) == 0
+    assert sorted(os.listdir(out)) == sorted(expected)
+
+
 def test_resolution_override(tmp_path):
     cfg = _write_config(tmp_path, _grid_doc())
     out = tmp_path / "out"
@@ -318,9 +349,9 @@ def test_sweep_spectrogram_artifacts(tmp_path):
 
 
 def test_sweep_spectrogram_with_uneven_step_windows(tmp_path):
-    """At dt 6e-4 the cut at each step's absolute start time + t_drop
-    keeps 4833 samples on step 0 and 4834 on step 2; the spectrogram
-    takes the same trailing samples from every step."""
+    """At dt 6e-4 a cut at each step's own start time + t_drop would
+    keep 4833 samples on step 0 and 4834 on step 2. Every step keeps
+    the protocol's one window instead, so the columns stack."""
     doc = json.loads((ROOT / "configs" / "sweep_sidebands.json").read_text())
     doc.pop("out")
     doc["sweep"].update(steps=3, dt_us=6e-4, t_total_us=5.0, t_drop_us=2.1)
@@ -457,6 +488,56 @@ def test_gain_forbidden_with_gain_axis(tmp_path, capsys):
     assert main(["phase-diagram", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == 2
     assert "gain is set by the grid block" in capsys.readouterr().err
+
+
+def test_active_zero_gamma(tmp_path, capsys):
+    """The active steady-state solve needs gamma > 0, so fixed-points
+    and phase-diagram runs reject gamma = 0 at parse time; a sweep
+    integrates the equations and accepts it."""
+    fp = {"format_version": 1,
+          "system": _active_system(gamma_mhz_over_2pi=0.0,
+                                   gain_mhz_over_2pi=15.45)}
+    pd = {"format_version": 1,
+          "system": _active_system(gamma_mhz_over_2pi=0.0),
+          "grid": {"x_axis": "gain", "gain_min_mhz_over_2pi": -2.0,
+                   "gain_max_mhz_over_2pi": 22.0, "x_count": 2,
+                   "delta_m_min_mhz_over_2pi": -70.0,
+                   "delta_m_max_mhz_over_2pi": -25.0, "delta_m_count": 2}}
+    for command, doc in (("fixed-points", fp), ("phase-diagram", pd)):
+        out = tmp_path / command
+        assert main([command, "--config", _write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert ("$.system.gamma_mhz_over_2pi: 0.0 maps to 0.0 rad/us, "
+                "must be > 0.0") in capsys.readouterr().err
+        assert not out.exists()
+
+    sweep = _sweep_doc(steps=2)
+    sweep["system"]["gamma_mhz_over_2pi"] = 0.0
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_config(tmp_path, sweep),
+                 "--out", str(out)]) == 0
+    assert len(_read_csv_rows(out / "sweep.csv")) == 3
+
+
+def test_passive_drive_overflow_is_a_conditioning_error(tmp_path, capsys):
+    """n0 = 1e300 overflows the cube that scales the passive cubic."""
+    system = _grid_doc()["system"]
+    fp = {"format_version": 1, "system": system, "drive": {"n0": 1e300}}
+    assert main(["fixed-points", "--config", _write_config(tmp_path, fp),
+                 "--out", str(tmp_path / "fp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: passive cubic: ") and err.count("\n") == 1
+
+    pd = _grid_doc()
+    pd["grid"].update(n0_min=1e13, n0_max=1e300, x_count=2, delta_m_count=2)
+    out = tmp_path / "pd"
+    assert main(["phase-diagram", "--config", _write_config(tmp_path, pd),
+                 "--out", str(out)]) == 0
+    side = json.loads((out / "phase_diagram.json").read_text())
+    assert _read_csv_rows(out / "errors.csv") == [["0", "1"], ["0", "1"]]
+    assert sorted(side["error_messages"]) == ["0,1", "1,1"]
+    for msg in side["error_messages"].values():
+        assert msg.startswith("ConditioningError: passive cubic: ")
 
 
 def test_exit_code_1_on_fit_failures(tmp_path, capsys):

@@ -81,8 +81,10 @@ def test_halving_dt_barely_moves_the_answer():
     st = default_seed_state(p)
     coarse = integrate_segment(st, p, duration=8.0, dt=1e-3)
     fine = integrate_segment(st, p, duration=8.0, dt=5e-4)
-    w_coarse, conf = phase_slope_offset(coarse.times, coarse.a, t_drop=3.0)
-    w_fine, _ = phase_slope_offset(fine.times, fine.a, t_drop=3.0)
+    # both fits read the samples from t = 3 us on
+    kc, kf = coarse.times >= 3.0, fine.times >= 3.0
+    w_coarse, conf = phase_slope_offset(coarse.times[kc], coarse.a[kc])
+    w_fine, _ = phase_slope_offset(fine.times[kf], fine.a[kf])
     assert conf > 0.99
     assert abs(w_coarse - w_fine) < 1e-5 * abs(w_fine)
 
@@ -164,6 +166,26 @@ def test_protocol_validation():
     with pytest.raises(ValueError):
         # only 10 samples survive the transient cut
         SweepProtocol(detunings=(1.0,), dt=0.1, t_total=8.0, t_drop=7.0)
+
+
+def test_every_step_keeps_one_window_and_fits_it():
+    """Steps start at rounded times, so cutting each at its own start +
+    t_drop kept 700 samples on some steps of this sweep and 701 on
+    others. Every step now keeps the protocol's window and fits it."""
+    det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, 4))
+    proto = SweepProtocol(detunings=det, t_total=1.0, t_drop=0.3, dt=1e-3)
+    res = run_sweep(proto, narrowline_params())
+    assert proto.window_samples() == 701
+    starts = [0.0] + [seg.times[-1] for seg in res.segments[:-1]]
+    assert len(res.segments) == 4
+    for k, (seg, start) in enumerate(zip(res.segments, starts)):
+        for arr in (seg.times, seg.a, seg.m):
+            assert arr.size == proto.window_samples()
+            assert arr.flags.owndata
+        assert seg.times[0] == pytest.approx(start + proto.t_drop,
+                                             abs=0.5 * proto.dt)
+        omega, conf = phase_slope_offset(seg.times - start, seg.a)
+        assert res.omegas[k] == omega and res.confidences[k] == conf
 
 
 def test_single_step_uncoupled_oscillator_has_zero_offset():
