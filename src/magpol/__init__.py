@@ -8,8 +8,7 @@ the externally driven (passive) and gain-driven (active) configurations.
 from .errors import (ConditioningError, ConfigError, DivergenceError,
                      FitError, InternalConsistencyError)
 from .model import (HBAR_JS, DriveSpec, ModeState, SystemParams,
-                    eta_from_power, power_from_drive, rescale, rhs_active,
-                    rhs_passive)
+                    eta_from_power, power_from_drive)
 
 __version__ = "0.1.0"
 
@@ -26,7 +25,4 @@ __all__ = [
     "__version__",
     "eta_from_power",
     "power_from_drive",
-    "rescale",
-    "rhs_active",
-    "rhs_passive",
 ]

@@ -1,11 +1,11 @@
 """Time integration and hysteretic detuning sweeps.
 
 Segments are integrated with a fixed-step classical Runge-Kutta
-scheme on the two complex mode amplitudes. Before integrating, the
-state and parameters are rescaled so amplitudes are O(1) (see
-``model.rescale``); the nonlinear coefficients absorb the scale, the
-trajectory is exactly equivalent, and a fixed overflow guard then
-means the same thing for every parameter set.
+scheme on the two complex mode amplitudes. Before integrating, state
+and drive are divided by a scale s that makes them O(1), and the
+nonlinear rates absorb it (``model.Rates.rescale``): the trajectory is
+exactly equivalent, and a fixed overflow guard then means the same
+thing for every parameter set.
 
 The sweep protocol models a stepped magnet sweep in which the system
 keeps oscillating between steps: each step starts from the final
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, FitError
-from .model import DriveSpec, ModeState, SystemParams, rescale, \
-    vector_field
+from .errors import ConditioningError, DivergenceError, FitError
+from .model import DriveSpec, ModeState, SystemParams, \
+    bare_cavity_photons, batch_rates, vector_field
 from .spectral import phase_slope_offset
 
 # Squared-amplitude overflow guard, in rescaled units where the
@@ -55,15 +55,11 @@ class TrajectorySegment:
 
 
 def _natural_scale(params: SystemParams, drive: DriveSpec | None) -> float:
-    """Squared-amplitude scale of the saturated/driven state."""
+    """Squared-amplitude scale of the saturated/driven state, <= 0 where
+    there is none (callers take at least 1)."""
     if drive is not None:
-        denom = 0.25 * params.kappa ** 2 + params.delta_c ** 2
-        if drive.eta > 0 and denom > 0:
-            return drive.eta ** 2 / denom
-        return 1.0
-    if params.gain_eff > 0 and params.gamma_sat > 0:
-        return params.gain_eff / params.gamma_sat
-    return 1.0
+        return bare_cavity_photons(params, drive.eta)[0]
+    return params.gain_eff / params.gamma_sat if params.gamma_sat > 0 else 0.0
 
 
 def integrate_segment(state: ModeState, params: SystemParams,
@@ -76,7 +72,8 @@ def integrate_segment(state: ModeState, params: SystemParams,
     requires ``delta_c == 0`` like the rest of the active machinery.
     Raises DivergenceError if the rescaled squared amplitude of either
     mode exceeds DIVERGENCE_CAP, with ``step`` set to the offending
-    step index.
+    step index; ConditioningError if the initial occupation or the
+    bare-cavity photon number overflows.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -86,14 +83,18 @@ def integrate_segment(state: ModeState, params: SystemParams,
     if not state.is_finite():
         raise ValueError("initial state is not finite")
 
-    scale_sq = max(_natural_scale(params, drive), state.n_a, state.n_m, 1.0)
-    state_s, params_s, drive_s = rescale(state, params, math.sqrt(scale_sq),
-                                         drive)
+    try:
+        n_state = max(state.n_a, state.n_m)
+    except OverflowError:
+        raise ConditioningError(
+            f"photon or magnon number of {state!r} overflows") from None
+    s = math.sqrt(max(_natural_scale(params, drive), n_state, 1.0))
 
-    rhs = vector_field(params_s, drive_s)
+    rhs = vector_field(batch_rates(params).rescale(s),
+                       None if drive is None else DriveSpec(eta=drive.eta / s))
     a_out = np.empty(n + 1, dtype=complex)
     m_out = np.empty(n + 1, dtype=complex)
-    a, m = state_s.a, state_s.m
+    a, m = state.a / s, state.m / s
     a_out[0], m_out[0] = a, m
     h = dt
     h2 = 0.5 * dt
@@ -114,7 +115,6 @@ def integrate_segment(state: ModeState, params: SystemParams,
                 f"{na:.3e}, magnon number {nm:.3e}", step=k)
         a_out[k], m_out[k] = a, m
 
-    s = math.sqrt(scale_sq)
     times = state.t + dt * np.arange(n + 1)
     return TrajectorySegment(times=times, a=a_out * s, m=m_out * s)
 

@@ -36,10 +36,13 @@ shape, with the rates taken from a ``SystemParams`` or, for a batch of
 parameter points, from a ``Rates`` of broadcasting arrays.
 
 Large occupations (1e9..1e15 quanta) make the raw nonlinear terms span
-many decades, so solvers rescale amplitudes by ``s = sqrt(n_ref)`` with
-``rescale`` before doing numerics; the equations are form-invariant
-under ``a -> a/s, m -> m/s, kerr -> kerr s^2, gamma_sat -> gamma_sat s^2,
-eta -> eta/s``.
+many decades, so solvers rescale amplitudes by ``s = sqrt(n_ref)``
+before doing numerics; the equations are form-invariant under
+``a -> a/s, m -> m/s, kerr -> kerr s^2, gamma_sat -> gamma_sat s^2,
+eta -> eta/s``. This module owns that scale: ``Rates.rescale`` is the
+one rescaling of the rates (callers divide state and drive by s), and
+``bare_cavity_photons`` the one bare-cavity photon number
+eta^2 / ((kappa/2)^2 + delta_c^2), the n_ref of the passive model.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import ConditioningError
 
 # CODATA 2018 reduced Planck constant, J s. I/O conversions only.
 HBAR_JS = 1.054571817e-34
@@ -136,9 +141,7 @@ class SystemParams:
 
     def rate_scale(self) -> float:
         """Characteristic rate used for residual and margin tolerances."""
-        return max(self.kappa, self.gamma, 2.0 * self.g,
-                   abs(self.delta_c), abs(self.delta_m),
-                   abs(self.gain_eff), 1e-9)
+        return float(Rates.rate_scale(self))
 
     def replace(self, **changes) -> "SystemParams":
         return dataclasses.replace(self, **changes)
@@ -231,7 +234,8 @@ class Rates(NamedTuple):
     gamma_sat: float | np.ndarray
 
     def rate_scale(self):
-        """``SystemParams.rate_scale`` of each batch member."""
+        """Characteristic rate of each batch member for tolerances;
+        ``SystemParams.rate_scale`` is its one-point call."""
         return functools.reduce(np.maximum, (
             self.kappa, self.gamma, 2.0 * self.g, np.abs(self.delta_c),
             np.abs(self.delta_m), np.abs(self.gain_eff), 1e-9))
@@ -240,12 +244,42 @@ class Rates(NamedTuple):
         """The rates of the batch members ``idx`` (floats pass through)."""
         return Rates(*(v[idx] if np.ndim(v) else v for v in self))
 
+    def rescale(self, s) -> "Rates":
+        """The rates seen by amplitudes divided by ``s``: kerr and
+        gamma_sat times s^2, the linear rates unchanged. ``s`` is a
+        float or broadcasts over the batch members."""
+        return self._replace(kerr=self.kerr * s * s,
+                             gamma_sat=self.gamma_sat * s * s)
+
 
 def batch_rates(params: SystemParams, **arrays) -> Rates:
     """``params``' rates with some replaced by per-member arrays."""
     fields = {name: getattr(params, name) for name in Rates._fields}
     fields.update(arrays)
     return Rates(**fields)
+
+
+def bare_cavity_photons(params: SystemParams,
+                        eta: float = 0.0) -> tuple[float, float]:
+    """Photons a drive ``eta`` holds in the bare (uncoupled) cavity.
+
+    Returns (n0, denom) with denom = (kappa/2)^2 + delta_c^2 and
+    n0 = eta^2 / denom, or n0 = 0 where denom is 0 (no steady state:
+    callers decide). Raises ConditioningError if either overflows.
+    """
+    denom = n0 = math.inf
+    try:
+        denom = (0.5 * params.kappa) ** 2 + params.delta_c ** 2
+        n0 = eta ** 2 / denom if denom > 0.0 else 0.0
+    except OverflowError:
+        pass
+    if not math.isfinite(n0):  # also where denom is not finite
+        raise ConditioningError(
+            f"bare cavity: {'eta^2 / ' if math.isfinite(denom) else ''}"
+            f"((kappa/2)^2 + delta_c^2) overflows (eta = {eta:.6e} /us, "
+            f"kappa = {params.kappa:.6e}, delta_c = {params.delta_c:.6e} "
+            f"rad/us)")
+    return n0, denom
 
 
 def vector_field(params: SystemParams | Rates,
@@ -333,43 +367,3 @@ def jacobian(params: SystemParams | Rates, a, m, omega=0.0,
             out[..., 2 * i, k] = np.real(col)
             out[..., 2 * i + 1, k] = np.imag(col)
     return out
-
-
-def rhs_passive(state: ModeState, params: SystemParams,
-                drive: DriveSpec) -> tuple[complex, complex]:
-    """Time derivatives (da/dt, dm/dt) of the driven passive model."""
-    if not state.is_finite():
-        raise OverflowError(f"non-finite state at t={state.t}: {state!r}")
-    return vector_field(params, drive)(state.a, state.m)
-
-
-def rhs_active(state: ModeState,
-               params: SystemParams) -> tuple[complex, complex]:
-    """Time derivatives (da/dt, dm/dt) of the gain-driven model."""
-    rhs = vector_field(params)
-    if not state.is_finite():
-        raise OverflowError(f"non-finite state at t={state.t}: {state!r}")
-    return rhs(state.a, state.m)
-
-
-def rescale(state: ModeState | None, params: SystemParams, s: float,
-            drive: DriveSpec | None = None
-            ) -> tuple[ModeState | None, SystemParams, DriveSpec | None]:
-    """Rescale amplitudes by s and the nonlinear rates by s^2.
-
-    Returns (state/s, params with kerr*s^2 and gamma_sat*s^2, drive/s).
-    The equations of motion are invariant: rhs of the scaled system
-    equals rhs of the original divided by s, componentwise. ``state``
-    and ``drive`` may be None and are passed through as None.
-    """
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"scale s must be finite and > 0, got {s!r}")
-    sp = params.replace(kerr=params.kerr * s * s,
-                        gamma_sat=params.gamma_sat * s * s)
-    st = None
-    if state is not None:
-        st = ModeState(a=state.a / s, m=state.m / s, t=state.t)
-    dr = None
-    if drive is not None:
-        dr = DriveSpec(eta=drive.eta / s)
-    return st, sp, dr

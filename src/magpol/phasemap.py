@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import steady
-from .model import DriveSpec, SystemParams, batch_rates
+from .model import DriveSpec, SystemParams, bare_cavity_photons, batch_rates
 from .stability import (MARGIN_RTOL, classify, classify_points, phase_label,
                         verdict)
 # active_fixed_points is unused here but stays a module attribute:
@@ -132,14 +132,14 @@ class PhaseDiagram:
 def n0_to_drive_passive(n0: float, params: SystemParams) -> DriveSpec:
     """Drive that puts n0 photons in the bare (uncoupled) cavity.
 
-    Inverts n0 = eta^2 / ((kappa/2)^2 + delta_c^2). The drive is its
-    amplitude alone, the one number the steady-state problem sees;
-    ``model.power_from_drive`` gives the input power behind it when the
-    external port is configured.
+    Inverts ``model.bare_cavity_photons`` (ConditioningError where its
+    denominator overflows). The drive is its amplitude alone, the one
+    number the steady-state problem sees; ``model.power_from_drive``
+    gives the input power behind it when the external port is set.
     """
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0}")
-    denom = (0.5 * params.kappa) ** 2 + params.delta_c ** 2
+    _, denom = bare_cavity_photons(params)
     if denom <= 0.0:
         raise ValueError("degenerate mapping: kappa and delta_c both zero")
     return DriveSpec(eta=math.sqrt(n0 * denom))

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InternalConsistencyError
-from .model import DriveSpec, ModeState, Rates, SystemParams, batch_rates, \
-    jacobian, rescale, vector_field
+from .model import DriveSpec, Rates, SystemParams, bare_cavity_photons, \
+    batch_rates, jacobian, vector_field
 
 # A polynomial root counts as real when |Im| <= RTOL*|root| + ATOL
 # (in the nondimensional variable, which is O(1) by construction).
@@ -245,19 +245,21 @@ def _solve_rows(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _damped_newton4(x: np.ndarray, tol, rates: Rates,
-                    drive: DriveSpec | None,
-                    active: bool) -> tuple[np.ndarray, np.ndarray]:
+                    drive: DriveSpec | None) -> tuple[np.ndarray, np.ndarray]:
     """Refine roots of ``_polish_defect``, one row of x (M, 4) each.
 
-    The only refinement of the unpolished companion-matrix roots, which
-    near double roots are only about sqrt(eps) accurate: up to 8 damped
-    Newton iterations on the full steady-state system restore machine
-    accuracy, and the residual left is what admits a near-real
-    candidate. Each row iterates on its own (``tol`` and the ``rates``
-    arrays broadcast over the rows) until its defect is below 1% of
-    its tolerance, a step fails, or no damped step improves it. Returns
-    the best iterate of every row and its max-norm defect; never raises.
+    ``rates`` and ``drive`` are at unit occupation; without a drive the
+    model is the active one. The only refinement of the unpolished
+    companion-matrix roots, which near double roots are only about
+    sqrt(eps) accurate: up to 8 damped Newton iterations on the full
+    steady-state system restore machine accuracy, and the residual left
+    is what admits a near-real candidate. Each row iterates on its own
+    (``tol`` and the ``rates`` arrays broadcast over the rows) until its
+    defect is below 1% of its tolerance, a step fails, or no damped
+    step improves it. Returns the best iterate of every row and its
+    max-norm defect; never raises.
     """
+    active = drive is None
     x = np.array(x, dtype=float)
     tol = np.zeros(len(x)) + tol
     with np.errstate(all="ignore"):
@@ -300,17 +302,19 @@ def residual(fp: FixedPoint, params: SystemParams,
     """Steady-state defect max(|da/dt|, |dm/dt|) in rescaled units.
 
     Active points are evaluated in their own co-rotating frame, where
-    d/dt acquires +i*omega. Amplitudes are rescaled to O(1) occupation
-    first, so the result compares directly to params.rate_scale().
+    d/dt acquires +i*omega. Amplitudes and the drive are divided by
+    s = sqrt(max(n_a, n_m, 1)) and the rates are ``Rates.rescale(s)``,
+    so the result compares directly to params.rate_scale().
     """
-    s = math.sqrt(max(fp.n_a, fp.n_m, 1.0))
-    st, sp, sd = rescale(ModeState(a=fp.a0, m=fp.m0), params, s, drive)
-    if fp.kind == "passive" and sd is None:
+    if fp.kind == "passive" and drive is None:
         raise ValueError("passive residual needs the drive")
-    rhs = vector_field(sp, sd if fp.kind == "passive" else None)
-    da, dm = rhs(st.a, st.m)
-    return max(abs(da + 1j * fp.omega * st.a),
-               abs(dm + 1j * fp.omega * st.m))
+    s = math.sqrt(max(fp.n_a, fp.n_m, 1.0))
+    rhs = vector_field(batch_rates(params).rescale(s),
+                       DriveSpec(eta=drive.eta / s)
+                       if fp.kind == "passive" else None)
+    a, m = fp.a0 / s, fp.m0 / s
+    da, dm = rhs(a, m)
+    return max(abs(da + 1j * fp.omega * a), abs(dm + 1j * fp.omega * m))
 
 
 def passive_fixed_points(params: SystemParams,
@@ -318,22 +322,24 @@ def passive_fixed_points(params: SystemParams,
     """All steady states of the driven passive model, sorted by n_m.
 
     Solves the magnon-number cubic in units of the bare-cavity photon
-    number n0 = eta^2 / ((kappa/2)^2 + delta_c^2), then reconstructs
-    amplitudes root by root. Raises ConditioningError if n0 ** 3
-    overflows and InternalConsistencyError if a reconstructed point
-    fails its residual check.
+    number n0 (``model.bare_cavity_photons``), then reconstructs and
+    polishes amplitudes root by root, divided by s = sqrt(n0). Raises
+    ConditioningError if n0 is 0 (undamped resonant cavity, or eta^2
+    underflows) or n0 ** 3 overflows, and InternalConsistencyError if a
+    reconstructed point fails its residual check.
     """
     kappa, gamma, g = params.kappa, params.gamma, params.g
     dc, dm_det = params.delta_c, params.delta_m
-    denom0 = (0.5 * kappa) ** 2 + dc ** 2
-    if drive.eta > 0 and denom0 <= 0.0:
-        raise ConditioningError(
-            "driven cavity needs kappa > 0 or delta_c != 0")
+    n_ref, denom0 = bare_cavity_photons(params, drive.eta)
     if drive.eta == 0.0:
         return [FixedPoint(a0=0.0j, m0=0.0j, omega=0.0, kind="passive",
                            net_gain=0.0, residual=0.0)]
+    if n_ref == 0.0:
+        raise ConditioningError(
+            "driven cavity needs kappa > 0 or delta_c != 0" if denom0 == 0.0
+            else f"passive cubic: drive eta = {drive.eta:.6e} /us "
+                 f"underflows the bare-cavity photon number to 0")
     try:
-        n_ref = drive.eta ** 2 / denom0
         scale_pow = np.array([n_ref ** 3, n_ref ** 2, n_ref, 1.0])
     except OverflowError:
         raise ConditioningError(f"passive cubic: drive eta = {drive.eta:.6e}"
@@ -348,7 +354,7 @@ def passive_fixed_points(params: SystemParams,
 
     # unit-occupation scaling for reconstruction and polish
     s = math.sqrt(n_ref)
-    kerr_s = params.kerr * n_ref
+    rates = batch_rates(params).rescale(s)
     eta_s = drive.eta / s
     rate = params.rate_scale()
     tol = RESIDUAL_RTOL * rate
@@ -356,7 +362,7 @@ def passive_fixed_points(params: SystemParams,
     starts = []
     for x1 in roots:
         n_m1 = max(x1, 0.0)  # in units of n_ref
-        delta = dm_det + kerr_s * n_m1
+        delta = dm_det + rates.kerr * n_m1
         d_m = 0.5 * gamma + 1j * delta
         if abs(d_m) == 0.0:
             raise ConditioningError("magnon response singular (gamma = 0 "
@@ -364,9 +370,8 @@ def passive_fixed_points(params: SystemParams,
         a = eta_s / ((0.5 * kappa + 1j * dc) + g * g / d_m)
         m = -1j * g * a / d_m
         starts.append([a.real, a.imag, m.real, m.imag])
-    z, res = _damped_newton4(np.reshape(starts, (-1, 4)), tol,
-                             batch_rates(params, kerr=kerr_s),
-                             DriveSpec(eta=eta_s), active=False)
+    z, res = _damped_newton4(np.reshape(starts, (-1, 4)), tol, rates,
+                             DriveSpec(eta=eta_s))
 
     out = []
     for x1, opt, zk, rk in zip(roots, optional, z, res.tolist()):
@@ -418,14 +423,14 @@ def _coupled_points(c: Rates, rate: np.ndarray):
     """
     gamma, g, g_eff = c.gamma, c.g, c.gain_eff
     a_hi = np.minimum(g_eff, 2.0 * g * g / gamma)
-    coeffs = active_quintic_coefficients(c) \
-        * a_hi[:, None] ** np.arange(5, -1, -1, dtype=float)
+    # extreme rates overflow here; _real_roots reports those rows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeffs = active_quintic_coefficients(c) \
+            * a_hi[:, None] ** np.arange(5, -1, -1, dtype=float)
     x, optional, errors = _real_roots(coeffs, "active quintic")
 
     cell, slot = np.nonzero(np.isfinite(x))
     x, optional = x[cell, slot], optional[cell, slot]
-    # unit-occupation scaling: with n_ref = G_eff/gamma_sat the scaled
-    # saturation equals G_eff, so the photon amplitude is O(1)
     ge = g_eff[cell]
     gamma_c, g_c = gamma[cell], g[cell]
     a_val = np.minimum(x, 1.0) * a_hi[cell]
@@ -433,9 +438,12 @@ def _coupled_points(c: Rates, rate: np.ndarray):
     keep = (x > 1e-14) & (x <= 1.0 + 1e-9) & (n_m1 > 0.0)
     cell, optional, ge, gamma_c, g_c, a_val, n_m1 = (
         v[keep] for v in (cell, optional, ge, gamma_c, g_c, a_val, n_m1))
-    kerr_s = c.kerr[cell] * (ge / c.gamma_sat[cell])
+    # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
+    # saturation is G_eff, so the photon amplitude p is O(1)
+    s = np.sqrt(ge / c.gamma_sat[cell])
+    scaled = c.take(cell)._replace(delta_c=0.0).rescale(s)
     p = np.sqrt((ge - a_val) / ge)
-    u = c.delta_m[cell] + kerr_s * n_m1
+    u = scaled.delta_m + scaled.kerr * n_m1
     q = 2.0 * g_c * g_c * a_val / gamma_c - a_val * a_val
     regular = np.abs(2.0 * a_val - gamma_c) > 1e-6 * rate[cell]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -450,14 +458,14 @@ def _coupled_points(c: Rates, rate: np.ndarray):
     second[1:] = rep[1:] == rep[:-1]
     w = np.where(regular[rep], w_ratio[rep],
                  np.where(second, -w_gain[rep], w_gain[rep]))
-    cell, a_val, p, g_c, ge, kerr_s = (
-        v[rep] for v in (cell, a_val, p, g_c, ge, kerr_s))
+    cell, a_val, p, g_c, ge, s = (
+        v[rep] for v in (cell, a_val, p, g_c, ge, s))
     optional = optional[rep] | doublet[rep]
+    scaled = scaled.take(rep)
 
     tol = RESIDUAL_RTOL * rate[cell]
     start = np.stack([p, w, w * p / g_c, -a_val * p / g_c], axis=-1)
-    polish = c.take(cell)._replace(delta_c=0.0, kerr=kerr_s, gamma_sat=ge)
-    z, res = _damped_newton4(start, tol, polish, None, active=True)
+    z, res = _damped_newton4(start, tol, scaled, None)
 
     ok = res <= tol
     for i in np.flatnonzero(~ok & ~optional):
@@ -469,11 +477,10 @@ def _coupled_points(c: Rates, rate: np.ndarray):
     p1, mr1, mi1 = p1 * flip, mr1 * flip, mi1 * flip
     keep = (ok & (p1 * p1 > 1e-14) & (mr1 * mr1 + mi1 * mi1 > 1e-14)
             & ~np.isin(cell, list(errors)))
-    s = np.sqrt(ge / c.gamma_sat[cell])
     m0 = np.empty(cell.size, dtype=complex)
     m0.real, m0.imag = mr1 * s, mi1 * s
     return ((cell[keep], (p1 * s)[keep] + 0j, m0[keep], w1[keep],
-             (ge - ge * p1 * p1)[keep], res[keep]), errors)
+             (ge - scaled.gamma_sat * p1 * p1)[keep], res[keep]), errors)
 
 
 def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,

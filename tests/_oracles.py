@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from magpol.model import DriveSpec, ModeState, SystemParams, rescale
+from magpol.model import DriveSpec, SystemParams, vector_field
 
 
 def _newton(f, x0, tol, max_iter=80):
@@ -64,8 +64,7 @@ def passive_fixed_points_newton(params: SystemParams, drive: DriveSpec,
     dc, dm_det = params.delta_c, params.delta_m
     n0 = drive.eta ** 2 / ((0.5 * kappa) ** 2 + dc ** 2)
     s = np.sqrt(n0) if n0 > 0 else 1.0
-    _, sp, sd = rescale(None, params, s, drive)
-    kerr, eta = sp.kerr, sd.eta
+    kerr, eta = params.kerr * s * s, drive.eta / s
     scale = params.rate_scale()
 
     def f(x):
@@ -127,8 +126,7 @@ def active_fixed_points_newton(params: SystemParams, n_starts: int = 48):
         return []
     n_ref = g_eff / params.gamma_sat
     s = np.sqrt(n_ref)
-    _, sp, _ = rescale(None, params, s)
-    kerr, gsat = sp.kerr, sp.gamma_sat
+    kerr, gsat = params.kerr * s * s, params.gamma_sat * s * s
     scale = params.rate_scale()
 
     def f(x):
@@ -188,14 +186,12 @@ def jacobian_fd(params: SystemParams, a0: complex, m0: complex,
     omega for the active system) in the real and imaginary parts of
     each amplitude; rows are (Re, Im) of da/dt and dm/dt.
     """
-    from magpol.model import rhs_active, rhs_passive
+    field = vector_field(params, drive)
 
     def rhs(a, m):
-        st = ModeState(a=a, m=m)
+        da, dm = field(a, m)
         if drive is not None:
-            da, dm = rhs_passive(st, params, drive)
             return np.array([da, dm])
-        da, dm = rhs_active(st, params)
         # co-rotating frame: d/dt -> d/dt + i omega
         return np.array([da + 1j * omega * a, dm + 1j * omega * m])
 
@@ -214,14 +210,7 @@ def integrate_reference(params: SystemParams, a: complex, m: complex,
     Independent re-statement of the stepping rule used to validate the
     production integrator on analytically solvable cases.
     """
-    from magpol.model import rhs_active, rhs_passive
-
-    def f(a_, m_):
-        st = ModeState(a=a_, m=m_)
-        if drive is not None:
-            return rhs_passive(st, params, drive)
-        return rhs_active(st, params)
-
+    f = vector_field(params, drive)
     n = int(round(duration / dt))
     for _ in range(n):
         k1a, k1m = f(a, m)

@@ -540,6 +540,125 @@ def test_passive_drive_overflow_is_a_conditioning_error(tmp_path, capsys):
         assert msg.startswith("ConditioningError: passive cubic: ")
 
 
+def _passive_system(**over):
+    return dict(_grid_doc()["system"], **over)
+
+
+def _expect_one_error_line(argv, code, capsys, fragment):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err, f"{fragment!r} not in {err!r}"
+
+
+def test_huge_kappa_is_a_conditioning_error(tmp_path, capsys):
+    """(kappa/2)^2 overflows a float: every passive command says so."""
+    system = _passive_system(kappa_mhz_over_2pi=1e200)
+    sweep = dict(_sweep_doc(steps=2)["sweep"])
+    out = str(tmp_path / "x")
+    for command, extra, code, fragment in (
+            ("fixed-points", {"drive": {"eta_per_us": 1e3}}, 1,
+             "error: bare cavity: ((kappa/2)^2 + delta_c^2) overflows"),
+            ("fixed-points", {"drive": {"n0": 1e9}}, 2,
+             "error: $.drive: bare cavity: ((kappa/2)^2"),
+            ("sweep", {"drive": {"eta_per_us": 1e3}, "sweep": sweep}, 1,
+             "error: bare cavity: ((kappa/2)^2 + delta_c^2) overflows")):
+        doc = {"format_version": 1, "system": system, **extra}
+        _expect_one_error_line(
+            [command, "--config", _write_config(tmp_path, doc), "--out",
+             out], code, capsys, fragment)
+
+    pd = _grid_doc()
+    pd["system"] = system
+    pd["grid"].update(x_count=2, delta_m_count=2)
+    out = tmp_path / "pd"
+    assert main(["phase-diagram", "--config", _write_config(tmp_path, pd),
+                 "--out", str(out)]) == 0
+    side = json.loads((out / "phase_diagram.json").read_text())
+    assert len(side["error_messages"]) == 4
+    for msg in side["error_messages"].values():
+        assert msg.startswith("ConditioningError: bare cavity: ")
+
+
+def test_passive_sweep_drive_overflow_is_a_conditioning_error(tmp_path,
+                                                              capsys):
+    """eta^2 overflows a float before the sweep sizes its scale."""
+    doc = {"format_version": 1, "system": _passive_system(),
+           "drive": {"eta_per_us": 1e300},
+           "sweep": dict(_sweep_doc(steps=2)["sweep"])}
+    _expect_one_error_line(
+        ["sweep", "--config", _write_config(tmp_path, doc), "--out",
+         str(tmp_path / "x")], 1, capsys,
+        "error: bare cavity: eta^2 / ((kappa/2)^2 + delta_c^2) overflows "
+        "(eta = 1.000000e+300 /us")
+
+
+def test_weak_passive_drive(tmp_path, capsys):
+    """eta = 1e-200 underflows n0 to 0: the steady-state solve, which
+    scales by sqrt(n0), refuses it; a sweep integrates at scale 1."""
+    doc = {"format_version": 1, "system": _passive_system(),
+           "drive": {"eta_per_us": 1e-200}}
+    _expect_one_error_line(
+        ["fixed-points", "--config", _write_config(tmp_path, doc), "--out",
+         str(tmp_path / "fp")], 1, capsys,
+        "underflows the bare-cavity photon number to 0")
+
+    doc["sweep"] = dict(_sweep_doc(steps=2)["sweep"])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert len(_read_csv_rows(out / "sweep.csv")) == 3
+
+
+def test_huge_sweep_seed_is_a_conditioning_error(tmp_path, capsys):
+    doc = _sweep_doc(steps=2, seed_state={"a_re": 1e200})
+    _expect_one_error_line(
+        ["sweep", "--config", _write_config(tmp_path, doc), "--out",
+         str(tmp_path / "x")], 1, capsys,
+        "error: photon or magnon number of ModeState(a=(1e+200+0j), m=0j, "
+        "t=0.0) overflows")
+
+
+def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
+    """Overflowing quintic coefficients are reported, not warned about:
+    stderr holds the one error line of a fixed-points run and nothing
+    for a map whose cells all fail."""
+    import magpol
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(magpol.__file__).resolve().parents[1])}
+
+    def run(command, doc):
+        cfg = _write_config(tmp_path, doc)
+        return subprocess.run(
+            [sys.executable, "-m", "magpol.cli", command, "--config", cfg,
+             "--out", str(tmp_path / command)],
+            capture_output=True, text=True, env=env)
+
+    for key, value in (("gain_mhz_over_2pi", 1e200),
+                       ("kerr_mhz_over_2pi", 1e250),
+                       ("gamma_sat_nhz_over_2pi", 1e-290)):
+        system = _active_system(gain_mhz_over_2pi=15.45)
+        system.pop(key.rsplit("_", 3)[0] + "_uhz_over_2pi", None)
+        system[key] = value
+        out = run("fixed-points", {"format_version": 1, "system": system})
+        assert out.returncode == 1
+        assert out.stderr == ("error: active quintic: non-finite "
+                              "polynomial coefficients\n"), out.stderr
+
+    pd = {"format_version": 1, "system": _active_system(),
+          "grid": {"x_axis": "gain", "gain_min_mhz_over_2pi": 1e199,
+                   "gain_max_mhz_over_2pi": 1e200, "x_count": 2,
+                   "delta_m_min_mhz_over_2pi": -100.0,
+                   "delta_m_max_mhz_over_2pi": -60.0, "delta_m_count": 2}}
+    out = run("phase-diagram", pd)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    side = json.loads(
+        (tmp_path / "phase-diagram" / "phase_diagram.json").read_text())
+    assert set(side["error_messages"].values()) == {
+        "ConditioningError: active quintic: non-finite polynomial "
+        "coefficients"}
+
+
 def test_exit_code_1_on_fit_failures(tmp_path, capsys):
     flat = tmp_path / "flat.csv"
     lines = ["freq_unit,GHz"]

@@ -9,7 +9,7 @@ from _cases import broadline_params, narrowline_params
 from _oracles import integrate_reference
 from magpol.dynamics import (LOW_CONFIDENCE, SweepProtocol, TrajectorySegment,
                              default_seed_state, integrate_segment, run_sweep)
-from magpol.errors import DivergenceError
+from magpol.errors import ConditioningError, DivergenceError
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams
 from magpol.spectral import phase_slope_offset
 from magpol.steady import active_fixed_points
@@ -131,6 +131,19 @@ def test_integration_input_validation():
                           duration=1.0, dt=1e-3)
     with pytest.raises(ValueError):
         integrate_segment(st, p.replace(delta_c=1.0), 1.0, 1e-3)
+
+
+def test_initial_state_must_be_finite_and_sizeable():
+    """A non-finite state is rejected; a finite one whose occupation
+    overflows a float cannot set the amplitude scale."""
+    p = narrowline_params()
+    for st in (ModeState(a=0j, m=complex(0.0, np.inf)),
+               ModeState(a=1.0 + 0j, m=0j, t=np.nan)):
+        with pytest.raises(ValueError, match="initial state is not finite"):
+            integrate_segment(st, p, duration=1.0, dt=1e-3)
+    for st in (ModeState(a=1e200 + 0j, m=0j), ModeState(a=0j, m=-1e160j)):
+        with pytest.raises(ConditioningError, match="overflows"):
+            integrate_segment(st, p, duration=1.0, dt=1e-3)
 
 
 def test_runaway_gain_raises_divergence_error():

@@ -4,6 +4,8 @@
   in ``__all__`` or its statement carries ``# noqa: F401``.
 - A module-level ``_private`` function or class must be referenced
   somewhere in the package.
+- Every name in the package's ``__all__`` must be bound in
+  ``__init__.py``.
 """
 
 import ast
@@ -26,6 +28,23 @@ def _exported(tree) -> set[str]:
                         for t in node.targets)):
             return {elt.value for elt in node.value.elts}
     return set()
+
+
+def _bound(tree) -> set[str]:
+    """Names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
 def _referenced(tree) -> set[str]:
@@ -74,3 +93,11 @@ def test_private_definitions_are_referenced():
                and not node.name.startswith("__")
                and node.name not in referenced]
     assert not orphans, f"unreferenced private definitions: {orphans}"
+
+
+def test_exported_names_are_bound():
+    tree = _tree(SRC / "__init__.py")
+    exported = _exported(tree)
+    assert exported, "__init__.py has no __all__"
+    missing = sorted(exported - _bound(tree))
+    assert not missing, f"__all__ names not bound in __init__.py: {missing}"

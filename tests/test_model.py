@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from _cases import broadline_params, narrowline_params
-from magpol.model import (TWO_PI, DriveSpec, ModeState, SystemParams,
-                          eta_from_power, power_from_drive, rescale,
-                          rhs_active, rhs_passive)
+from magpol.errors import ConditioningError
+from magpol.model import (TWO_PI, DriveSpec, SystemParams,
+                          bare_cavity_photons, batch_rates, eta_from_power,
+                          power_from_drive, vector_field)
 
 # Frozen conversion at P = 1 uW, omega_d = 2pi x 3 GHz, critical
 # coupling kappa_ext = kappa/2 with kappa = 2pi x 1.5 MHz.
@@ -24,14 +25,12 @@ def drive_port_params(**over):
 
 
 def test_quiescent_system_stays_quiescent():
-    da, dm = rhs_passive(ModeState(a=0j, m=0j), broadline_params(),
-                         DriveSpec(eta=0.0))
+    da, dm = vector_field(broadline_params(), DriveSpec(eta=0.0))(0j, 0j)
     assert da == 0 and dm == 0
 
 
 def test_drive_enters_photon_mode_only():
-    da, dm = rhs_passive(ModeState(a=0j, m=0j), broadline_params(),
-                         DriveSpec(eta=3.5))
+    da, dm = vector_field(broadline_params(), DriveSpec(eta=3.5))(0j, 0j)
     assert da == 3.5 + 0j
     assert dm == 0
 
@@ -39,7 +38,7 @@ def test_drive_enters_photon_mode_only():
 def test_decoupled_linear_cavity():
     p = broadline_params(g=0.0, kerr=0.0, delta_c=TWO_PI * 2.0)
     a = 0.3 - 0.7j
-    da, dm = rhs_passive(ModeState(a=a, m=0j), p, DriveSpec(eta=1.1))
+    da, dm = vector_field(p, DriveSpec(eta=1.1))(a, 0j)
     assert da == pytest.approx(-(0.5 * p.kappa + 1j * p.delta_c) * a + 1.1)
     assert dm == 0
 
@@ -47,7 +46,7 @@ def test_decoupled_linear_cavity():
 def test_passive_kerr_term():
     p = broadline_params(kerr=TWO_PI * 0.25, delta_m=TWO_PI * 4.0)
     m = 1.5 + 0.5j
-    _, dm = rhs_passive(ModeState(a=0j, m=m), p, DriveSpec(eta=0.0))
+    _, dm = vector_field(p, DriveSpec(eta=0.0))(0j, m)
     shift = p.delta_m + p.kerr * abs(m) ** 2
     assert dm == pytest.approx(-(0.5 * p.gamma + 1j * shift) * m)
 
@@ -55,14 +54,14 @@ def test_passive_kerr_term():
 def test_vdp_limit_cycle_amplitude_is_stationary():
     p = narrowline_params(g=0.0)
     a = math.sqrt(p.gain_eff / p.gamma_sat) * np.exp(0.37j)
-    da, _ = rhs_active(ModeState(a=a, m=0j), p)
+    da, _ = vector_field(p)(a, 0j)
     assert abs(da) < 1e-9 * abs(a) * p.rate_scale()
 
 
 def test_coupling_pulls_photon_mode():
     p = narrowline_params()
     m0 = 0.8 - 0.2j
-    da, _ = rhs_active(ModeState(a=0j, m=m0), p)
+    da, _ = vector_field(p)(0j, m0)
     assert da == pytest.approx(-1j * p.g * m0)
 
 
@@ -71,16 +70,6 @@ def test_gain_absorbed_flag():
     assert raw.gain_eff == pytest.approx(raw.gain - 0.5 * raw.kappa)
     eff = narrowline_params()
     assert eff.gain_eff == eff.gain
-
-
-def test_non_finite_state_rejected():
-    p = broadline_params()
-    with pytest.raises(OverflowError):
-        rhs_passive(ModeState(a=complex(np.inf, 0), m=0j), p,
-                    DriveSpec(eta=0.0))
-    with pytest.raises(OverflowError):
-        rhs_active(ModeState(a=0j, m=complex(np.nan, 0)),
-                   narrowline_params())
 
 
 def test_params_validation():
@@ -128,21 +117,10 @@ def test_power_round_trip():
         assert power_from_drive(drive, p) == pytest.approx(power, rel=1e-12)
 
 
-def test_rescale_identity_and_arithmetic():
-    p = broadline_params()
-    st = ModeState(a=1.0 + 2.0j, m=-0.5j)
-    st1, p1, _ = rescale(st, p, 1.0)
-    assert st1.a == st.a and p1 == p
-    _, p2, _ = rescale(None, p, 1e3)
-    assert p2.kerr == pytest.approx(TWO_PI * 9.8e-9, rel=1e-12)
-    with pytest.raises(ValueError):
-        rescale(None, p, 0.0)
-    with pytest.raises(ValueError):
-        rescale(None, p, -2.0)
-
-
 def test_rescaled_rhs_is_original_over_s():
-    """rhs of the rescaled system equals 1/s times the original rhs."""
+    """rhs at (a/s, m/s) with ``Rates.rescale(s)`` and drive eta/s equals
+    1/s times the original rhs at (a, m); 40 draws, then one batch of
+    array-valued rates with one scale per member."""
     rng = np.random.default_rng(23)
     for _ in range(40):
         active = rng.random() < 0.5
@@ -165,21 +143,47 @@ def test_rescaled_rhs_is_original_over_s():
                 delta_m=TWO_PI * rng.uniform(-100, 100))
             drive = DriveSpec(eta=10.0 ** rng.uniform(3, 8))
         amp = 10.0 ** rng.uniform(2, 7)
-        st = ModeState(a=amp * complex(rng.normal(), rng.normal()),
-                       m=amp * complex(rng.normal(), rng.normal()))
+        a = amp * complex(rng.normal(), rng.normal())
+        m = amp * complex(rng.normal(), rng.normal())
         s = 10.0 ** rng.uniform(-3, 6)
-        st_s, p_s, drive_s = rescale(st, p, s, drive)
-        if active:
-            ref = rhs_active(st, p)
-            got = rhs_active(st_s, p_s)
-        else:
-            ref = rhs_passive(st, p, drive)
-            got = rhs_passive(st_s, p_s, drive_s)
+        drive_s = None if active else DriveSpec(eta=drive.eta / s)
+        ref = vector_field(p, drive)(a, m)
+        got = vector_field(batch_rates(p).rescale(s), drive_s)(a / s, m / s)
         for r, q in zip(ref, got):
             assert q == pytest.approx(r / s, rel=1e-12, abs=1e-300)
+
+    p = narrowline_params()
+    s = 10.0 ** rng.uniform(-3, 6, size=8)
+    rates = batch_rates(p, delta_m=TWO_PI * rng.uniform(-100, 100, size=8))
+    a = 1e5 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    m = 1e5 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    scaled = rates.rescale(s)
+    assert np.array_equal(scaled.kerr, p.kerr * s * s)
+    assert np.array_equal(scaled.gamma_sat, p.gamma_sat * s * s)
+    ref = vector_field(rates)(a, m)
+    got = vector_field(scaled)(a / s, m / s)
+    for r, q in zip(ref, got):
+        np.testing.assert_allclose(q, r / s, rtol=1e-12, atol=1e-300)
 
 
 def test_rate_scale_covers_dominant_rate():
     p = broadline_params(delta_m=TWO_PI * 500.0)
     assert p.rate_scale() == TWO_PI * 500.0
+    assert type(p.rate_scale()) is float
     assert SystemParams().rate_scale() > 0
+
+
+def test_bare_cavity_photons():
+    p = broadline_params(delta_c=TWO_PI * 2.0)
+    denom = (0.5 * p.kappa) ** 2 + p.delta_c ** 2
+    assert bare_cavity_photons(p, 3.0e6) == (3.0e6 ** 2 / denom, denom)
+    assert bare_cavity_photons(p) == (0.0, denom)
+    # undamped resonant cavity: no photon number, the callers decide
+    assert bare_cavity_photons(SystemParams(), 1.0) == (0.0, 0.0)
+    # underflow is not an error; the passive solve rejects it itself
+    assert bare_cavity_photons(p, 1e-200) == (0.0, denom)
+    for params, eta in ((broadline_params(kappa=1e200), 1e3),
+                        (p, 1e300), (broadline_params(kappa=1e-160), 1e3),
+                        (broadline_params(delta_c=1e155), 0.0)):
+        with pytest.raises(ConditioningError, match="overflows"):
+            bare_cavity_photons(params, eta)

@@ -10,7 +10,7 @@ from _cases import broadline_params, narrowline_params
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.errors import ConditioningError
 from magpol.model import TWO_PI, DriveSpec, Rates, SystemParams, \
-    rescale, vector_field
+    batch_rates, vector_field
 from magpol.phasemap import n0_to_drive_passive
 from magpol.steady import _polish_defect, _polish_jacobian, _real_roots, \
     active_fixed_points, passive_fixed_points, residual, solve_active
@@ -341,8 +341,9 @@ def _polish_jacobian_error(fp, p, drive=None):
     the polish defect, relative to the largest entry, at a fixed point
     in unit-occupation scaling."""
     s = math.sqrt(max(fp.n_a, fp.n_m, 1.0))
-    _, sp, sd = rescale(None, p, s, drive)
-    rhs = vector_field(sp, sd)
+    sp = batch_rates(p).rescale(s)
+    rhs = vector_field(sp, None if drive is None
+                       else DriveSpec(eta=drive.eta / s))
     a, m = fp.a0 / s, fp.m0 / s
     active = fp.kind == "active"
     if active:
