@@ -1,11 +1,12 @@
 """Time integration and hysteretic detuning sweeps.
 
 Segments are integrated with a fixed-step classical Runge-Kutta
-scheme on the two complex mode amplitudes. Before integrating, state
-and drive are divided by a scale s that makes them O(1), and the
-nonlinear rates absorb it (``model.Rates.rescale``): the trajectory is
-exactly equivalent, and a fixed overflow guard then means the same
-thing for every parameter set.
+scheme on the real and imaginary parts of the two mode amplitudes.
+Before integrating, state and drive are divided by a scale s that
+makes them O(1), and the nonlinear rates absorb it
+(``model.Rates.rescale``): the trajectory is exactly equivalent, and a
+fixed overflow guard then means the same thing for every parameter
+set.
 
 The sweep protocol models a stepped magnet sweep in which the system
 keeps oscillating between steps: each step starts from the final
@@ -17,14 +18,15 @@ recover a memoryless sweep.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConditioningError, DivergenceError, FitError
-from .model import DriveSpec, ModeState, SystemParams, \
-    bare_cavity_photons, batch_rates, vector_field
+from .model import DriveSpec, ModeState, Rates, SystemParams, \
+    bare_cavity_photons, batch_rates, saturated_photons, vector_field
 from .spectral import phase_slope_offset
 
 # Squared-amplitude overflow guard, in rescaled units where the
@@ -56,10 +58,11 @@ class TrajectorySegment:
 
 def _natural_scale(params: SystemParams, drive: DriveSpec | None) -> float:
     """Squared-amplitude scale of the saturated/driven state, <= 0 where
-    there is none (callers take at least 1)."""
+    there is none (callers take at least 1). Raises ConditioningError
+    where it overflows."""
     if drive is not None:
         return bare_cavity_photons(params, drive.eta)[0]
-    return params.gain_eff / params.gamma_sat if params.gamma_sat > 0 else 0.0
+    return saturated_photons(params)
 
 
 def integrate_segment(state: ModeState, params: SystemParams,
@@ -72,8 +75,8 @@ def integrate_segment(state: ModeState, params: SystemParams,
     requires ``delta_c == 0`` like the rest of the active machinery.
     Raises DivergenceError if the rescaled squared amplitude of either
     mode exceeds DIVERGENCE_CAP, with ``step`` set to the offending
-    step index; ConditioningError if the initial occupation or the
-    bare-cavity photon number overflows.
+    step index; ConditioningError if the initial occupation, the
+    bare-cavity or the saturated photon number overflows.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -90,33 +93,46 @@ def integrate_segment(state: ModeState, params: SystemParams,
             f"photon or magnon number of {state!r} overflows") from None
     s = math.sqrt(max(_natural_scale(params, drive), n_state, 1.0))
 
-    rhs = vector_field(batch_rates(params).rescale(s),
-                       None if drive is None else DriveSpec(eta=drive.eta / s))
-    a_out = np.empty(n + 1, dtype=complex)
-    m_out = np.empty(n + 1, dtype=complex)
+    # Python floats throughout: a numpy scalar (a fitted detuning, say)
+    # would make every operation of the loop a numpy scalar operation,
+    # several times slower, with the same bits.
+    rates = Rates._make(map(float, batch_rates(params).rescale(s)))
+    rhs = vector_field(rates, None if drive is None
+                       else DriveSpec(eta=float(drive.eta / s)))
     a, m = state.a / s, state.m / s
-    a_out[0], m_out[0] = a, m
+    ar, ai, mr, mi = map(float, (a.real, a.imag, m.real, m.imag))
+    out = array.array("d", (ar, ai, mr, mi))
+    append = out.append
     h = dt
     h2 = 0.5 * dt
     h6 = dt / 6.0
     for k in range(1, n + 1):
-        k1a, k1m = rhs(a, m)
-        k2a, k2m = rhs(a + h2 * k1a, m + h2 * k1m)
-        k3a, k3m = rhs(a + h2 * k2a, m + h2 * k2m)
-        k4a, k4m = rhs(a + h * k3a, m + h * k3m)
-        a = a + h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
-        m = m + h6 * (k1m + 2.0 * (k2m + k3m) + k4m)
-        na = a.real * a.real + a.imag * a.imag
-        nm = m.real * m.real + m.imag * m.imag
+        k1ar, k1ai, k1mr, k1mi = rhs(ar, ai, mr, mi)
+        k2ar, k2ai, k2mr, k2mi = rhs(ar + h2 * k1ar, ai + h2 * k1ai,
+                                     mr + h2 * k1mr, mi + h2 * k1mi)
+        k3ar, k3ai, k3mr, k3mi = rhs(ar + h2 * k2ar, ai + h2 * k2ai,
+                                     mr + h2 * k2mr, mi + h2 * k2mi)
+        k4ar, k4ai, k4mr, k4mi = rhs(ar + h * k3ar, ai + h * k3ai,
+                                     mr + h * k3mr, mi + h * k3mi)
+        ar = ar + h6 * (k1ar + 2.0 * (k2ar + k3ar) + k4ar)
+        ai = ai + h6 * (k1ai + 2.0 * (k2ai + k3ai) + k4ai)
+        mr = mr + h6 * (k1mr + 2.0 * (k2mr + k3mr) + k4mr)
+        mi = mi + h6 * (k1mi + 2.0 * (k2mi + k3mi) + k4mi)
+        na = ar * ar + ai * ai
+        nm = mr * mr + mi * mi
         if not (na < DIVERGENCE_CAP and nm < DIVERGENCE_CAP):
             raise DivergenceError(
                 f"amplitude overflow at step {k} (t = "
                 f"{state.t + k * dt:.6g} us): scaled photon number "
                 f"{na:.3e}, magnon number {nm:.3e}", step=k)
-        a_out[k], m_out[k] = a, m
+        append(ar)
+        append(ai)
+        append(mr)
+        append(mi)
 
     times = state.t + dt * np.arange(n + 1)
-    return TrajectorySegment(times=times, a=a_out * s, m=m_out * s)
+    am = np.frombuffer(out, dtype=complex).reshape(n + 1, 2)
+    return TrajectorySegment(times=times, a=am[:, 0] * s, m=am[:, 1] * s)
 
 
 @dataclass(frozen=True)

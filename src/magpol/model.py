@@ -28,21 +28,25 @@ holds G_eff directly when ``gain_absorbed`` is true (the default);
 otherwise it holds the raw pump gain and ``kappa/2`` is subtracted.
 
 This module holds the only copy of the equations, used by every
-solver: ``vector_field`` builds the right-hand side, ``jacobian_rows``
-its linearization as coefficients of (a, a*, m, m*), and ``jacobian``
-the same linearization as a real matrix on (Re a, Im a, Re m, Im m).
-All three evaluate elementwise on arrays of states of any leading
-shape, with the rates taken from a ``SystemParams`` or, for a batch of
-parameter points, from a ``Rates`` of broadcasting arrays.
+solver: ``vector_field`` builds the right-hand side
+``rhs(ar, ai, mr, mi) -> (dar, dai, dmr, dmi)``, the equations above
+split into real and imaginary parts and evaluated in real arithmetic;
+``jacobian_rows`` gives their linearization as coefficients of
+(a, a*, m, m*), and ``jacobian`` the same linearization as a real
+matrix on (Re a, Im a, Re m, Im m). All three evaluate elementwise on
+floats or on arrays of states of any leading shape, with the rates
+taken from a ``SystemParams`` or, for a batch of parameter points, from
+a ``Rates`` of broadcasting arrays.
 
 Large occupations (1e9..1e15 quanta) make the raw nonlinear terms span
 many decades, so solvers rescale amplitudes by ``s = sqrt(n_ref)``
 before doing numerics; the equations are form-invariant under
 ``a -> a/s, m -> m/s, kerr -> kerr s^2, gamma_sat -> gamma_sat s^2,
 eta -> eta/s``. This module owns that scale: ``Rates.rescale`` is the
-one rescaling of the rates (callers divide state and drive by s), and
+one rescaling of the rates (callers divide state and drive by s),
 ``bare_cavity_photons`` the one bare-cavity photon number
-eta^2 / ((kappa/2)^2 + delta_c^2), the n_ref of the passive model.
+eta^2 / ((kappa/2)^2 + delta_c^2), the n_ref of the passive model, and
+``saturated_photons`` the n_ref G_eff / gamma_sat of the active one.
 """
 
 from __future__ import annotations
@@ -282,14 +286,43 @@ def bare_cavity_photons(params: SystemParams,
     return n0, denom
 
 
+def saturated_photons(params: SystemParams) -> float:
+    """Photons at which saturation cancels the gain: G_eff / gamma_sat.
+
+    The n_ref of the active model; negative below threshold, and 0
+    where gamma_sat is 0 (no saturation: callers decide). Raises
+    ConditioningError if the ratio overflows.
+    """
+    if params.gamma_sat <= 0.0:
+        return 0.0
+    n_sat = params.gain_eff / params.gamma_sat
+    if not math.isfinite(n_sat):
+        raise ConditioningError(
+            f"saturated cavity: G_eff / gamma_sat overflows (G_eff = "
+            f"{params.gain_eff:.6e}, gamma_sat = {params.gamma_sat:.6e} "
+            f"rad/us)")
+    return n_sat
+
+
 def vector_field(params: SystemParams | Rates,
                  drive: DriveSpec | None = None):
-    """Right-hand side ``rhs(a, m) -> (da/dt, dm/dt)`` at fixed parameters.
+    """Right-hand side ``rhs(ar, ai, mr, mi) -> (dar, dai, dmr, dmi)``.
 
-    With ``drive`` the passive driven model, without it the active
-    model, whose frame is pinned to the gain center, so a nonzero
-    ``delta_c`` is rejected rather than silently ignored. The rates are
-    bound as closure locals for the inner loop of the integrator.
+    The arguments are the real and imaginary parts of a and m, and the
+    results those of da/dt and dm/dt, at fixed parameters, as floats or
+    broadcasting arrays. With ``drive`` the passive driven model,
+    without it the active model, whose frame is pinned to the gain
+    center, so a nonzero ``delta_c`` is rejected rather than silently
+    ignored. The rates are bound as closure locals for the inner loop
+    of the integrator.
+
+    Real arithmetic only: each component is the textbook expansion of
+    the complex products in the module docstring with the exact zero
+    and unit parts of ``1j * x`` dropped, so every value rounds as it
+    does in complex arithmetic; only the sign of an exactly zero dm
+    component can differ. The trailing ``+ 0.0`` of the passive dai is
+    the imaginary part of the real drive ``eta``, which turns -0.0 into
+    0.0 as the complex sum does.
     """
     hk = 0.5 * params.kappa
     hg = 0.5 * params.gamma
@@ -300,11 +333,12 @@ def vector_field(params: SystemParams | Rates,
     if drive is not None:
         eta = drive.eta
 
-        def rhs(a: complex, m: complex) -> tuple[complex, complex]:
-            da = -(hk + 1j * dc) * a - 1j * g * m + eta
-            nm = m.real * m.real + m.imag * m.imag
-            dm = -(hg + 1j * (dmg + kerr * nm)) * m - 1j * g * a
-            return da, dm
+        def rhs(ar, ai, mr, mi):
+            w = dmg + kerr * (mr * mr + mi * mi)
+            return (dc * ai - hk * ar + g * mi + eta,
+                    -hk * ai - dc * ar - g * mr + 0.0,
+                    w * mi - hg * mr + g * ai,
+                    -hg * mi - w * mr - g * ar)
         return rhs
 
     if dc != 0.0:
@@ -312,12 +346,13 @@ def vector_field(params: SystemParams | Rates,
     g_eff = params.gain_eff
     gsat = params.gamma_sat
 
-    def rhs(a: complex, m: complex) -> tuple[complex, complex]:
-        na = a.real * a.real + a.imag * a.imag
-        da = (g_eff - gsat * na) * a - 1j * g * m
-        nm = m.real * m.real + m.imag * m.imag
-        dm = -(hg + 1j * (dmg + kerr * nm)) * m - 1j * g * a
-        return da, dm
+    def rhs(ar, ai, mr, mi):
+        net = g_eff - gsat * (ar * ar + ai * ai)
+        w = dmg + kerr * (mr * mr + mi * mi)
+        return (net * ar + g * mi,
+                net * ai - g * mr,
+                w * mi - hg * mr + g * ai,
+                -hg * mi - w * mr - g * ar)
     return rhs
 
 

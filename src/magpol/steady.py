@@ -205,15 +205,15 @@ def _polish_state(z: np.ndarray, active: bool):
 
 
 def _polish_defect(z: np.ndarray, rhs, active: bool) -> np.ndarray:
-    """(Re, Im) of da/dt and dm/dt, active points co-rotating at omega."""
-    a, m, w = _polish_state(z, active)
-    da, dm = rhs(a, m)
-    if active:
-        da = da + 1j * w * a
-        dm = dm + 1j * w * m
-    out = np.empty(np.shape(z)[:-1] + (2,), dtype=complex)
-    out[..., 0], out[..., 1] = da, dm
-    return out.view(float)
+    """(Re, Im) of da/dt and dm/dt, active points co-rotating at omega:
+    d/dt picks up i*omega, which adds (-w ai, w ar, -w mi, w mr)."""
+    x0, x1, mr, mi = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
+    if not active:
+        return np.stack(rhs(x0, x1, mr, mi), axis=-1)
+    ar, ai, w = x0, 0.0, x1
+    dar, dai, dmr, dmi = rhs(ar, ai, mr, mi)
+    return np.stack((dar - w * ai, dai + w * ar, dmr - w * mi, dmi + w * mr),
+                    axis=-1)
 
 
 def _polish_jacobian(z: np.ndarray, params: SystemParams | Rates,
@@ -312,9 +312,10 @@ def residual(fp: FixedPoint, params: SystemParams,
     rhs = vector_field(batch_rates(params).rescale(s),
                        DriveSpec(eta=drive.eta / s)
                        if fp.kind == "passive" else None)
-    a, m = fp.a0 / s, fp.m0 / s
-    da, dm = rhs(a, m)
-    return max(abs(da + 1j * fp.omega * a), abs(dm + 1j * fp.omega * m))
+    a, m, w = fp.a0 / s, fp.m0 / s, fp.omega
+    dar, dai, dmr, dmi = rhs(a.real, a.imag, m.real, m.imag)
+    return max(math.hypot(dar - w * a.imag, dai + w * a.real),
+               math.hypot(dmr - w * m.imag, dmi + w * m.real))
 
 
 def passive_fixed_points(params: SystemParams,

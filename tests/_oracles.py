@@ -177,6 +177,19 @@ def active_fixed_points_newton(params: SystemParams, n_starts: int = 48):
     return [sol for _, sol in found]
 
 
+def complex_field(params: SystemParams, drive: DriveSpec | None = None):
+    """The model right-hand side as ``f(a, m) -> (da/dt, dm/dt)`` on
+    complex amplitudes (scalars or arrays), wrapped around the
+    real-component ``vector_field``."""
+    rhs = vector_field(params, drive)
+
+    def f(a, m):
+        dar, dai, dmr, dmi = rhs(np.real(a), np.imag(a), np.real(m),
+                                 np.imag(m))
+        return dar + 1j * dai, dmr + 1j * dmi
+    return f
+
+
 def jacobian_fd(params: SystemParams, a0: complex, m0: complex,
                 omega: float = 0.0, drive: DriveSpec | None = None,
                 eps: float | None = None) -> np.ndarray:
@@ -186,7 +199,7 @@ def jacobian_fd(params: SystemParams, a0: complex, m0: complex,
     omega for the active system) in the real and imaginary parts of
     each amplitude; rows are (Re, Im) of da/dt and dm/dt.
     """
-    field = vector_field(params, drive)
+    field = complex_field(params, drive)
 
     def rhs(a, m):
         da, dm = field(a, m)
@@ -210,7 +223,7 @@ def integrate_reference(params: SystemParams, a: complex, m: complex,
     Independent re-statement of the stepping rule used to validate the
     production integrator on analytically solvable cases.
     """
-    f = vector_field(params, drive)
+    f = complex_field(params, drive)
     n = int(round(duration / dt))
     for _ in range(n):
         k1a, k1m = f(a, m)

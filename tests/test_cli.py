@@ -619,6 +619,22 @@ def test_huge_sweep_seed_is_a_conditioning_error(tmp_path, capsys):
         "t=0.0) overflows")
 
 
+def test_active_sweep_scale_overflow_is_a_conditioning_error(tmp_path,
+                                                             capsys):
+    """G_eff / gamma_sat overflows a float before the sweep sizes its
+    scale and default seed: the error names the rates, not a seed key
+    the config never set."""
+    doc = _sweep_doc(steps=2)
+    doc["system"] = _active_system(gain_mhz_over_2pi=1e20,
+                                   gamma_sat_nhz_over_2pi=1e-290)
+    del doc["system"]["gamma_sat_uhz_over_2pi"]
+    _expect_one_error_line(
+        ["sweep", "--config", _write_config(tmp_path, doc), "--out",
+         str(tmp_path / "x")], 1, capsys,
+        "error: saturated cavity: G_eff / gamma_sat overflows (G_eff = "
+        "6.283185e+20, gamma_sat = 6.283185e-305 rad/us)")
+
+
 def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
     """Overflowing quintic coefficients are reported, not warned about:
     stderr holds the one error line of a fixed-points run and nothing

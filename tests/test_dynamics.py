@@ -7,10 +7,13 @@ import pytest
 
 from _cases import broadline_params, narrowline_params
 from _oracles import integrate_reference
-from magpol.dynamics import (LOW_CONFIDENCE, SweepProtocol, TrajectorySegment,
-                             default_seed_state, integrate_segment, run_sweep)
+from magpol.dynamics import (DIVERGENCE_CAP, LOW_CONFIDENCE, SweepProtocol,
+                             TrajectorySegment, default_seed_state,
+                             integrate_segment, run_sweep)
 from magpol.errors import ConditioningError, DivergenceError
-from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams
+from magpol.model import (TWO_PI, DriveSpec, ModeState, SystemParams,
+                          bare_cavity_photons, batch_rates,
+                          saturated_photons)
 from magpol.spectral import phase_slope_offset
 from magpol.steady import active_fixed_points
 
@@ -154,6 +157,87 @@ def test_runaway_gain_raises_divergence_error():
                           dt=1e-3)
     assert err.value.step > 0
     assert "step" in str(err.value)
+
+
+def _complex_rk4(state, params, duration, dt, drive=None):
+    """``integrate_segment`` as it was written on complex amplitudes:
+    the complex rhs and stage order, at the same scale s."""
+    natural = saturated_photons(params) if drive is None \
+        else bare_cavity_photons(params, drive.eta)[0]
+    s = math.sqrt(max(natural, state.n_a, state.n_m, 1.0))
+    r = batch_rates(params).rescale(s)
+    hk, hg, g, kerr = 0.5 * r.kappa, 0.5 * r.gamma, r.g, r.kerr
+    dc, dmg, g_eff, gsat = r.delta_c, r.delta_m, r.gain_eff, r.gamma_sat
+    eta = None if drive is None else drive.eta / s
+
+    def rhs(a, m):
+        if eta is None:
+            na = a.real * a.real + a.imag * a.imag
+            da = (g_eff - gsat * na) * a - 1j * g * m
+        else:
+            da = -(hk + 1j * dc) * a - 1j * g * m + eta
+        nm = m.real * m.real + m.imag * m.imag
+        dm = -(hg + 1j * (dmg + kerr * nm)) * m - 1j * g * a
+        return da, dm
+
+    n = int(round(duration / dt))
+    a_out = np.empty(n + 1, dtype=complex)
+    m_out = np.empty(n + 1, dtype=complex)
+    a, m = state.a / s, state.m / s
+    a_out[0], m_out[0] = a, m
+    h, h2, h6 = dt, 0.5 * dt, dt / 6.0
+    for k in range(1, n + 1):
+        k1a, k1m = rhs(a, m)
+        k2a, k2m = rhs(a + h2 * k1a, m + h2 * k1m)
+        k3a, k3m = rhs(a + h2 * k2a, m + h2 * k2m)
+        k4a, k4m = rhs(a + h * k3a, m + h * k3m)
+        a = a + h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
+        m = m + h6 * (k1m + 2.0 * (k2m + k3m) + k4m)
+        na = a.real * a.real + a.imag * a.imag
+        nm = m.real * m.real + m.imag * m.imag
+        if not (na < DIVERGENCE_CAP and nm < DIVERGENCE_CAP):
+            raise DivergenceError(
+                f"amplitude overflow at step {k} (t = "
+                f"{state.t + k * dt:.6g} us): scaled photon number "
+                f"{na:.3e}, magnon number {nm:.3e}", step=k)
+        a_out[k], m_out[k] = a, m
+    return a_out * s, m_out * s
+
+
+def test_integrate_segment_matches_complex_rk4_bits():
+    """The real-component RK4 loop rounds exactly like the complex one
+    it replaced, signed zeros included, and diverges at the same step
+    with the same message."""
+    active = narrowline_params(gain=TWO_PI * 16.94,  # sweep_sidebands
+                               delta_m=TWO_PI * (-30.0))
+    passive = broadline_params(delta_c=TWO_PI * 7.5,
+                               delta_m=TWO_PI * (-12.0))
+    cases = [
+        (default_seed_state(active), active, 8.0, None),
+        (ModeState(a=3e4 - 2e4j, m=-1e4 + 5e3j, t=1.25), passive, 2.0,
+         DriveSpec(eta=2.0e6)),
+        # the zero state; the first sample keeps the signs of its zeros
+        (ModeState(a=complex(-0.0, -0.0), m=complex(-0.0, -0.0)), passive,
+         1.0, DriveSpec(eta=0.0)),
+    ]
+    for state, p, duration, drive in cases:
+        seg = integrate_segment(state, p, duration, 1e-3, drive)
+        for got, ref in zip((seg.a, seg.m),
+                            _complex_rk4(state, p, duration, 1e-3, drive)):
+            assert np.array_equal(got, ref)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)),
+                                      np.signbit(part(ref)))
+
+    runaway = SystemParams(gamma=TWO_PI * 10.0, g=0.0, gain=TWO_PI * 100.0,
+                           gamma_sat=0.0)
+    state = ModeState(a=1.0 + 0j, m=0j)
+    with pytest.raises(DivergenceError) as err:
+        integrate_segment(state, runaway, 1.0, 1e-3)
+    with pytest.raises(DivergenceError) as ref:
+        _complex_rk4(state, runaway, 1.0, 1e-3)
+    assert err.value.step == ref.value.step > 0
+    assert str(err.value) == str(ref.value)
 
 
 def test_default_seed_is_small_and_reproducible():

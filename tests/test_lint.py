@@ -6,6 +6,9 @@
   somewhere in the package.
 - Every name in the package's ``__all__`` must be bound in
   ``__init__.py``.
+- The test oracles (``tests/_oracles.py``) may take from the package
+  only the parameter containers and the equations, so they stay
+  independent of the solvers they check.
 """
 
 import ast
@@ -15,6 +18,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "magpol"
 MODULES = sorted(SRC.glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "_oracles.py"
+ORACLE_IMPORTS = {"DriveSpec", "SystemParams", "vector_field"}
 
 
 def _tree(path):
@@ -101,3 +106,19 @@ def test_exported_names_are_bound():
     assert exported, "__init__.py has no __all__"
     missing = sorted(exported - _bound(tree))
     assert not missing, f"__all__ names not bound in __init__.py: {missing}"
+
+
+def test_oracles_import_only_the_equations():
+    """A module import would hand the oracles every solver, so only
+    names from ``from magpol... import`` statements pass."""
+    taken = set()
+    for node in ast.walk(_tree(ORACLES)):
+        if isinstance(node, ast.Import):
+            taken.update(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "magpol")
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "magpol"):
+            taken.update(alias.name for alias in node.names)
+    assert taken, "_oracles.py imports nothing from magpol"
+    extra = sorted(taken - ORACLE_IMPORTS)
+    assert not extra, f"_oracles.py imports {extra} from magpol"

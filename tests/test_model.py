@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from _cases import broadline_params, narrowline_params
+from _oracles import complex_field
 from magpol.errors import ConditioningError
 from magpol.model import (TWO_PI, DriveSpec, SystemParams,
                           bare_cavity_photons, batch_rates, eta_from_power,
-                          power_from_drive, vector_field)
+                          power_from_drive, saturated_photons,
+                          vector_field)
 
 # Frozen conversion at P = 1 uW, omega_d = 2pi x 3 GHz, critical
 # coupling kappa_ext = kappa/2 with kappa = 2pi x 1.5 MHz.
@@ -25,12 +27,12 @@ def drive_port_params(**over):
 
 
 def test_quiescent_system_stays_quiescent():
-    da, dm = vector_field(broadline_params(), DriveSpec(eta=0.0))(0j, 0j)
+    da, dm = complex_field(broadline_params(), DriveSpec(eta=0.0))(0j, 0j)
     assert da == 0 and dm == 0
 
 
 def test_drive_enters_photon_mode_only():
-    da, dm = vector_field(broadline_params(), DriveSpec(eta=3.5))(0j, 0j)
+    da, dm = complex_field(broadline_params(), DriveSpec(eta=3.5))(0j, 0j)
     assert da == 3.5 + 0j
     assert dm == 0
 
@@ -38,7 +40,7 @@ def test_drive_enters_photon_mode_only():
 def test_decoupled_linear_cavity():
     p = broadline_params(g=0.0, kerr=0.0, delta_c=TWO_PI * 2.0)
     a = 0.3 - 0.7j
-    da, dm = vector_field(p, DriveSpec(eta=1.1))(a, 0j)
+    da, dm = complex_field(p, DriveSpec(eta=1.1))(a, 0j)
     assert da == pytest.approx(-(0.5 * p.kappa + 1j * p.delta_c) * a + 1.1)
     assert dm == 0
 
@@ -46,7 +48,7 @@ def test_decoupled_linear_cavity():
 def test_passive_kerr_term():
     p = broadline_params(kerr=TWO_PI * 0.25, delta_m=TWO_PI * 4.0)
     m = 1.5 + 0.5j
-    _, dm = vector_field(p, DriveSpec(eta=0.0))(0j, m)
+    _, dm = complex_field(p, DriveSpec(eta=0.0))(0j, m)
     shift = p.delta_m + p.kerr * abs(m) ** 2
     assert dm == pytest.approx(-(0.5 * p.gamma + 1j * shift) * m)
 
@@ -54,14 +56,14 @@ def test_passive_kerr_term():
 def test_vdp_limit_cycle_amplitude_is_stationary():
     p = narrowline_params(g=0.0)
     a = math.sqrt(p.gain_eff / p.gamma_sat) * np.exp(0.37j)
-    da, _ = vector_field(p)(a, 0j)
+    da, _ = complex_field(p)(a, 0j)
     assert abs(da) < 1e-9 * abs(a) * p.rate_scale()
 
 
 def test_coupling_pulls_photon_mode():
     p = narrowline_params()
     m0 = 0.8 - 0.2j
-    da, _ = vector_field(p)(0j, m0)
+    da, _ = complex_field(p)(0j, m0)
     assert da == pytest.approx(-1j * p.g * m0)
 
 
@@ -117,6 +119,23 @@ def test_power_round_trip():
         assert power_from_drive(drive, p) == pytest.approx(power, rel=1e-12)
 
 
+def test_rhs_gives_the_same_bits_on_floats_and_arrays():
+    """The integrator calls the rhs on floats, the Newton polish on
+    arrays; both must see the same equations to the last bit."""
+    rng = np.random.default_rng(75)
+    x = 10.0 ** rng.uniform(-3, 3, size=(4, 32)) * rng.normal(size=(4, 32))
+    for p, drive in ((broadline_params(delta_c=TWO_PI * 3.0,
+                                       delta_m=TWO_PI * (-7.0)),
+                      DriveSpec(eta=2.5)),
+                     (narrowline_params(delta_m=TWO_PI * (-30.0)), None)):
+        rhs = vector_field(p, drive)
+        got = rhs(*x)
+        for k in range(x.shape[1]):
+            ref = rhs(*(float(v) for v in x[:, k]))
+            assert all(type(r) is float for r in ref)
+            assert [float(c[k]) for c in got] == list(ref)
+
+
 def test_rescaled_rhs_is_original_over_s():
     """rhs at (a/s, m/s) with ``Rates.rescale(s)`` and drive eta/s equals
     1/s times the original rhs at (a, m); 40 draws, then one batch of
@@ -147,8 +166,8 @@ def test_rescaled_rhs_is_original_over_s():
         m = amp * complex(rng.normal(), rng.normal())
         s = 10.0 ** rng.uniform(-3, 6)
         drive_s = None if active else DriveSpec(eta=drive.eta / s)
-        ref = vector_field(p, drive)(a, m)
-        got = vector_field(batch_rates(p).rescale(s), drive_s)(a / s, m / s)
+        ref = complex_field(p, drive)(a, m)
+        got = complex_field(batch_rates(p).rescale(s), drive_s)(a / s, m / s)
         for r, q in zip(ref, got):
             assert q == pytest.approx(r / s, rel=1e-12, abs=1e-300)
 
@@ -160,8 +179,8 @@ def test_rescaled_rhs_is_original_over_s():
     scaled = rates.rescale(s)
     assert np.array_equal(scaled.kerr, p.kerr * s * s)
     assert np.array_equal(scaled.gamma_sat, p.gamma_sat * s * s)
-    ref = vector_field(rates)(a, m)
-    got = vector_field(scaled)(a / s, m / s)
+    ref = complex_field(rates)(a, m)
+    got = complex_field(scaled)(a / s, m / s)
     for r, q in zip(ref, got):
         np.testing.assert_allclose(q, r / s, rtol=1e-12, atol=1e-300)
 
@@ -187,3 +206,15 @@ def test_bare_cavity_photons():
                         (broadline_params(delta_c=1e155), 0.0)):
         with pytest.raises(ConditioningError, match="overflows"):
             bare_cavity_photons(params, eta)
+
+
+def test_saturated_photons():
+    p = narrowline_params()
+    assert saturated_photons(p) == p.gain_eff / p.gamma_sat
+    assert saturated_photons(p.replace(gain=-p.gain)) < 0  # below threshold
+    assert saturated_photons(p.replace(gamma_sat=0.0)) == 0.0
+    for over in (dict(gain=1e20, gamma_sat=1e-305),
+                 dict(gain=-1.5e308, kappa=1.5e308, gain_absorbed=False)):
+        with pytest.raises(ConditioningError, match="G_eff / gamma_sat "
+                                                    "overflows"):
+            saturated_photons(p.replace(**over))
