@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "phase-diagram":
             p.add_argument("--threads", type=int, default=1,
                            help="worker processes that solve the grid's "
-                                "cell ranges (passive and active maps)")
+                                "cell ranges (passive and active maps); "
+                                "at most one per usable CPU")
             p.add_argument("--resolution", default=None, metavar="NxM",
                            help="override grid size (x count x detuning "
                                 "count)")

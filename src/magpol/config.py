@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SweepProtocol, default_seed_state
-from .errors import ConfigError
+from .errors import ConditioningError, ConfigError
 from .model import TWO_PI, DriveSpec, ModeState, SystemParams, \
-    eta_from_power
+    bare_cavity_photons, eta_from_power
 from .phasemap import GridSpec, n0_to_drive_passive
 from .spectral import spectrum_freqs
 
@@ -332,6 +332,16 @@ def _parse_grid(blk: _Block, system_blk: _Block, command: str) -> GridSpec:
     delta_m_max = blk.angular("delta_m_max", required=True)
     delta_m_count = blk.integer("delta_m_count", required=True, lo=2)
     blk.finish()
+    if kind == "passive":
+        # the rule of n0_to_drive_passive, which would fail every cell;
+        # an overflowing denominator stays a per-cell ConditioningError
+        try:
+            _, denom = bare_cavity_photons(base)
+        except ConditioningError:
+            denom = math.inf
+        if denom <= 0.0:
+            raise ConfigError(f"{blk.path}.x_axis: degenerate mapping: kappa "
+                              f"and delta_c both zero, so n0 sets no drive")
     try:
         return GridSpec(system=kind, x_axis=x_axis, x_min=x_min,
                         x_max=x_max, x_count=x_count,

@@ -43,13 +43,23 @@ class TrajectorySegment:
     """One integrated stretch at fixed parameters.
 
     ``a`` and ``m`` are the complex photon and magnon amplitudes, in
-    sqrt quanta, at ``times``: every step of ``integrate_segment``,
-    initial sample included, or a sweep step's analysis window.
+    sqrt quanta: every step of ``integrate_segment``, initial sample
+    included, or a sweep step's analysis window. Their time grid is
+    stored, not their times: an integration started at ``t0`` with
+    step ``dt``, whose sample ``k0`` is the first one held. ``times``
+    computes the sample times from it, as the integrator's own
+    ``t0 + dt * k`` with the same bits.
     """
 
-    times: np.ndarray
     a: np.ndarray
     m: np.ndarray
+    t0: float
+    dt: float
+    k0: int = 0
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.t0 + self.dt * np.arange(self.k0, self.k0 + self.a.size)
 
     def final_state(self) -> ModeState:
         return ModeState(a=complex(self.a[-1]), m=complex(self.m[-1]),
@@ -130,9 +140,9 @@ def integrate_segment(state: ModeState, params: SystemParams,
         append(mr)
         append(mi)
 
-    times = state.t + dt * np.arange(n + 1)
     am = np.frombuffer(out, dtype=complex).reshape(n + 1, 2)
-    return TrajectorySegment(times=times, a=am[:, 0] * s, m=am[:, 1] * s)
+    return TrajectorySegment(a=am[:, 0] * s, m=am[:, 1] * s, t0=state.t,
+                             dt=dt)
 
 
 @dataclass(frozen=True)
@@ -195,7 +205,8 @@ class SweepProtocol:
 class SweepResult:
     """Outcome of ``run_sweep``: the ``protocol`` run and, per step,
     its ``segments`` (up to the first divergence; each holds only the
-    step's analysis window, in arrays of its own) and fits.
+    step's analysis window, as copies of ``a`` and ``m`` and the step's
+    time grid, ``k0`` being the window's first step index) and fits.
 
     ``omegas`` holds the fitted emission offsets (rad/us) per step,
     NaN where the window had no power to fit and from the first
@@ -235,16 +246,16 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
               initial_state: ModeState | None = None) -> SweepResult:
     """Run a stepped detuning sweep and fit each step's emission offset.
 
-    Each step keeps a copy of its analysis window only, and fits the
-    phase on it with times relative to the step start. The first step
-    is offset by ``protocol.omega_initial`` (zero by default: no prior
-    oscillation). A DivergenceError inside a step is recorded on the
-    result (``diverged_at``, ``error``) rather than raised; completed
-    steps keep their fits and the remaining ones stay NaN. A step
-    whose analysis window has no power (an all-zero seed of the active
-    model never leaves the origin) keeps NaN omega and confidence 0,
-    is flagged low-confidence, and leaves the detuning offset of the
-    next step unchanged.
+    Each step keeps a copy of its analysis window's amplitudes only,
+    and fits the phase on it with times relative to the step start.
+    The first step is offset by ``protocol.omega_initial`` (zero by
+    default: no prior oscillation). A DivergenceError inside a step is
+    recorded on the result (``diverged_at``, ``error``) rather than
+    raised; completed steps keep their fits and the remaining ones
+    stay NaN. A step whose analysis window has no power (an all-zero
+    seed of the active model never leaves the origin) keeps NaN omega
+    and confidence 0, is flagged low-confidence, and leaves the
+    detuning offset of the next step unchanged.
     """
     n_seg = len(protocol.detunings)
     result = SweepResult(
@@ -272,8 +283,9 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
             result.error = (f"step {k} (detuning {d_nom:.6g} rad/us, "
                             f"effective {d_eff:.6g}): {exc}")
             break
-        seg = TrajectorySegment(*(v[-window:].copy()
-                                  for v in (seg.times, seg.a, seg.m)))
+        seg = TrajectorySegment(a=seg.a[-window:].copy(),
+                                m=seg.m[-window:].copy(), t0=seg.t0,
+                                dt=seg.dt, k0=seg.a.size - window)
         result.segments.append(seg)
         result.detunings_effective[k] = d_eff
         state = seg.final_state()

@@ -25,7 +25,7 @@ identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,19 +212,36 @@ def _solve_block(grid: GridSpec, lo: int, hi: int):
     return counts, {lo + k: _error_text(e) for k, e in sorted(failed.items())}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     """Evaluate every cell of the grid; see the module docstring.
 
-    The cells are cut into row-major ranges of at most ``BLOCK`` cells,
-    about four per worker; ``workers`` > 1 solves the ranges in that
-    many processes. Results do not depend on the worker count.
+    ``workers`` is capped at the CPUs this process may run on: more
+    processes than CPUs only add start-up and scheduling. The cells
+    are cut into row-major ranges of at most ``BLOCK`` cells, about
+    four per worker, and more than one worker solves the ranges in a
+    process pool of at most one worker per range. Results do not
+    depend on the worker count.
     """
     n = grid.x_count * grid.delta_m_count
-    size = min(BLOCK, -(-n // (4 * max(workers, 1))))
+    workers = max(1, min(workers, _usable_cpus()))
+    size = min(BLOCK, -(-n // (4 * workers)))
     los = range(0, n, size)
     his = [min(lo + size, n) for lo in los]
     grids = [grid] * len(los)
+    workers = min(workers, len(los))
     if workers > 1:
+        # imported here: a pool loads multiprocessing, which no other
+        # command needs at start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_solve_block, grids, los, his))
     else:

@@ -82,10 +82,13 @@ def _read_csv_rows(path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    """Start-up loads neither scipy (only fit-s11 needs it) nor a
+    process pool (only a multi-worker phase-diagram starts one)."""
     import magpol
     src = Path(magpol.__file__).resolve().parents[1]
-    code = ("import sys, magpol.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    lazy = ("scipy", "multiprocessing", "concurrent.futures.process")
+    code = (f"import sys, magpol.cli; print(sorted(m for m in sys.modules "
+            f"for p in {lazy!r} if m == p or m.startswith(p + '.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
@@ -578,6 +581,22 @@ def test_huge_kappa_is_a_conditioning_error(tmp_path, capsys):
     assert len(side["error_messages"]) == 4
     for msg in side["error_messages"].values():
         assert msg.startswith("ConditioningError: bare cavity: ")
+
+
+def test_degenerate_passive_map_is_rejected(tmp_path, capsys):
+    """With kappa = delta_c = 0 no n0 maps to a drive, which would make
+    every cell an error: the map is rejected while parsing, as a
+    degenerate n0 drive is."""
+    pd = _grid_doc()
+    pd["system"] = _passive_system(kappa_mhz_over_2pi=0.0)
+    del pd["system"]["delta_c_mhz_over_2pi"]
+    out = tmp_path / "pd"
+    _expect_one_error_line(
+        ["phase-diagram", "--config", _write_config(tmp_path, pd),
+         "--resolution", "6x5", "--out", str(out)], 2, capsys,
+        "error: $.grid.x_axis: degenerate mapping: kappa and delta_c both "
+        "zero")
+    assert not out.exists()
 
 
 def test_passive_sweep_drive_overflow_is_a_conditioning_error(tmp_path,

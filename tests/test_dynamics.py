@@ -285,6 +285,32 @@ def test_every_step_keeps_one_window_and_fits_it():
         assert res.omegas[k] == omega and res.confidences[k] == conf
 
 
+def test_segments_derive_their_times_and_hold_only_amplitudes():
+    """A segment stores its time grid, not its times: ``times`` gives
+    the integrator's ``t0 + dt * k`` bit for bit, for a segment that
+    starts at t != 0 and for the windows of a sweep whose steps start
+    at rounded times, and a sweep window holds no array besides its
+    amplitudes."""
+    st = ModeState(a=1.0 + 0j, m=0j, t=0.7)
+    seg = integrate_segment(st, narrowline_params(), duration=0.1, dt=1e-3)
+    assert np.array_equal(seg.times, st.t + 1e-3 * np.arange(101))
+
+    det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, 4))
+    proto = SweepProtocol(detunings=det, t_total=1.0, t_drop=0.3, dt=1e-3)
+    res = run_sweep(proto, narrowline_params())
+    window = proto.window_samples()
+    start = 0.0
+    assert len(res.segments) == 4
+    for seg in res.segments:
+        full = start + proto.dt * np.arange(1001)
+        assert np.array_equal(seg.times, full[-window:])
+        held = {id(v): v.nbytes for v in vars(seg).values()
+                if isinstance(v, np.ndarray)}
+        assert sum(held.values()) == seg.a.nbytes + seg.m.nbytes
+        start = seg.final_state().t
+        assert start == full[-1]
+
+
 def test_single_step_uncoupled_oscillator_has_zero_offset():
     p = narrowline_params(g=0.0)
     proto = SweepProtocol(detunings=(0.0,), t_total=2.0, t_drop=0.5)

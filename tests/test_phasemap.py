@@ -141,6 +141,42 @@ def test_scan_deterministic_and_worker_invariant(name):
         assert not one.errors.any()
 
 
+def test_pool_is_capped_at_cpus_and_ranges(monkeypatch):
+    """``workers`` never starts more processes than usable CPUs or cell
+    ranges, and the ranges are cut for the capped count. A stand-in
+    executor records its size and maps in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    small, grid = active_gain_grid(n=2), active_gain_grid(n=9)
+    one = scan(grid, workers=1)
+    for cpus, workers, case, pool in ((2, 8, grid, 2), (64, 8, grid, 8),
+                                      (64, 8, small, 4), (1, 8, grid, None)):
+        monkeypatch.setattr(phasemap, "_usable_cpus", lambda: cpus)
+        sizes.clear()
+        other = scan(case, workers=workers)
+        assert sizes == ([] if pool is None else [pool]), (cpus, workers)
+        if case is grid:
+            for field in ("stable", "unstable", "marginal", "blank"):
+                assert np.array_equal(getattr(one, field),
+                                      getattr(other, field)), (cpus, field)
+
+
 def test_kerr_detuning_mirror_symmetry():
     """Flipping the Kerr sign and the detuning axis flips the maps."""
     plus = scan(active_gain_grid(n=11, kerr_sign=1.0, dm_lo=-70, dm_hi=-25))
