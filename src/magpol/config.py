@@ -31,7 +31,7 @@ from .errors import ConditioningError, ConfigError
 from .model import TWO_PI, DriveSpec, ModeState, SystemParams, \
     bare_cavity_photons, eta_from_power
 from .phasemap import GridSpec, n0_to_drive_passive
-from .spectral import spectrum_freqs
+from .spectral import Spectrogram, spectrum_freqs
 
 FORMAT_VERSION = 1
 
@@ -356,14 +356,18 @@ def _parse_sweep(blk: _Block, params: SystemParams,
     start = blk.angular("detuning_start", required=True)
     stop = blk.angular("detuning_stop", required=True)
     steps = blk.integer("steps", required=True, lo=1)
-    dt = blk.number("dt_us", default=1e-3, lo=0.0, lo_open=True)
-    t_total = blk.number("t_total_us", default=8.0, lo=0.0, lo_open=True)
-    t_drop = blk.number("t_drop_us", default=3.0, lo=0.0)
-    fit_fraction = blk.number("fit_fraction", default=0.5, lo=0.0,
-                              lo_open=True, hi=1.0)
-    memory_detuning = blk.boolean("memory_detuning", default=True)
-    memory_state = blk.boolean("memory_state", default=True)
-    omega_initial = blk.angular("omega_initial", default=0.0)
+    dt = blk.number("dt_us", default=SweepProtocol.dt, lo=0.0, lo_open=True)
+    t_total = blk.number("t_total_us", default=SweepProtocol.t_total, lo=0.0,
+                         lo_open=True)
+    t_drop = blk.number("t_drop_us", default=SweepProtocol.t_drop, lo=0.0)
+    fit_fraction = blk.number("fit_fraction", lo=0.0, lo_open=True, hi=1.0,
+                              default=SweepProtocol.fit_fraction)
+    memory_detuning = blk.boolean("memory_detuning",
+                                  default=SweepProtocol.memory_detuning)
+    memory_state = blk.boolean("memory_state",
+                               default=SweepProtocol.memory_state)
+    omega_initial = blk.angular("omega_initial",
+                                default=SweepProtocol.omega_initial)
 
     seed_blk = blk.block("seed_state", create=True)
     default_seed = default_seed_state(params, drive)
@@ -399,7 +403,8 @@ def _parse_spectrogram(blk: _Block | None,
     out = {
         "f_min_mhz": blk.number("f_min_mhz", default=-100.0),
         "f_max_mhz": blk.number("f_max_mhz", default=100.0),
-        "floor": blk.number("floor", default=1e-6, lo=0.0, lo_open=True),
+        "floor": blk.number("floor", default=Spectrogram.floor, lo=0.0,
+                            lo_open=True),
     }
     blk.finish()
     if not out["f_min_mhz"] < out["f_max_mhz"]:

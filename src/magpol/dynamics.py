@@ -184,6 +184,9 @@ class SweepProtocol:
         if not 0.0 < self.fit_fraction <= 1.0:
             raise ValueError(f"fit_fraction must be in (0, 1], got "
                              f"{self.fit_fraction}")
+        if not self.t_total / self.dt < np.iinfo(np.intp).max:
+            raise ValueError(f"t_total / dt = {self.t_total / self.dt:.3g} "
+                             "samples per step: more than an array can index")
         window = self.window_samples()
         if window < 16:
             raise ValueError("fewer than 16 samples would survive t_drop")

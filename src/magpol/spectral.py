@@ -128,7 +128,7 @@ class Spectrogram:
 def build_spectrogram(segments, detunings,
                       f_min: float | None = None,
                       f_max: float | None = None,
-                      floor: float = 1e-6) -> Spectrogram:
+                      floor: float = Spectrogram.floor) -> Spectrogram:
     """Hann spectra of many segments stacked into one matrix.
 
     ``segments`` is an iterable of objects with ``times`` and ``a``

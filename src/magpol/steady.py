@@ -57,9 +57,6 @@ NEAR_REAL_RTOL = 1e3 * math.sqrt(np.finfo(float).eps)
 # fraction of the characteristic rate, in unit-occupation scaling.
 RESIDUAL_RTOL = 1e-8
 
-# Distinct roots closer than this (relative, nondimensional) merge.
-_DEDUPE_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class FixedPoint:
@@ -138,7 +135,7 @@ def _real_roots(coeffs: np.ndarray, what: str
     0), solved for all rows of one degree in a single stacked call.
     Real roots and the real parts of near-real pairs are returned
     unrefined (``_damped_newton4`` on the full system is the one
-    polish); roots that coincide are merged.
+    polish) and unmerged, so a double root comes back twice.
 
     Returns (x, optional, errors): ``x`` (N, degree) holds each row's
     roots in ascending order with NaN where there is none; ``optional``
@@ -179,18 +176,9 @@ def _real_roots(coeffs: np.ndarray, what: str
     optional = ~real & (im <= NEAR_REAL_RTOL * np.maximum(mag, 1.0))
     x = np.where(real | optional, roots.real, np.nan)
 
-    # sort each row (NaN last) and merge roots closer than _DEDUPE_RTOL
-    # to the last root kept
-    order = np.argsort(x, axis=1)
+    order = np.argsort(x, axis=1)  # NaN last
     index = np.arange(n)[:, None]
-    x, optional = x[index, order], optional[index, order]
-    kept = x[:, 0]
-    for k in range(1, d):
-        xk = x[:, k]
-        xk[np.abs(xk - kept) <= _DEDUPE_RTOL * np.maximum(
-            np.maximum(np.abs(xk), np.abs(kept)), 1e-6)] = np.nan
-        kept = np.fmax(kept, xk)  # ascending, so xk unless it is NaN
-    return x, optional, errors
+    return x[index, order], optional[index, order], errors
 
 
 def _polish_state(z: np.ndarray, active: bool):
@@ -324,7 +312,8 @@ def passive_fixed_points(params: SystemParams,
 
     Solves the magnon-number cubic in units of the bare-cavity photon
     number n0 (``model.bare_cavity_photons``), then reconstructs and
-    polishes amplitudes root by root, divided by s = sqrt(n0). Raises
+    polishes amplitudes root by root, divided by s = sqrt(n0), merging
+    coinciding points by ``_merge_duplicates`` at omega = 0. Raises
     ConditioningError if n0 is 0 (undamped resonant cavity, or eta^2
     underflows) or n0 ** 3 overflows, and InternalConsistencyError if a
     reconstructed point fails its residual check.
@@ -387,13 +376,11 @@ def passive_fixed_points(params: SystemParams,
                               omega=0.0, kind="passive",
                               net_gain=0.0, residual=rk))
 
-    merged: list[FixedPoint] = []
-    for fp in sorted(out, key=lambda f: f.n_m):
-        if merged and abs(fp.n_m - merged[-1].n_m) <= _DEDUPE_RTOL * max(
-                fp.n_m, merged[-1].n_m, 1e-300):
-            continue
-        merged.append(fp)
-    return merged
+    out.sort(key=lambda f: f.n_m)
+    zero = np.zeros(len(out))  # one cell, omega = 0
+    keep = _merge_duplicates(zero, zero, np.array([f.n_m for f in out]),
+                             zero + rate)
+    return [fp for fp, k in zip(out, keep) if k]
 
 
 @dataclass(frozen=True)
@@ -488,12 +475,14 @@ def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,
                       rate: np.ndarray) -> np.ndarray:
     """Mask keeping the first of each group of coinciding points.
 
-    Points come grouped by cell and sorted by (omega, n_m) within it; a
-    point is dropped when its omega and n_m both lie within 1e-7
-    (relative) of a point already kept in its cell.
+    The one rule that merges fixed points, for both models. Points come
+    grouped by cell and sorted by (omega, n_m) within it; a point is
+    dropped when its omega and n_m both lie within 1e-7 (relative) of a
+    point already kept in its cell. Omega is relative to at least 1e-3
+    of the cell's ``rate``, so passive points (omega 0) merge by n_m.
     """
     keep = np.ones(cell.size, dtype=bool)
-    if not cell.size:
+    if cell.size < 2:
         return keep
     head = np.r_[True, cell[1:] != cell[:-1]]
     pos = np.arange(cell.size) - np.maximum.accumulate(

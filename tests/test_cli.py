@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magpol import config
+from magpol import config, dynamics
 from magpol.cli import _write_matrix_csv, main
 
 TWO_PI = 2.0 * math.pi
@@ -400,6 +400,24 @@ def test_fit_commands_on_shipped_data(tmp_path, monkeypatch):
     fit = json.loads((out / "fit_kittel.json").read_text())
     assert fit["gamma_e_mhz_per_mt"] == pytest.approx(28.2, rel=1e-6)
     assert fit["anisotropy_mt"] == pytest.approx(-3.35, rel=1e-4)
+
+
+@pytest.mark.parametrize("name", ["sweep_sidebands", "sweep_low_gain"])
+def test_sweep_step_an_array_cannot_index_is_a_config_error(
+        name, tmp_path, capsys, monkeypatch):
+    # a spectrogram block sizes its FFT bins from the step at parse time;
+    # without one, only the integrator would reach the step
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "integrate_segment", no_integration)
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc["sweep"].update(steps=2, dt_us=1e-300)
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    assert "more than an array can index" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_2_on_config_problems(tmp_path, capsys):

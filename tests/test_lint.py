@@ -2,8 +2,8 @@
 
 - A module-level import must be used in its module, unless the name is
   in ``__all__`` or its statement carries ``# noqa: F401``.
-- A module-level ``_private`` function or class must be referenced
-  somewhere in the package.
+- A module-level ``_private`` function, class or assigned name must be
+  referenced somewhere in the package.
 - Every name in the package's ``__all__`` must be bound in
   ``__init__.py``.
 - The test oracles (``tests/_oracles.py``) may take from the package
@@ -35,6 +35,18 @@ def _exported(tree) -> set[str]:
     return set()
 
 
+def _defined(node) -> list[str]:
+    """Names a top-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _bound(tree) -> set[str]:
     """Names a module binds at its top level."""
     names = set()
@@ -42,13 +54,8 @@ def _bound(tree) -> set[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update((alias.asname or alias.name).split(".")[0]
                          for alias in node.names)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        else:
+            names.update(_defined(node))
     return names
 
 
@@ -56,7 +63,7 @@ def _referenced(tree) -> set[str]:
     """Names read, attributes taken and names imported anywhere."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -90,13 +97,12 @@ def test_module_level_imports_are_used(path):
 def test_private_definitions_are_referenced():
     trees = {path.name: _tree(path) for path in MODULES}
     referenced = set().union(*map(_referenced, trees.values()))
-    orphans = [f"{name}:{node.lineno} {node.name}"
+    orphans = [f"{name}:{node.lineno} {defined}"
                for name, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef))
-               and node.name.startswith("_")
-               and not node.name.startswith("__")
-               and node.name not in referenced]
+               for defined in _defined(node)
+               if defined.startswith("_")
+               and not defined.startswith("__")
+               and defined not in referenced]
     assert not orphans, f"unreferenced private definitions: {orphans}"
 
 

@@ -13,7 +13,8 @@ from magpol.model import TWO_PI, DriveSpec, Rates, SystemParams, \
     batch_rates, vector_field
 from magpol.phasemap import n0_to_drive_passive
 from magpol.steady import _polish_defect, _polish_jacobian, _real_roots, \
-    active_fixed_points, passive_fixed_points, residual, solve_active
+    active_fixed_points, passive_cubic_coefficients, passive_fixed_points, \
+    residual, solve_active
 
 # Frozen three-solution set of the narrow-line gain system at
 # gain/2pi = 15.45 MHz, delta_m/2pi = -46.4 MHz (sorted by omega).
@@ -76,6 +77,34 @@ def test_degenerate_cavity_rejected():
     p = SystemParams(kappa=0.0, gamma=TWO_PI * 10.0, g=TWO_PI * 5.0)
     with pytest.raises(ConditioningError):
         passive_fixed_points(p, DriveSpec(eta=1.0))
+
+
+def test_passive_saddle_node_reports_its_double_root_once():
+    # Place drives exactly on saddle-nodes: the cubic is f(n) = g^2 eta^2
+    # with f(n) = n ((r0 + r1 n)^2 + (i0 + i1 n)^2), so a fold sits at
+    # each positive root n* of f'(n) = 0, with eta = sqrt(f(n*)) / g.
+    # Its double root reaches the merge as two polished copies; only
+    # copies more than 1e-7 apart (relative) may stay apart.
+    rng = np.random.default_rng(0)
+    folds, gaps = 0, []
+    for _ in range(200):
+        p = broadline_params(delta_c=TWO_PI * rng.uniform(20, 120),
+                             delta_m=TWO_PI * rng.uniform(-100, 0))
+        a3, a2, a1, _ = passive_cubic_coefficients(p, DriveSpec(eta=0.0))
+        for n in np.roots([3.0 * a3, 2.0 * a2, a1]):
+            if n.imag != 0.0 or n.real <= 0.0:
+                continue
+            n = n.real
+            eta = math.sqrt(n * (a1 + n * (a2 + n * a3))) / p.g
+            near = [fp.n_m for fp in passive_fixed_points(p, DriveSpec(eta))
+                    if abs(fp.n_m - n) <= 1e-3 * n]
+            assert near, "the double root was lost"
+            folds += 1
+            if len(near) > 1:
+                gaps.append((max(near) - min(near)) / max(near))
+    assert folds >= 300
+    assert len(gaps) <= 0.02 * folds
+    assert all(gap > 1e-7 for gap in gaps)
 
 
 def test_active_below_threshold_is_empty():
@@ -260,8 +289,8 @@ def test_real_roots_batch_matches_rows_and_np_roots():
             assert got.size == 0
             continue
         r = np.roots(row / np.max(np.abs(row)))
-        want = np.unique(r.real[np.abs(r.imag)
-                                <= 1e-7 * np.abs(r) + 1e-10])
+        want = np.sort(r.real[np.abs(r.imag)
+                              <= 1e-7 * np.abs(r) + 1e-10])
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -269,8 +298,8 @@ def test_near_real_pairs_are_optional_candidates():
     split = np.poly([0.5 + 1e-7j, 0.5 - 1e-7j, -2.0]).real
     x, optional, _ = _real_roots(split, "test")
     roots = x[0][np.isfinite(x[0])]
-    assert roots == pytest.approx([-2.0, 0.5], rel=1e-6)
-    assert optional[0][np.isfinite(x[0])].tolist() == [False, True]
+    assert roots == pytest.approx([-2.0, 0.5, 0.5], rel=1e-6)
+    assert optional[0][np.isfinite(x[0])].tolist() == [False, True, True]
     wide = np.poly([0.5 + 1e-3j, 0.5 - 1e-3j, -2.0]).real
     x, optional, _ = _real_roots(wide, "test")
     assert x[0][np.isfinite(x[0])] == pytest.approx([-2.0])
