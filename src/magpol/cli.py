@@ -9,8 +9,8 @@ they must not affect results.
 
 Exit codes: 0 success (including sweeps that hit a divergence, which
 is an annotated physics outcome), 1 numeric failure (fit failure,
-conditioning, internal consistency, I/O), 2 invalid input (bad config,
-bad CSV, bad command line).
+conditioning, internal consistency, I/O, an allocation memory cannot
+hold), 2 invalid input (bad config, bad CSV, bad command line).
 """
 
 from __future__ import annotations
@@ -190,25 +190,23 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
                 str(diverged).lower(),
             ])
 
-    if run.spectrogram is not None and result.segments:
-        spec = build_spectrogram(
-            result.segments,
-            result.detunings_nominal[:len(result.segments)],
+    n_done = len(result.segments)
+    if run.spectrogram is not None and n_done:
+        freqs, mags = build_spectrogram(
+            [seg.a for seg in result.segments], run.protocol.dt,
             f_min=run.spectrogram["f_min_mhz"],
-            f_max=run.spectrogram["f_max_mhz"],
-            floor=run.spectrogram["floor"])
-        _write_matrix_csv(os.path.join(out_dir, "spectrogram.csv"),
-                          spec.magnitudes.astype(float))
+            f_max=run.spectrogram["f_max_mhz"])
+        _write_matrix_csv(os.path.join(out_dir, "spectrogram.csv"), mags)
         _write_json(os.path.join(out_dir, "spectrogram_axes.json"), {
-            "freqs_mhz": [float(f) for f in spec.freqs],
-            "detunings_mhz_over_2pi": [_mhz(d) for d in spec.detunings],
-            "floor": spec.floor,
+            "freqs_mhz": [float(f) for f in freqs],
+            "detunings_mhz_over_2pi": [
+                _mhz(d) for d in result.detunings_nominal[:n_done]],
+            "floor": run.spectrogram["floor"],
             "t_drop_us": run.protocol.t_drop,
             "rows_are": "frequency",
         })
     config.dump_manifest(run, os.path.join(out_dir, "manifest.json"))
 
-    n_done = len(result.segments)
     n_low = int(result.low_confidence[:n_done].sum())
     print(f"{n_done}/{len(run.protocol.detunings)} steps integrated; "
           f"{n_low} low-confidence fit(s)")
@@ -329,6 +327,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

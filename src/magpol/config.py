@@ -31,7 +31,7 @@ from .errors import ConditioningError, ConfigError
 from .model import TWO_PI, DriveSpec, ModeState, SystemParams, \
     bare_cavity_photons, eta_from_power
 from .phasemap import GridSpec, n0_to_drive_passive
-from .spectral import Spectrogram, spectrum_freqs
+from .spectral import spectrum_freqs
 
 FORMAT_VERSION = 1
 
@@ -403,8 +403,9 @@ def _parse_spectrogram(blk: _Block | None,
     out = {
         "f_min_mhz": blk.number("f_min_mhz", default=-100.0),
         "f_max_mhz": blk.number("f_max_mhz", default=100.0),
-        "floor": blk.number("floor", default=Spectrogram.floor, lo=0.0,
-                            lo_open=True),
+        # where a log view of spectrogram.csv clips empty bins; the
+        # run only records it in spectrogram_axes.json
+        "floor": blk.number("floor", default=1e-6, lo=0.0, lo_open=True),
     }
     blk.finish()
     if not out["f_min_mhz"] < out["f_max_mhz"]:

@@ -63,7 +63,8 @@ class TrajectorySegment:
 
     def final_state(self) -> ModeState:
         return ModeState(a=complex(self.a[-1]), m=complex(self.m[-1]),
-                         t=float(self.times[-1]))
+                         t=float(self.t0 + self.dt
+                                 * (self.k0 + self.a.size - 1)))
 
 
 def _natural_scale(params: SystemParams, drive: DriveSpec | None) -> float:
@@ -86,7 +87,9 @@ def integrate_segment(state: ModeState, params: SystemParams,
     Raises DivergenceError if the rescaled squared amplitude of either
     mode exceeds DIVERGENCE_CAP, with ``step`` set to the offending
     step index; ConditioningError if the initial occupation, the
-    bare-cavity or the saturated photon number overflows.
+    bare-cavity or the saturated photon number overflows; MemoryError,
+    before any step, if the samples of ``duration / dt`` steps do not
+    fit in memory.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -95,6 +98,9 @@ def integrate_segment(state: ModeState, params: SystemParams,
         raise ValueError(f"duration {duration} shorter than one step {dt}")
     if not state.is_finite():
         raise ValueError("initial state is not finite")
+    # Every sample's four components, allocated before the first step so
+    # that a step count memory cannot hold fails at once.
+    out = array.array("d", [0.0]) * (4 * (n + 1))
 
     try:
         n_state = max(state.n_a, state.n_m)
@@ -111,8 +117,7 @@ def integrate_segment(state: ModeState, params: SystemParams,
                        else DriveSpec(eta=float(drive.eta / s)))
     a, m = state.a / s, state.m / s
     ar, ai, mr, mi = map(float, (a.real, a.imag, m.real, m.imag))
-    out = array.array("d", (ar, ai, mr, mi))
-    append = out.append
+    out[0], out[1], out[2], out[3] = ar, ai, mr, mi
     h = dt
     h2 = 0.5 * dt
     h6 = dt / 6.0
@@ -135,10 +140,11 @@ def integrate_segment(state: ModeState, params: SystemParams,
                 f"amplitude overflow at step {k} (t = "
                 f"{state.t + k * dt:.6g} us): scaled photon number "
                 f"{na:.3e}, magnon number {nm:.3e}", step=k)
-        append(ar)
-        append(ai)
-        append(mr)
-        append(mi)
+        j = 4 * k
+        out[j] = ar
+        out[j + 1] = ai
+        out[j + 2] = mr
+        out[j + 3] = mi
 
     am = np.frombuffer(out, dtype=complex).reshape(n + 1, 2)
     return TrajectorySegment(a=am[:, 0] * s, m=am[:, 1] * s, t0=state.t,

@@ -1,11 +1,14 @@
 """Emission-frequency extraction and spectra from time traces.
 
-All functions take plain (times, amplitude) arrays in us and sqrt
-quanta and analyse all the samples they are given; the caller cuts
-any transient. Frequencies are reported as ordinary frequencies in MHz
-(cycles/us) on an axis where positive means blue-shifted emission: a
-rotating amplitude a(t) = a0 exp(-i W t) with W > 0 radiates above the
-reference frequency and lands at +W/2pi on this axis.
+All functions take amplitude arrays in sqrt quanta and analyse all
+the samples they are given; the caller cuts any transient. The
+spectra take the sample step dt (us) and put every spectrum of n
+samples on the one axis ``spectrum_freqs(n, dt)``; the phase fit
+takes the sample times, which its regression reads. Frequencies are
+reported as ordinary frequencies in MHz (cycles/us) on an axis where
+positive means blue-shifted emission: a rotating amplitude
+a(t) = a0 exp(-i W t) with W > 0 radiates above the reference
+frequency and lands at +W/2pi on this axis.
 
 Two independent estimators are provided for the dominant emission
 offset: a weighted linear fit to the unwrapped phase (precise for
@@ -16,8 +19,6 @@ used by the test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,87 +75,63 @@ def spectrum_freqs(n: int, dt: float) -> np.ndarray:
     return -np.fft.fftshift(np.fft.fftfreq(n, d=dt))[::-1]
 
 
-def hann_fft(times: np.ndarray,
-             a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hann_fft(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed magnitude spectrum of all the given samples.
 
-    Returns (freqs, mags) with freqs in MHz, ascending, on the
-    blue-positive emission axis (see module docstring). The
+    ``a`` holds the samples, spaced ``dt`` (us). Returns (freqs, mags)
+    with freqs = ``spectrum_freqs(a.size, dt)`` in MHz, ascending, on
+    the blue-positive emission axis (see module docstring). The
     magnitudes are raw windowed-FFT magnitudes, which satisfy the
     usual Parseval identity against the windowed samples.
     """
-    t, z = np.asarray(times), np.asarray(a)
-    if t.size < 8:
-        raise ValueError(f"FFT needs >= 8 samples, got {t.size}")
-    freqs = spectrum_freqs(t.size, float(t[1] - t[0]))
-    spec = np.fft.fftshift(np.fft.fft(np.hanning(t.size) * z))
-    return freqs, np.abs(spec)[::-1]
+    z = np.asarray(a)
+    if z.size < 8:
+        raise ValueError(f"FFT needs >= 8 samples, got {z.size}")
+    spec = np.fft.fftshift(np.fft.fft(np.hanning(z.size) * z))
+    return spectrum_freqs(z.size, dt), np.abs(spec)[::-1]
 
 
-def fft_peak_offset(times: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+def fft_peak_offset(a: np.ndarray, dt: float) -> tuple[float, float]:
     """Dominant emission offset (rad/us) from the Hann FFT peak bin.
 
     Returns (omega, bin_width_rad_per_us); the estimate is quantized
     to the bin grid, so agreement with the phase-slope route is only
     expected to one bin.
     """
-    freqs, mags = hann_fft(times, a)
+    freqs, mags = hann_fft(a, dt)
     i = int(np.argmax(mags))
     bin_w = float(freqs[1] - freqs[0])
     return TWO_PI * float(freqs[i]), TWO_PI * bin_w
 
 
-@dataclass
-class Spectrogram:
-    """Stacked per-segment spectra over a swept control parameter.
+def build_spectrogram(windows, dt: float, f_min: float | None = None,
+                      f_max: float | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Hann spectra of many equal-length windows as one matrix.
 
-    ``magnitudes[i, j]`` is the spectral magnitude at ``freqs[i]``
-    (MHz) for sweep column j (nominal detuning ``detunings[j]``,
-    rad/us), normalized to unit maximum within each column. ``floor``
-    is the clip applied by ``log10`` so empty bins render at a finite
-    dB level.
+    ``windows`` are amplitude arrays sampled every ``dt`` us, one per
+    sweep step, each cut to the samples to analyse, as ``run_sweep``
+    keeps them. Returns (freqs, magnitudes): the ``hann_fft`` axis
+    cropped to [f_min, f_max] MHz, and ``magnitudes[i, j]`` the
+    magnitude at ``freqs[i]`` of window j, each column normalized to
+    unit maximum, as swept emission spectra are usually displayed.
+    The spectra are taken one window at a time, so no stack of
+    windows is ever held.
     """
-
-    freqs: np.ndarray
-    detunings: np.ndarray
-    magnitudes: np.ndarray
-    floor: float = 1e-6
-
-    def log10(self) -> np.ndarray:
-        """Log-magnitude view, clipped at ``floor``."""
-        return np.log10(np.maximum(self.magnitudes, self.floor))
-
-
-def build_spectrogram(segments, detunings,
-                      f_min: float | None = None,
-                      f_max: float | None = None,
-                      floor: float = Spectrogram.floor) -> Spectrogram:
-    """Hann spectra of many segments stacked into one matrix.
-
-    ``segments`` is an iterable of objects with ``times`` and ``a``
-    arrays (one per sweep step, equal length and spacing), each cut
-    to the samples to analyse, as ``run_sweep`` keeps them. The
-    frequency axis can be cropped to [f_min, f_max] MHz. Columns are
-    normalized to unit maximum independently, matching how swept
-    emission spectra are usually displayed.
-    """
-    segs = list(segments)
-    detunings = np.asarray(detunings, dtype=float)
-    if len(segs) == 0:
-        raise ValueError("no segments to stack")
-    if detunings.size != len(segs):
-        raise ValueError(f"{len(segs)} segments but {detunings.size} "
-                         "detunings")
-    if any(len(seg.times) != len(segs[0].times) for seg in segs):
-        raise ValueError("segments have mismatched sample counts")
-    spectra = (hann_fft(seg.times, seg.a) for seg in segs)
-    freqs, first = next(spectra)
+    windows = list(windows)
+    if len(windows) == 0:
+        raise ValueError("no windows to stack")
+    n = len(windows[0])
+    if any(len(w) != n for w in windows):
+        raise ValueError("windows have mismatched sample counts")
+    freqs = spectrum_freqs(n, dt)
     sel = ((freqs >= (-np.inf if f_min is None else f_min))
            & (freqs <= (np.inf if f_max is None else f_max)))
     if not np.any(sel):
         raise ValueError("frequency crop leaves no bins")
-    mags = np.column_stack([first[sel], *(m[sel] for _, m in spectra)])
+    mags = np.empty((np.count_nonzero(sel), len(windows)))
+    for j, w in enumerate(windows):
+        mags[:, j] = hann_fft(w, dt)[1][sel]
     peak = mags.max(axis=0)
-    return Spectrogram(freqs=freqs[sel], detunings=detunings,
-                       magnitudes=mags / np.where(peak > 0, peak, 1.0),
-                       floor=floor)
+    mags /= np.where(peak > 0, peak, 1.0)
+    return freqs[sel], mags

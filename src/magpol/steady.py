@@ -285,27 +285,6 @@ def _damped_newton4(x: np.ndarray, tol, rates: Rates,
     return x, res
 
 
-def residual(fp: FixedPoint, params: SystemParams,
-             drive: DriveSpec | None = None) -> float:
-    """Steady-state defect max(|da/dt|, |dm/dt|) in rescaled units.
-
-    Active points are evaluated in their own co-rotating frame, where
-    d/dt acquires +i*omega. Amplitudes and the drive are divided by
-    s = sqrt(max(n_a, n_m, 1)) and the rates are ``Rates.rescale(s)``,
-    so the result compares directly to params.rate_scale().
-    """
-    if fp.kind == "passive" and drive is None:
-        raise ValueError("passive residual needs the drive")
-    s = math.sqrt(max(fp.n_a, fp.n_m, 1.0))
-    rhs = vector_field(batch_rates(params).rescale(s),
-                       DriveSpec(eta=drive.eta / s)
-                       if fp.kind == "passive" else None)
-    a, m, w = fp.a0 / s, fp.m0 / s, fp.omega
-    dar, dai, dmr, dmi = rhs(a.real, a.imag, m.real, m.imag)
-    return max(math.hypot(dar - w * a.imag, dai + w * a.real),
-               math.hypot(dmr - w * m.imag, dmi + w * m.real))
-
-
 def passive_fixed_points(params: SystemParams,
                          drive: DriveSpec) -> list[FixedPoint]:
     """All steady states of the driven passive model, sorted by n_m.

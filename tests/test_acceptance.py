@@ -207,20 +207,21 @@ def test_criterion_05_low_gain_sweep_shift_and_switch(low_gain_sweep):
 
 def test_criterion_06_sidebands_near_the_switching_point(sideband_sweep):
     result = sideband_sweep
-    spg = build_spectrogram(result.segments, result.detunings_nominal,
-                            f_min=-80.0, f_max=80.0)
+    freqs, mags = build_spectrogram([seg.a for seg in result.segments],
+                                    result.protocol.dt,
+                                    f_min=-80.0, f_max=80.0)
     best = None
-    for j in range(spg.magnitudes.shape[1]):
-        col = spg.magnitudes[:, j]
+    for j in range(mags.shape[1]):
+        col = mags[:, j]
         peaks = [i for i in range(1, col.size - 1)
                  if col[i] > col[i - 1] and col[i] > col[i + 1]
                  and col[i] > 0.1]
         if len(peaks) < 3:
             continue
-        gaps = np.diff(spg.freqs[peaks])
+        gaps = np.diff(freqs[peaks])
         good = [g for g in gaps if 10.0 <= g <= 16.0]
         if len(good) >= 2:
-            best = (float(spg.detunings[j] / TWO_PI),
+            best = (float(result.detunings_nominal[j] / TWO_PI),
                     [round(float(g), 2) for g in good])
             break
     ok = best is not None
@@ -360,7 +361,7 @@ def test_criterion_09_spectral_routes_and_step_halving(low_gain_sweep,
         for k, seg in enumerate(result.segments):
             if result.low_confidence[k]:
                 continue
-            w_fft, bin_w = fft_peak_offset(seg.times, seg.a)
+            w_fft, bin_w = fft_peak_offset(seg.a, seg.dt)
             frac = abs(w_fft - result.omegas[k]) / bin_w
             worst_bins = max(worst_bins, frac)
             n_checked += 1
@@ -423,14 +424,15 @@ def test_qualitative_broadband_support():
     p = narrowline_params(gain=TWO_PI * 20.0)
     det = tuple(TWO_PI * d for d in np.linspace(-80.0, 40.0, 121))
     result = run_sweep(SweepProtocol(detunings=det), p)
-    spg = build_spectrogram(result.segments, result.detunings_nominal,
-                            f_min=-150.0, f_max=150.0)
+    freqs, mags = build_spectrogram([seg.a for seg in result.segments],
+                                    result.protocol.dt,
+                                    f_min=-150.0, f_max=150.0)
     thresh = 10 ** (-30.0 / 20.0)
-    widths = np.zeros(spg.magnitudes.shape[1])
+    widths = np.zeros(mags.shape[1])
     for j in range(widths.size):
-        above = np.flatnonzero(spg.magnitudes[:, j] >= thresh)
+        above = np.flatnonzero(mags[:, j] >= thresh)
         if above.size:
-            widths[j] = spg.freqs[above[-1]] - spg.freqs[above[0]]
+            widths[j] = freqs[above[-1]] - freqs[above[0]]
     j = int(np.argmax(widths))
     ok = widths[j] > 50.0
     print(f"[broadband check] {'PASS' if ok else 'FAIL'} - widest column "

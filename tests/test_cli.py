@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from magpol import config, dynamics
 from magpol.cli import _write_matrix_csv, main
+from magpol.spectral import spectrum_freqs
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -351,6 +353,21 @@ def test_sweep_spectrogram_artifacts(tmp_path):
     assert np.allclose(mat.max(axis=0), 1.0)
 
 
+def test_sweep_spectrogram_axis_is_the_validated_axis(tmp_path):
+    """The written axis is the one the config's crop check is made on:
+    the protocol's window at the protocol's dt, cropped, bit for bit."""
+    doc = _sweep_doc()
+    doc["spectrogram"] = {"f_min_mhz": -80.0, "f_max_mhz": 80.0}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    protocol = config.parse_run(doc, "sweep").protocol
+    freqs = spectrum_freqs(protocol.window_samples(), protocol.dt)
+    freqs = freqs[(freqs >= -80.0) & (freqs <= 80.0)]
+    axes = json.loads((out / "spectrogram_axes.json").read_text())
+    assert axes["freqs_mhz"] == [float(f) for f in freqs]
+
+
 def test_sweep_spectrogram_with_uneven_step_windows(tmp_path):
     """At dt 6e-4 a cut at each step's own start time + t_drop would
     keep 4833 samples on step 0 and 4834 on step 2. Every step keeps
@@ -418,6 +435,31 @@ def test_sweep_step_an_array_cannot_index_is_a_config_error(
                  "--out", str(out)]) == 2
     assert "more than an array can index" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spectrogram", [True, False],
+                         ids=["with_spectrogram", "without_spectrogram"])
+def test_sweep_step_memory_cannot_hold_exits_1(tmp_path, capsys, monkeypatch,
+                                               spectrogram):
+    # 8e15 RK4 steps per step: the spectrogram's FFT axis cannot be
+    # allocated at parse time, nor the integrator's samples before its
+    # first step
+    def no_step(*args, **kwargs):
+        def rhs(*state):
+            raise AssertionError("integration started")
+        return rhs
+
+    monkeypatch.setattr(dynamics, "vector_field", no_step)
+    doc = json.loads((ROOT / "configs" / "sweep_sidebands.json").read_text())
+    doc["sweep"].update(steps=2, dt_us=1e-15)
+    if not spectrogram:
+        doc.pop("spectrogram")
+    out = tmp_path / "x"
+    start = time.monotonic()
+    _expect_one_error_line(["sweep", "--config", _write_config(tmp_path, doc),
+                            "--out", str(out)], 1, capsys, "out of memory")
+    assert time.monotonic() - start < 10.0
+    assert not (out / "sweep.csv").exists()
 
 
 def test_exit_code_2_on_config_problems(tmp_path, capsys):

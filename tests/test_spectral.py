@@ -1,14 +1,12 @@
 """Phase-slope and FFT frequency extraction on synthetic traces."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from magpol.errors import FitError
 from magpol.model import TWO_PI
-from magpol.spectral import (Spectrogram, build_spectrogram, fft_peak_offset,
-                             hann_fft, phase_slope_offset)
+from magpol.spectral import (build_spectrogram, fft_peak_offset, hann_fft,
+                             phase_slope_offset, spectrum_freqs)
 
 
 def _tone(times, f_mhz, amp=1.0, phase=0.0):
@@ -16,7 +14,8 @@ def _tone(times, f_mhz, amp=1.0, phase=0.0):
     return amp * np.exp(-1j * (TWO_PI * f_mhz * times + phase))
 
 
-TIMES = np.arange(0.0, 2.0, 1e-3)
+DT = 1e-3
+TIMES = np.arange(0.0, 2.0, DT)
 
 
 def test_pure_tone_slope_is_exact():
@@ -73,7 +72,7 @@ def test_hann_fft_bin_centered_tone():
     n, dt = 2000, 1e-3
     times = np.arange(n) * dt
     f0 = 50 / (n * dt)  # exactly on a bin: 25 MHz
-    freqs, mags = hann_fft(times, _tone(times, f0))
+    freqs, mags = hann_fft(_tone(times, f0), dt)
     i = int(np.argmax(mags))
     assert freqs[i] == pytest.approx(f0, abs=1e-12)
     mags = mags / mags[i]
@@ -83,18 +82,20 @@ def test_hann_fft_bin_centered_tone():
 
 
 def test_hann_fft_sign_convention_is_blue_positive():
-    freqs, mags = hann_fft(TIMES, _tone(TIMES, 25.0))
+    freqs, mags = hann_fft(_tone(TIMES, 25.0), DT)
     assert freqs[int(np.argmax(mags))] > 24.0
-    freqs, mags = hann_fft(TIMES, _tone(TIMES, -25.0))
+    freqs, mags = hann_fft(_tone(TIMES, -25.0), DT)
     assert freqs[int(np.argmax(mags))] < -24.0
     # constant trace peaks at zero offset
-    freqs, mags = hann_fft(TIMES, np.ones(TIMES.size, complex))
+    freqs, mags = hann_fft(np.ones(TIMES.size, complex), DT)
     assert abs(freqs[int(np.argmax(mags))]) < 0.5 / (TIMES[-1] - TIMES[0])
 
 
 def test_hann_fft_axis_and_parseval():
-    freqs, mags = hann_fft(TIMES, _tone(TIMES, 3.0))
+    freqs, mags = hann_fft(_tone(TIMES, 3.0), DT)
     assert freqs.size == mags.size == TIMES.size
+    # the axis is the one spectrum_freqs gives for the sample count and step
+    np.testing.assert_array_equal(freqs, spectrum_freqs(TIMES.size, DT))
     assert np.all(np.diff(freqs) > 0)
     win = np.hanning(TIMES.size)
     z = _tone(TIMES, 3.0)
@@ -102,12 +103,12 @@ def test_hann_fft_axis_and_parseval():
     rhs = np.sum(mags ** 2) / TIMES.size
     assert lhs == pytest.approx(rhs, rel=1e-9)
     with pytest.raises(ValueError, match=">= 8 samples"):
-        hann_fft(TIMES[:5], z[:5])
+        hann_fft(z[:5], DT)
 
 
 def test_fft_peak_quantization_and_slope_agreement():
     z = _tone(TIMES, 25.37)  # deliberately off-bin
-    omega_fft, bin_w = fft_peak_offset(TIMES, z)
+    omega_fft, bin_w = fft_peak_offset(z, DT)
     assert bin_w == pytest.approx(TWO_PI / (TIMES.size * 1e-3), rel=1e-9)
     assert abs(omega_fft - TWO_PI * 25.37) < bin_w
     omega_slope, _ = phase_slope_offset(TIMES, z)
@@ -118,7 +119,7 @@ def test_sideband_comb_peak_spacing():
     spacing = 13.0
     z = (_tone(TIMES, 20.0) + _tone(TIMES, 20.0 + spacing, amp=0.5)
          + _tone(TIMES, 20.0 - spacing, amp=0.5))
-    freqs, mags = hann_fft(TIMES, z)
+    freqs, mags = hann_fft(z, DT)
     mags = mags / mags.max()
     bin_w = freqs[1] - freqs[0]
     # local maxima above the leakage floor
@@ -130,54 +131,40 @@ def test_sideband_comb_peak_spacing():
     assert np.all(np.abs(gaps - spacing) <= bin_w)
 
 
-def _segments(tones_mhz, n=1000, dt=1e-3):
-    times = np.arange(n) * dt
-    return [SimpleNamespace(times=times, a=_tone(times, f)) for f in tones_mhz]
+def _windows(tones_mhz, n=1000):
+    times = np.arange(n) * DT
+    return [_tone(times, f) for f in tones_mhz]
 
 
 def test_spectrogram_ridge_tracks_the_tone():
     tones = np.linspace(-20.0, 20.0, 9)
-    dets = TWO_PI * np.linspace(-50.0, -10.0, 9)
-    spg = build_spectrogram(_segments(tones), dets)
-    assert spg.magnitudes.shape == (spg.freqs.size, 9)
-    bin_w = spg.freqs[1] - spg.freqs[0]
-    ridge = spg.freqs[np.argmax(spg.magnitudes, axis=0)]
+    freqs, mags = build_spectrogram(_windows(tones), DT)
+    assert mags.shape == (freqs.size, 9)
+    np.testing.assert_array_equal(freqs, spectrum_freqs(1000, DT))
+    bin_w = freqs[1] - freqs[0]
+    ridge = freqs[np.argmax(mags, axis=0)]
     assert np.all(np.abs(ridge - tones) <= bin_w)
     # per-column unit max
-    assert np.allclose(spg.magnitudes.max(axis=0), 1.0)
-    np.testing.assert_array_equal(spg.detunings, dets)
+    assert np.allclose(mags.max(axis=0), 1.0)
 
 
-def test_spectrogram_crop_and_log_floor():
+def test_spectrogram_columns_are_cropped_normalized_spectra():
     tones = [5.0, 10.0, 15.0]
-    dets = TWO_PI * np.array([-1.0, 0.0, 1.0])
-    spg = build_spectrogram(_segments(tones), dets,
-                            f_min=-30.0, f_max=30.0, floor=1e-6)
-    assert spg.freqs.min() >= -30.0 and spg.freqs.max() <= 30.0
-    logm = spg.log10()
-    assert logm.min() >= np.log10(1e-6) - 1e-12
-    assert logm.max() == pytest.approx(0.0, abs=1e-12)
+    windows = _windows(tones)
+    freqs, mags = build_spectrogram(windows, DT, f_min=-30.0, f_max=30.0)
+    axis = spectrum_freqs(1000, DT)
+    keep = (axis >= -30.0) & (axis <= 30.0)
+    np.testing.assert_array_equal(freqs, axis[keep])
+    for j, z in enumerate(windows):
+        col = hann_fft(z, DT)[1][keep]
+        np.testing.assert_array_equal(mags[:, j], col / col.max())
 
 
 def test_spectrogram_input_validation():
-    with pytest.raises(ValueError, match="no segments"):
-        build_spectrogram([], np.array([]))
-    segs = _segments([5.0, 10.0])
-    with pytest.raises(ValueError, match="detunings"):
-        build_spectrogram(segs, TWO_PI * np.array([-1.0]))
-    ragged = _segments([5.0]) + _segments([10.0], n=500)
+    with pytest.raises(ValueError, match="no windows"):
+        build_spectrogram([], DT)
+    ragged = _windows([5.0]) + _windows([10.0], n=500)
     with pytest.raises(ValueError, match="mismatched sample counts"):
-        build_spectrogram(ragged, TWO_PI * np.array([-1.0, 1.0]))
+        build_spectrogram(ragged, DT)
     with pytest.raises(ValueError, match="crop leaves no bins"):
-        build_spectrogram(segs, TWO_PI * np.array([-1.0, 1.0]),
-                          f_min=1e4, f_max=2e4)
-
-
-def test_spectrogram_dataclass_roundtrip():
-    spg = Spectrogram(freqs=np.array([-1.0, 0.0, 1.0]),
-                      detunings=np.array([0.0]),
-                      magnitudes=np.array([[0.0], [1.0], [0.5]]),
-                      floor=1e-4)
-    logm = spg.log10()
-    assert logm[0, 0] == pytest.approx(-4.0)
-    assert logm[1, 0] == pytest.approx(0.0)
+        build_spectrogram(_windows([5.0, 10.0]), DT, f_min=1e4, f_max=2e4)
