@@ -222,33 +222,36 @@ def _read_two_column_csv(path: str, expect_tag: str,
     ``units``, a unit -> scale table; returns (the unit's scale, data
     rows). Errors carry the path and 1-based line number.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     rows = []
     unit = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for ln, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            cells = [c.strip() for c in row]
-            if unit is None:
-                if len(cells) != 2 or cells[0] != expect_tag:
-                    raise ConfigError(
-                        f"{path}:{ln}: expected header '{expect_tag},"
-                        f"<{'|'.join(units)}>', got {','.join(cells)!r}")
-                if cells[1] not in units:
-                    raise ConfigError(
-                        f"{path}:{ln}: unknown unit {cells[1]!r}; expected "
-                        f"one of {sorted(units)}")
-                unit = cells[1]
-                continue
-            if len(cells) != 2:
-                raise ConfigError(f"{path}:{ln}: expected 2 columns, got "
-                                  f"{len(cells)}")
-            try:
-                rows.append((float(cells[0]), float(cells[1])))
-            except ValueError:
-                raise ConfigError(f"{path}:{ln}: non-numeric value in "
-                                  f"{','.join(cells)!r}") from None
+    for ln, row in enumerate(csv.reader(lines), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        cells = [c.strip() for c in row]
+        if unit is None:
+            if len(cells) != 2 or cells[0] != expect_tag:
+                raise ConfigError(
+                    f"{path}:{ln}: expected header '{expect_tag},"
+                    f"<{'|'.join(units)}>', got {','.join(cells)!r}")
+            if cells[1] not in units:
+                raise ConfigError(
+                    f"{path}:{ln}: unknown unit {cells[1]!r}; expected "
+                    f"one of {sorted(units)}")
+            unit = cells[1]
+            continue
+        if len(cells) != 2:
+            raise ConfigError(f"{path}:{ln}: expected 2 columns, got "
+                              f"{len(cells)}")
+        try:
+            rows.append((float(cells[0]), float(cells[1])))
+        except ValueError:
+            raise ConfigError(f"{path}:{ln}: non-numeric value in "
+                              f"{','.join(cells)!r}") from None
     if unit is None:
         raise ConfigError(f"{path}: empty file; expected a "
                           f"'{expect_tag},<unit>' header")

@@ -42,7 +42,7 @@ def _mhz(rad_per_us) -> float:
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -54,7 +54,7 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     as Python floats all at once."""
     if matrix.dtype.kind != "f":
         matrix = matrix.astype(np.int64)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(map(np.ndarray.tolist, matrix))
 
 
@@ -63,7 +63,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _fp_record(fp, report, tol: float) -> dict:
-    """JSON record of one fixed point; ``tol`` is its residual tolerance.
+    """JSON record of one fixed point and its ``classify`` row;
+    ``tol`` is its residual tolerance.
 
     The residual is written as a multiple of 1e-3 * tol: the polish
     leaves defects of pure rounding (1e-14..1e-10 rad/us), which would
@@ -81,11 +82,12 @@ def _fp_record(fp, report, tol: float) -> dict:
         "residual_per_us": round(fp.residual / quantum) * quantum,
         "classification": VERDICTS[verdict(report.is_stable,
                                            report.is_marginal)],
-        "margin_per_us": report.margin,
+        "margin_per_us": float(report.margin),
         "eigenvalues_per_us": [_complex_pair(e) for e in report.eigenvalues],
-        "discarded_per_us": (_complex_pair(report.discarded)
-                             if report.discarded is not None else None),
-        "neutral_suspect": report.neutral_suspect,
+        "discarded_per_us": (
+            _complex_pair(report.eigenvalues[report.discarded])
+            if report.discarded >= 0 else None),
+        "neutral_suspect": bool(report.neutral_suspect),
     }
 
 
@@ -172,7 +174,7 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
     result = run_sweep(run.protocol, run.system, drive=run.drive,
                        initial_state=run.initial_state)
     rows_path = os.path.join(out_dir, "sweep.csv")
-    with open(rows_path, "w", newline="") as fh:
+    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "delta_m0_mhz_over_2pi",
                          "delta_eff_mhz_over_2pi", "omega_mhz_over_2pi",
@@ -182,7 +184,7 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
                         and k == result.diverged_at)
             writer.writerow([
                 k,
-                repr(_mhz(result.detunings_nominal[k])),
+                repr(_mhz(run.protocol.detunings[k])),
                 repr(_mhz(result.detunings_effective[k])),
                 repr(_mhz(result.omegas[k])),
                 repr(float(result.confidences[k])),
@@ -200,7 +202,7 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
         _write_json(os.path.join(out_dir, "spectrogram_axes.json"), {
             "freqs_mhz": [float(f) for f in freqs],
             "detunings_mhz_over_2pi": [
-                _mhz(d) for d in result.detunings_nominal[:n_done]],
+                _mhz(d) for d in run.protocol.detunings[:n_done]],
             "floor": run.spectrogram["floor"],
             "t_drop_us": run.protocol.t_drop,
             "rows_are": "frequency",

@@ -47,6 +47,11 @@ _ANGULAR_UNITS = {
     "nhz": TWO_PI * 1e-15,
 }
 
+# Most grid cells or sweep steps. Arrays sized by them hold up to 8
+# bytes per element, and numpy raises ValueError, not MemoryError, for
+# an array of more bytes than an index can count.
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
 
 class _Block:
     """One JSON object under validation; tracks which keys were read."""
@@ -77,7 +82,11 @@ class _Block:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{self.path}.{key}: expected a number, got "
                               f"{type(v).__name__}")
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:  # an integer literal beyond any float
+            raise ConfigError(f"{self.path}.{key}: must be finite, got an "
+                              f"integer too large for a float") from None
         if not math.isfinite(v):
             raise ConfigError(f"{self.path}.{key}: must be finite, got {v}")
         if lo is not None and (v <= lo if lo_open else v < lo):
@@ -126,11 +135,12 @@ class _Block:
         return v
 
     def angular(self, base: str, *, required: bool = False, default=None,
-                lo=None, hi=None, lo_open: bool = False) -> float | None:
+                lo=None, lo_open: bool = False) -> float | None:
         """Read `{base}_{unit}_over_2pi` in any unit; returns rad/us.
 
-        ``default`` and the bounds are rad/us (``lo_open`` excludes
-        ``lo``). A materialized default is written under the mhz key.
+        ``default`` and the bound ``lo`` are rad/us (``lo_open``
+        excludes ``lo``). A materialized default is written under the
+        mhz key.
         """
         hits = [u for u in _ANGULAR_UNITS
                 if f"{base}_{u}_over_2pi" in self.data]
@@ -157,9 +167,6 @@ class _Block:
             bound = f"must be > {lo}" if lo_open else f"below the minimum {lo}"
             raise ConfigError(f"{self.path}.{key}: {raw} maps to {value} "
                               f"rad/us, {bound}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{self.path}.{key}: {raw} maps to {value} "
-                              f"rad/us, above the maximum {hi}")
         return value
 
     def forbid_angular(self, base: str, why: str) -> None:
@@ -212,11 +219,13 @@ class RunConfig:
 def load_config(path: str) -> dict:
     """Read a JSON config file; errors carry the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, bytes that are not UTF-8, an integer
+        # past the digit limit; RecursionError: nesting too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -332,6 +341,10 @@ def _parse_grid(blk: _Block, system_blk: _Block, command: str) -> GridSpec:
     delta_m_max = blk.angular("delta_m_max", required=True)
     delta_m_count = blk.integer("delta_m_count", required=True, lo=2)
     blk.finish()
+    if x_count * delta_m_count > _MAX_COUNT:
+        raise ConfigError(f"{blk.path}: x_count * delta_m_count = "
+                          f"{x_count * delta_m_count:.3g} cells: more than "
+                          f"an array can hold")
     if kind == "passive":
         # the rule of n0_to_drive_passive, which would fail every cell;
         # an overflowing denominator stays a per-cell ConditioningError
@@ -355,7 +368,7 @@ def _parse_sweep(blk: _Block, params: SystemParams,
                  drive: DriveSpec | None) -> tuple[SweepProtocol, ModeState]:
     start = blk.angular("detuning_start", required=True)
     stop = blk.angular("detuning_stop", required=True)
-    steps = blk.integer("steps", required=True, lo=1)
+    steps = blk.integer("steps", required=True, lo=1, hi=_MAX_COUNT)
     dt = blk.number("dt_us", default=SweepProtocol.dt, lo=0.0, lo_open=True)
     t_total = blk.number("t_total_us", default=SweepProtocol.t_total, lo=0.0,
                          lo_open=True)
@@ -381,9 +394,8 @@ def _parse_sweep(blk: _Block, params: SystemParams,
     if steps == 1:
         detunings = (start,)
     else:
-        span = stop - start
-        detunings = tuple(start + span * k / (steps - 1)
-                          for k in range(steps))
+        detunings = tuple((start + (stop - start) * np.arange(steps)
+                           / (steps - 1)).tolist())
     try:
         protocol = SweepProtocol(detunings=detunings, dt=dt, t_total=t_total,
                                  t_drop=t_drop, fit_fraction=fit_fraction,
@@ -425,7 +437,10 @@ def parse_run(doc: dict, command: str) -> RunConfig:
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    data = copy.deepcopy(doc)
+    try:
+        data = copy.deepcopy(doc)
+    except RecursionError:  # a value nested deeper than the copy recurses
+        raise ConfigError("$: nesting too deep") from None
     top = _Block(data, "$")
     version = top.integer("format_version", required=True)
     if version != FORMAT_VERSION:
@@ -478,6 +493,6 @@ def parse_run(doc: dict, command: str) -> RunConfig:
 
 def dump_manifest(run: RunConfig, path: str) -> None:
     """Write the resolved config as a rerunnable manifest."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(run.resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")

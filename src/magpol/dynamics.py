@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import array
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,18 +222,17 @@ class SweepResult:
     diverged step onward; ``confidences`` the phase-fit confidences
     (0 where never run); ``low_confidence`` flags steps whose fit fell
     below LOW_CONFIDENCE. ``detunings_effective`` are the detunings
-    actually applied. ``diverged_at`` is the index of the step whose
-    integration overflowed, or None; ``error`` carries its message.
+    actually applied, against the nominal ``protocol.detunings``.
+    ``diverged_at`` is the index of the step whose integration
+    overflowed, or None; ``error`` carries its message.
     """
 
     protocol: SweepProtocol
-    segments: list[TrajectorySegment] = field(default_factory=list)
-    detunings_nominal: np.ndarray = field(default_factory=lambda: np.empty(0))
-    detunings_effective: np.ndarray = field(default_factory=lambda: np.empty(0))
-    omegas: np.ndarray = field(default_factory=lambda: np.empty(0))
-    confidences: np.ndarray = field(default_factory=lambda: np.empty(0))
-    low_confidence: np.ndarray = field(default_factory=lambda: np.empty(0,
-                                                                        bool))
+    segments: list[TrajectorySegment]
+    detunings_effective: np.ndarray
+    omegas: np.ndarray
+    confidences: np.ndarray
+    low_confidence: np.ndarray
     diverged_at: int | None = None
     error: str | None = None
 
@@ -269,7 +268,7 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
     n_seg = len(protocol.detunings)
     result = SweepResult(
         protocol=protocol,
-        detunings_nominal=np.asarray(protocol.detunings, dtype=float),
+        segments=[],
         detunings_effective=np.full(n_seg, np.nan),
         omegas=np.full(n_seg, np.nan),
         confidences=np.zeros(n_seg),

@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from . import steady
 from .model import DriveSpec, SystemParams, bare_cavity_photons, batch_rates
-from .stability import (MARGIN_RTOL, classify, classify_points, phase_label,
-                        verdict)
+from .stability import classify, classify_points, phase_label, verdict
 # active_fixed_points is unused here but stays a module attribute:
 # perfbench/tracing.py rebinds the solver names it finds on phasemap.
 from .steady import active_fixed_points, passive_fixed_points  # noqa: F401
@@ -155,7 +155,7 @@ def n0_to_gain_active(n0: float, params: SystemParams) -> float:
 
 
 def _eval_cell(grid: GridSpec, x: float, delta_m: float) -> list:
-    """Stability reports of one passive cell's fixed points."""
+    """``classify`` rows of one passive cell's fixed points."""
     params = grid.base.replace(delta_m=delta_m)
     fps = passive_fixed_points(params, n0_to_drive_passive(x, params))
     return [classify(fp, params) for fp in fps]
@@ -177,7 +177,7 @@ def _solve_block(grid: GridSpec, lo: int, hi: int):
     xs, dms = grid.x_values()[ix], grid.delta_m_values()[iy]
     failed: dict[int, Exception] = {}
     if grid.system == "passive":
-        points = []  # (cell, report) of every fixed point
+        points = []  # (cell, classify row) of every fixed point
         for k, (x, dm) in enumerate(zip(xs, dms)):
             try:
                 points += [(k, r) for r in _eval_cell(grid, x, dm)]
@@ -198,8 +198,7 @@ def _solve_block(grid: GridSpec, lo: int, hi: int):
                             gain_eff=gains)
         sol = steady.solve_active(cells)
         rates = cells.take(sol.cell)
-        spectra = classify_points(rates, sol.a0, sol.m0, sol.omega, True,
-                                  MARGIN_RTOL * rates.rate_scale())
+        spectra = classify_points(rates, sol.a0, sol.m0, sol.omega, True)
         failed.update(sol.errors)
         for i, exc in spectra.errors.items():
             failed.setdefault(int(sol.cell[i]), exc)
@@ -232,30 +231,32 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     depend on the worker count.
     """
     n = grid.x_count * grid.delta_m_count
+    shape = (grid.delta_m_count, grid.x_count)
+    # allocated first: a grid that memory cannot hold fails before
+    # any range is solved
+    counts = np.empty((4, n), dtype=np.int16)
+    errors = np.zeros(shape, dtype=bool)
     workers = max(1, min(workers, _usable_cpus()))
     size = min(BLOCK, -(-n // (4 * workers)))
     los = range(0, n, size)
-    his = [min(lo + size, n) for lo in los]
-    grids = [grid] * len(los)
+    his = (min(lo + size, n) for lo in los)
     workers = min(workers, len(los))
     if workers > 1:
         # imported here: a pool loads multiprocessing, which no other
         # command needs at start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_solve_block, grids, los, his))
+            blocks = list(pool.map(_solve_block, repeat(grid), los, his))
     else:
-        blocks = list(map(_solve_block, grids, los, his))
-    shape = (grid.delta_m_count, grid.x_count)
-    ns, nu, nm, ntot = (c.reshape(shape) for c in
-                        np.concatenate([c for c, _ in blocks], axis=1))
+        blocks = list(map(_solve_block, repeat(grid), los, his))
+    for lo, (block, _) in zip(los, blocks):
+        counts[:, lo:lo + block.shape[1]] = block
+    ns, nu, nm, ntot = counts.reshape((4,) + shape)
     messages = {k: msg for _, errs in blocks for k, msg in errs.items()}
-    errors = np.zeros(shape, dtype=bool)
     errors.flat[list(messages)] = True
     return PhaseDiagram(
-        grid=grid, stable=ns.astype(np.int16), unstable=nu.astype(np.int16),
-        marginal=nm.astype(np.int16), blank=(ntot == 0) & ~errors,
-        errors=errors,
+        grid=grid, stable=ns, unstable=nu, marginal=nm,
+        blank=(ntot == 0) & ~errors, errors=errors,
         error_messages={divmod(k, grid.x_count): msg
                         for k, msg in messages.items()})
 

@@ -12,8 +12,8 @@ Active fixed points are linearized in their own co-rotating frame
 (d/dt picks up +i*omega), where the limit cycle becomes a circle of
 fixed points. The overall phase freedom contributes one exactly
 neutral eigenvalue, which is discarded before classification; it is
-identified as the smallest-magnitude one, and the report flags the
-discard as suspect when that eigenvalue is not actually small against
+identified as the smallest-magnitude one, and ``neutral_suspect``
+flags the discard when that eigenvalue is not actually small against
 the rest of the spectrum (degenerate case near a bifurcation). The
 active origin is the exception: it carries no phase orbit and keeps
 its full spectrum.
@@ -21,7 +21,6 @@ its full spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,36 +57,19 @@ def phase_label(n_stable: int, n_unstable: int, n_marginal: int) -> str:
     return label
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Classification of one fixed point.
-
-    ``eigenvalues`` holds the full 4x4 spectrum sorted by descending
-    real part; ``retained`` excludes the discarded neutral mode (equal
-    to ``eigenvalues`` for passive points). ``margin`` is the largest
-    retained real part: negative means stable. ``is_marginal`` is set
-    when the margin is too close to zero to call at the configured
-    tolerance, and such points are reported as neither stable nor
-    unstable by the phase-diagram counters.
-    """
-
-    eigenvalues: tuple[complex, ...]
-    retained: tuple[complex, ...]
-    discarded: complex | None
-    margin: float
-    is_stable: bool
-    is_marginal: bool
-    neutral_suspect: bool
-
-
 class Spectra(NamedTuple):
     """Classification of a batch of fixed points, one row per point.
 
     ``eigenvalues`` (M, 4) is each 4x4 spectrum sorted by descending
     real part; ``discarded`` is the index in it of the dropped neutral
-    mode, or -1. The other fields are those of ``StabilityReport``.
-    ``errors`` maps the rows whose eigenvalue solve failed to the
-    exception; their other fields are meaningless.
+    mode, or -1 (passive points and the active origin). ``margin`` is
+    the largest real part left after the discard: negative means
+    stable. ``is_marginal`` is set when the margin is too close to zero
+    to call, and such points count as neither stable nor unstable.
+    ``neutral_suspect`` flags a discarded mode that is not small
+    against the rest of the spectrum. ``errors`` maps the rows whose
+    eigenvalue solve failed to the exception; their other fields are
+    meaningless.
     """
 
     eigenvalues: np.ndarray
@@ -100,14 +82,14 @@ class Spectra(NamedTuple):
 
 
 def classify_points(params: SystemParams | Rates, a0, m0, omega,
-                    active: bool, band) -> Spectra:
+                    active: bool) -> Spectra:
     """Stability of M fixed points of one model, in one batched solve.
 
     ``a0``, ``m0`` and ``omega`` are arrays (M,) or, for one point,
     scalars; the ``params`` rates broadcast over them. Oscillating
     active points drop their neutral phase mode before the margin is
-    taken; a margin within ``band`` (per point, rad/us) of zero is
-    marginal.
+    taken; a margin within ``MARGIN_RTOL * params.rate_scale()`` (per
+    point, rad/us) of zero is marginal.
     """
     jac = jacobian(params, a0, m0, omega, active).reshape(-1, 4, 4)
     a0, m0 = np.atleast_1d(a0), np.atleast_1d(m0)
@@ -143,32 +125,21 @@ def classify_points(params: SystemParams | Rates, a0, m0, omega,
             mag[rows, discarded] >= NEUTRAL_SUSPECT_REL * span)
         retained = np.where(kept, retained, -np.inf)
     margin = retained.max(axis=-1)
+    band = MARGIN_RTOL * params.rate_scale()
     return Spectra(eigenvalues=eigs, discarded=discarded, margin=margin,
                    is_stable=margin < 0.0, is_marginal=np.abs(margin) < band,
                    neutral_suspect=neutral_suspect, errors=errors)
 
 
-def classify(fp: FixedPoint, params: SystemParams) -> StabilityReport:
-    """Stability of one fixed point from its real 4x4 linearization.
+def classify(fp: FixedPoint, params: SystemParams) -> Spectra:
+    """Stability of one fixed point: its row of ``classify_points``.
 
-    Active points drop their neutral phase mode before the margin is
-    taken. A margin within ``MARGIN_RTOL * params.rate_scale()`` of
-    zero is reported as marginal rather than stable or unstable; for
-    another band call ``classify_points``.
+    Every field of the returned ``Spectra`` is that row's: the (4,)
+    ``eigenvalues`` and scalars, with no ``errors``; a failed
+    eigenvalue solve is raised instead.
     """
     sp = classify_points(params, fp.a0, fp.m0, fp.omega,
-                         fp.kind == "active",
-                         MARGIN_RTOL * params.rate_scale())
+                         fp.kind == "active")
     if sp.errors:
         raise sp.errors[0]
-    eigs = [complex(e) for e in sp.eigenvalues[0]]
-    idx = int(sp.discarded[0])
-    return StabilityReport(
-        eigenvalues=tuple(eigs),
-        retained=tuple(e for k, e in enumerate(eigs) if k != idx),
-        discarded=eigs[idx] if idx >= 0 else None,
-        margin=float(sp.margin[0]),
-        is_stable=bool(sp.is_stable[0]),
-        is_marginal=bool(sp.is_marginal[0]),
-        neutral_suspect=bool(sp.neutral_suspect[0]),
-    )
+    return Spectra(*(field[0] for field in sp[:-1]), errors={})

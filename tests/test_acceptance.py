@@ -196,7 +196,7 @@ def test_criterion_05_low_gain_sweep_shift_and_switch(low_gain_sweep):
     jumps = np.diff(omegas)
     k = int(np.nanargmin(jumps))
     jump = float(jumps[k])
-    jump_at = float(result.detunings_nominal[k] / TWO_PI)
+    jump_at = float(result.protocol.detunings[k] / TWO_PI)
     ok = (abs(max_shift - 26.0) <= 5.0 and jump < -20.0 and jump_at < 0.0
           and seconds < 600.0)
     _verdict(5, ok, f"max shift {max_shift:.2f} MHz (need 26 +/- 5); "
@@ -221,7 +221,7 @@ def test_criterion_06_sidebands_near_the_switching_point(sideband_sweep):
         gaps = np.diff(freqs[peaks])
         good = [g for g in gaps if 10.0 <= g <= 16.0]
         if len(good) >= 2:
-            best = (float(result.detunings_nominal[j] / TWO_PI),
+            best = (float(result.protocol.detunings[j] / TWO_PI),
                     [round(float(g), 2) for g in good])
             break
     ok = best is not None
@@ -437,5 +437,5 @@ def test_qualitative_broadband_support():
     ok = widths[j] > 50.0
     print(f"[broadband check] {'PASS' if ok else 'FAIL'} - widest column "
           f"{widths[j]:.1f} MHz at nominal detuning "
-          f"{result.detunings_nominal[j] / TWO_PI:.1f} MHz (need > 50)")
+          f"{result.protocol.detunings[j] / TWO_PI:.1f} MHz (need > 50)")
     assert ok

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magpol import config, dynamics
+from magpol import config, dynamics, phasemap
 from magpol.cli import _write_matrix_csv, main
 from magpol.spectral import spectrum_freqs
 
@@ -714,20 +714,22 @@ def test_active_sweep_scale_overflow_is_a_conditioning_error(tmp_path,
         "6.283185e+20, gamma_sat = 6.283185e-305 rad/us)")
 
 
+def _run_cli(*argv):
+    """One CLI run in its own process, so a traceback would show."""
+    import magpol
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(magpol.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "magpol.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
     """Overflowing quintic coefficients are reported, not warned about:
     stderr holds the one error line of a fixed-points run and nothing
     for a map whose cells all fail."""
-    import magpol
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(magpol.__file__).resolve().parents[1])}
-
     def run(command, doc):
-        cfg = _write_config(tmp_path, doc)
-        return subprocess.run(
-            [sys.executable, "-m", "magpol.cli", command, "--config", cfg,
-             "--out", str(tmp_path / command)],
-            capture_output=True, text=True, env=env)
+        return _run_cli(command, "--config", _write_config(tmp_path, doc),
+                        "--out", str(tmp_path / command))
 
     for key, value in (("gain_mhz_over_2pi", 1e200),
                        ("kerr_mhz_over_2pi", 1e250),
@@ -774,3 +776,95 @@ def test_exit_code_1_on_fit_failures(tmp_path, capsys):
     assert main(["fit-s11", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == 2
     assert "no data rows" in capsys.readouterr().err
+
+
+def _malformed_input(tmp_path, case):
+    """(command, config path) of a run whose input file is malformed."""
+    cfg = tmp_path / "run.json"
+    if case == "config_not_utf8":
+        cfg.write_bytes(b"\xff\xfe{")
+    elif case == "config_nested_too_deep":
+        cfg.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+    elif case == "value_nested_too_deep":
+        doc = _sweep_doc()
+        doc["system"]["kind"] = json.loads("[" * 900 + "]" * 900)
+        cfg.write_text(json.dumps(doc))
+    elif case == "integer_past_digit_limit":
+        cfg.write_text('{"format_version": 1' + "0" * 5000 + "}")
+    elif case == "integer_beyond_float":
+        doc = _sweep_doc()
+        doc["system"]["gamma_mhz_over_2pi"] = 10 ** 400
+        cfg.write_text(json.dumps(doc))
+    else:  # a data CSV that is not UTF-8
+        csv_path = tmp_path / "dip.csv"
+        csv_path.write_bytes(b"freq_unit,GHz\n\xff3.0,0.9\n")
+        cfg.write_text(json.dumps({"format_version": 1,
+                                   "data_csv": str(csv_path)}))
+        return "fit-s11", str(cfg)
+    return "sweep", str(cfg)
+
+
+@pytest.mark.parametrize("case", [
+    "config_not_utf8", "config_nested_too_deep", "value_nested_too_deep",
+    "integer_past_digit_limit", "integer_beyond_float", "csv_not_utf8"])
+def test_malformed_input_file_is_one_error_line(tmp_path, case):
+    command, cfg = _malformed_input(tmp_path, case)
+    out = _run_cli(command, "--config", cfg, "--out", str(tmp_path / "x"))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+def test_grid_memory_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):
+    # 1e16 cells: the scan's counts cannot be allocated, and it fails
+    # before it solves a range
+    def no_solve(*args):
+        raise AssertionError("a range was solved")
+
+    monkeypatch.setattr(phasemap, "_solve_block", no_solve)
+    doc = _grid_doc()
+    doc["grid"].update(x_count=10 ** 8, delta_m_count=10 ** 8)
+    start = time.monotonic()
+    _expect_one_error_line(["phase-diagram", "--config",
+                            _write_config(tmp_path, doc),
+                            "--out", str(tmp_path / "x")],
+                           1, capsys, "out of memory")
+    assert time.monotonic() - start < 10.0
+
+
+def test_sweep_steps_memory_cannot_hold_exits_1(tmp_path, capsys,
+                                                monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "integrate_segment", no_integration)
+    cfg = _write_config(tmp_path, _sweep_doc(steps=10 ** 15))
+    start = time.monotonic()
+    _expect_one_error_line(["sweep", "--config", cfg,
+                            "--out", str(tmp_path / "x")],
+                           1, capsys, "out of memory")
+    assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("command, change, extra, fragment", [
+    ("phase-diagram", {"x_count": 10 ** 30}, [],
+     "$.grid: x_count * delta_m_count = 3e+30 cells"),
+    ("phase-diagram", {"x_count": 3 * 10 ** 9, "delta_m_count": 3 * 10 ** 9},
+     [], "$.grid: x_count * delta_m_count = 9e+18 cells"),
+    ("phase-diagram", {}, ["--resolution", "10000000000x10000000000"],
+     "$.grid: x_count * delta_m_count = 1e+20 cells"),
+    ("sweep", {"steps": 10 ** 30}, [], "$.sweep.steps: must be <="),
+    ("sweep", {"steps": 2 * 10 ** 18}, [], "$.sweep.steps: must be <="),
+], ids=["grid_x_count", "grid_cells", "resolution", "steps",
+        "steps_of_8_bytes"])
+def test_counts_no_array_can_hold_are_config_errors(tmp_path, capsys, command,
+                                                    change, extra, fragment):
+    if command == "sweep":
+        doc = _sweep_doc(**change)
+    else:
+        doc = _grid_doc()
+        doc["grid"].update(change)
+    out = tmp_path / "x"
+    _expect_one_error_line([command, "--config", _write_config(tmp_path, doc),
+                            "--out", str(out), *extra], 2, capsys, fragment)
+    assert not out.exists()

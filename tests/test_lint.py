@@ -6,6 +6,7 @@
   referenced somewhere in the package.
 - Every name in the package's ``__all__`` must be bound in
   ``__init__.py``.
+- A text-mode ``open`` names its encoding.
 - The test oracles (``tests/_oracles.py``) may take from the package
   only the parameter containers and the equations, so they stay
   independent of the solvers they check.
@@ -112,6 +113,26 @@ def test_exported_names_are_bound():
     assert exported, "__init__.py has no __all__"
     missing = sorted(exported - _bound(tree))
     assert not missing, f"__all__ names not bound in __init__.py: {missing}"
+
+
+def _opens_text_without_encoding(node) -> bool:
+    """A call of the builtin ``open`` in text mode with no
+    ``encoding=``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    keywords = {kw.arg: kw.value for kw in node.keywords}
+    mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+    binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+    return not binary and "encoding" not in keywords and len(node.args) < 4
+
+
+def test_text_files_are_opened_as_utf8():
+    """How a config or CSV decodes must not depend on the locale."""
+    bare = [f"{path.name}:{node.lineno}" for path in MODULES
+            for node in ast.walk(_tree(path))
+            if _opens_text_without_encoding(node)]
+    assert not bare, f"open() without encoding=: {bare}"
 
 
 def test_oracles_import_only_the_equations():

@@ -8,7 +8,7 @@ import pytest
 
 from _cases import broadline_params, narrowline_params
 from _oracles import jacobian_fd
-from magpol import config
+from magpol import config, stability
 from magpol.dynamics import integrate_segment
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams, \
     batch_rates, jacobian, jacobian_rows
@@ -104,7 +104,7 @@ def test_real_basis_keeps_the_doubled_basis_spectrum():
                 assert np.all((got.imag == 0) | np.isin(np.conj(got), got))
                 assert np.all(got[np.abs(got.imag) < tol].imag == 0)
                 if active:
-                    assert rep.discarded.imag == 0.0
+                    assert got[rep.discarded].imag == 0.0
                 checked[active] += 1
 
 
@@ -120,14 +120,12 @@ def test_classify_points_fallback_isolates_a_failed_row():
         active = fps[0].kind == "active"
         a0, m0, omega = (np.array([getattr(fp, k) for fp in fps])
                          for k in ("a0", "m0", "omega"))
-        band = MARGIN_RTOL * p.rate_scale()
-        clean = classify_points(p, a0, m0, omega, active, band)
+        clean = classify_points(p, a0, m0, omega, active)
         assert len(fps) == 3 and not clean.errors
         bad = 1
         spoilt = classify_points(p, np.insert(a0, bad, a0[0]),
                                  np.insert(m0, bad, np.nan),
-                                 np.insert(omega, bad, omega[0]), active,
-                                 band)
+                                 np.insert(omega, bad, omega[0]), active)
         assert list(spoilt.errors) == [bad]
         err = spoilt.errors[bad]
         assert isinstance(err, np.linalg.LinAlgError)
@@ -137,6 +135,19 @@ def test_classify_points_fallback_isolates_a_failed_row():
                       "is_marginal", "neutral_suspect"):
             np.testing.assert_array_equal(getattr(spoilt, field)[keep],
                                           getattr(clean, field))
+
+
+def test_classify_is_its_row_of_classify_points():
+    p = narrowline_params(delta_m=TWO_PI * (-46.4))
+    for fp in active_fixed_points(p):
+        row = classify(fp, p)
+        batch = classify_points(p, fp.a0, fp.m0, fp.omega, True)
+        assert row.eigenvalues.shape == (4,) and row.errors == {}
+        assert all(np.ndim(getattr(row, field)) == 0
+                   for field in row._fields[1:-1])
+        for field in row._fields[:-1]:
+            np.testing.assert_array_equal(getattr(row, field),
+                                          getattr(batch, field)[0])
 
 
 def test_gain_map_verdicts_match_the_doubled_basis():
@@ -158,7 +169,7 @@ def test_gain_map_verdicts_match_the_doubled_basis():
         assert not sol.errors
         rates = cells.take(sol.cell)
         band = MARGIN_RTOL * rates.rate_scale()
-        got = classify_points(rates, sol.a0, sol.m0, sol.omega, True, band)
+        got = classify_points(rates, sol.a0, sol.m0, sol.omega, True)
         assert not got.errors
 
         eigs = np.linalg.eigvals(
@@ -185,7 +196,7 @@ def test_decoupled_passive_spectrum():
               -0.5 * p.gamma + 1j * p.delta_m, -0.5 * p.gamma - 1j * p.delta_m}
     for e in expect:
         assert min(abs(np.array(rep.eigenvalues) - e)) < 1e-9 * p.rate_scale()
-    assert rep.is_stable and rep.discarded is None
+    assert rep.is_stable and rep.discarded == -1
 
 
 def test_beam_splitter_spectrum_at_origin():
@@ -214,8 +225,8 @@ def test_uncoupled_oscillator_spectrum():
     for e in (0.0, -2.0 * p.gain_eff, -0.5 * p.gamma + 1j * p.delta_m,
               -0.5 * p.gamma - 1j * p.delta_m):
         assert min(abs(eigs - e)) < 1e-8 * p.rate_scale()
-    assert rep.discarded is not None
-    assert abs(rep.discarded) < 1e-9 * p.rate_scale()
+    assert rep.discarded >= 0
+    assert abs(eigs[rep.discarded]) < 1e-9 * p.rate_scale()
     assert rep.is_stable and not rep.neutral_suspect
 
 
@@ -251,7 +262,8 @@ def test_middle_branch_is_a_saddle():
     reps = [classify(fp, p) for fp in fps]
     assert [r.is_stable for r in reps] == [True, False, True]
     mid = reps[1]
-    assert sum(1 for e in mid.retained if e.real > 0) == 1
+    retained = mid.eigenvalues[np.arange(4) != mid.discarded]
+    assert sum(1 for e in retained if e.real > 0) == 1
 
     # time-domain oracle: a kick along any direction leaves the saddle
     fp = fps[1]
@@ -291,7 +303,7 @@ def test_active_origin_keeps_full_spectrum():
     origin = FixedPoint(a0=0j, m0=0j, omega=0.0, kind="active",
                         net_gain=0.0, residual=0.0)
     rep = classify(origin, p)
-    assert rep.discarded is None
+    assert rep.discarded == -1
     assert not rep.is_stable
     assert rep.margin == pytest.approx(_origin_margin(p), rel=1e-10)
 
@@ -299,18 +311,20 @@ def test_active_origin_keeps_full_spectrum():
                               gain_absorbed=False, delta_m=TWO_PI * 5.0)
     assert lossy.gain_eff < 0
     rep = classify(origin, lossy)
-    assert rep.discarded is None
+    assert rep.discarded == -1
     assert rep.is_stable
     assert rep.margin == pytest.approx(_origin_margin(lossy), rel=1e-10)
 
 
-def test_marginal_band():
+def test_marginal_band(monkeypatch):
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
     fp = active_fixed_points(p)[1]
     assert not classify(fp, p).is_marginal
-    wide = classify_points(p, fp.a0, fp.m0, fp.omega, True,
-                           band=1.0 * p.rate_scale())
-    assert wide.is_marginal[0]  # |margin| << rate scale once the band is 1x
+    # the band is read at call time: |margin| << rate scale once it is 1x
+    monkeypatch.setattr(stability, "MARGIN_RTOL", 1.0)
+    wide = classify_points(p, fp.a0, fp.m0, fp.omega, True)
+    assert wide.is_marginal[0]
+    assert classify(fp, p).is_marginal
 
 
 def test_neutral_suspect_flags_wrong_frame():
