@@ -28,8 +28,7 @@ import numpy as np
 
 from .dynamics import SweepProtocol, default_seed_state
 from .errors import ConditioningError, ConfigError
-from .model import TWO_PI, DriveSpec, ModeState, SystemParams, \
-    bare_cavity_photons, eta_from_power
+from .model import TWO_PI, DriveSpec, ModeState, SystemParams, eta_from_power
 from .phasemap import GridSpec, n0_to_drive_passive
 from .spectral import spectrum_freqs
 
@@ -346,15 +345,14 @@ def _parse_grid(blk: _Block, system_blk: _Block, command: str) -> GridSpec:
                           f"{x_count * delta_m_count:.3g} cells: more than "
                           f"an array can hold")
     if kind == "passive":
-        # the rule of n0_to_drive_passive, which would fail every cell;
-        # an overflowing denominator stays a per-cell ConditioningError
+        # a mapping that fails every cell is a config error; an
+        # overflowing denominator stays a per-cell ConditioningError
         try:
-            _, denom = bare_cavity_photons(base)
+            n0_to_drive_passive(0.0, base)
         except ConditioningError:
-            denom = math.inf
-        if denom <= 0.0:
-            raise ConfigError(f"{blk.path}.x_axis: degenerate mapping: kappa "
-                              f"and delta_c both zero, so n0 sets no drive")
+            pass
+        except ValueError as exc:
+            raise ConfigError(f"{blk.path}.x_axis: {exc}") from None
     try:
         return GridSpec(system=kind, x_axis=x_axis, x_min=x_min,
                         x_max=x_max, x_count=x_count,

@@ -190,7 +190,9 @@ class SweepProtocol:
         if not 0.0 < self.fit_fraction <= 1.0:
             raise ValueError(f"fit_fraction must be in (0, 1], got "
                              f"{self.fit_fraction}")
-        if not self.t_total / self.dt < np.iinfo(np.intp).max:
+        # the integrator holds four doubles (32 bytes) per sample, and
+        # numpy cannot make an array of more bytes than an index counts
+        if not self.t_total / self.dt < np.iinfo(np.intp).max // 32:
             raise ValueError(f"t_total / dt = {self.t_total / self.dt:.3g} "
                              "samples per step: more than an array can index")
         window = self.window_samples()

@@ -13,12 +13,14 @@ active one through ``n0_to_gain_active``) or the effective gain
 directly. n0 axes are sampled logarithmically, gain axes linearly,
 detuning always linearly.
 
-A scan cuts the grid into row-major ranges of at most ``BLOCK`` cells
-and solves range by range, in one process or spread over worker
-processes. An active range is solved as batched array computations
+``solve_cells`` labels any set of points, on the grid or off it: an
+active set is solved as batched array computations
 (``steady.solve_active`` and ``stability.classify_points``), a passive
-range cell by cell. Scans are deterministic: every cell's result
-depends only on that cell and is assembled by index, so it is
+set point by point. ``scan`` is the layout around it: it builds both
+axes once, cuts the grid into row-major ranges of at most ``BLOCK``
+cells and hands each range's points to ``solve_cells``, in one process
+or spread over worker processes. Scans are deterministic: every cell's
+result depends only on that cell and is assembled by index, so it is
 identical for any worker count.
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -141,47 +144,47 @@ def n0_to_drive_passive(n0: float, params: SystemParams) -> DriveSpec:
         raise ValueError(f"n0 must be >= 0, got {n0}")
     _, denom = bare_cavity_photons(params)
     if denom <= 0.0:
-        raise ValueError("degenerate mapping: kappa and delta_c both zero")
+        raise ValueError("degenerate mapping: kappa and delta_c both zero, "
+                         "so n0 sets no drive")
     return DriveSpec(eta=math.sqrt(n0 * denom))
 
 
-def n0_to_gain_active(n0: float, params: SystemParams) -> float:
-    """Effective gain whose free-running photon number would be n0."""
-    if n0 < 0:
-        raise ValueError(f"n0 must be >= 0, got {n0}")
+def n0_to_gain_active(n0: float | np.ndarray,
+                      params: SystemParams) -> float | np.ndarray:
+    """Effective gain whose free-running photon number would be n0 (a
+    number or an array)."""
+    if np.any(np.less(n0, 0)):
+        raise ValueError(f"n0 must be >= 0, got {np.min(n0)}")
     if params.gamma_sat <= 0.0:
         raise ValueError("degenerate mapping: gamma_sat must be > 0")
     return n0 * params.gamma_sat
-
-
-def _eval_cell(grid: GridSpec, x: float, delta_m: float) -> list:
-    """``classify`` rows of one passive cell's fixed points."""
-    params = grid.base.replace(delta_m=delta_m)
-    fps = passive_fixed_points(params, n0_to_drive_passive(x, params))
-    return [classify(fp, params) for fp in fps]
 
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _solve_block(grid: GridSpec, lo: int, hi: int):
-    """Counts and error texts of the cells ``lo .. hi - 1``, row-major.
+def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
+    """Counts and error texts of the points (x[k], delta_m[k]).
 
-    Returns the (4, hi - lo) stable, unstable, marginal and total counts
-    and {cell index: error text}. An active range is one
-    ``steady.solve_active`` and one ``classify_points``; a passive
-    range goes cell by cell through ``_eval_cell``.
+    ``x`` is in ``grid.x_axis`` units and, like ``delta_m``, a 1-D
+    array; the points need not lie on the grid, whose system, axis and
+    base parameters they take. Returns the (4, K) stable, unstable,
+    marginal and total counts and {k: error text}. Active points are
+    one ``steady.solve_active`` and one ``classify_points`` (an n0 axis
+    that does not map to gain fails every point); passive points go
+    one by one through ``passive_fixed_points`` and ``classify``.
     """
-    iy, ix = np.divmod(np.arange(lo, hi), grid.x_count)
-    xs, dms = grid.x_values()[ix], grid.delta_m_values()[iy]
     failed: dict[int, Exception] = {}
     if grid.system == "passive":
-        points = []  # (cell, classify row) of every fixed point
-        for k, (x, dm) in enumerate(zip(xs, dms)):
+        points = []  # (point, classify row) of every fixed point
+        for k, (n0, dm) in enumerate(zip(x, delta_m)):
             try:
-                points += [(k, r) for r in _eval_cell(grid, x, dm)]
-            except Exception as exc:  # cell errors must not abort the scan
+                params = grid.base.replace(delta_m=dm)
+                fps = passive_fixed_points(params,
+                                           n0_to_drive_passive(n0, params))
+                points += [(k, classify(fp, params)) for fp in fps]
+            except Exception as exc:  # point errors must not abort a scan
                 failed[k] = exc
         cell = np.array([k for k, _ in points], dtype=np.intp)
         code = verdict(np.array([r.is_stable for _, r in points], dtype=bool),
@@ -189,12 +192,12 @@ def _solve_block(grid: GridSpec, lo: int, hi: int):
                                 dtype=bool))
     else:
         try:
-            gains = xs if grid.x_axis == "gain" else np.array(
-                [n0_to_gain_active(x, grid.base) for x in xs])
+            gains = x if grid.x_axis == "gain" else n0_to_gain_active(
+                x, grid.base)
         except ValueError as exc:
-            return np.zeros((4, hi - lo), dtype=np.int64), dict.fromkeys(
-                range(lo, hi), _error_text(exc))
-        cells = batch_rates(grid.base, delta_c=0.0, delta_m=dms,
+            return np.zeros((4, len(x)), dtype=np.int64), dict.fromkeys(
+                range(len(x)), _error_text(exc))
+        cells = batch_rates(grid.base, delta_c=0.0, delta_m=delta_m,
                             gain_eff=gains)
         sol = steady.solve_active(cells)
         rates = cells.take(sol.cell)
@@ -205,10 +208,10 @@ def _solve_block(grid: GridSpec, lo: int, hi: int):
         cell = sol.cell
         code = verdict(spectra.is_stable, spectra.is_marginal)
     ok = ~np.isin(cell, list(failed))
-    counts = np.zeros((4, hi - lo), dtype=np.int64)
+    counts = np.zeros((4, len(x)), dtype=np.int64)
     np.add.at(counts, (code[ok], cell[ok]), 1)
     counts[3] = counts[:3].sum(axis=0)
-    return counts, {lo + k: _error_text(e) for k, e in sorted(failed.items())}
+    return counts, {k: _error_text(e) for k, e in sorted(failed.items())}
 
 
 def _usable_cpus() -> int:
@@ -239,20 +242,26 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     workers = max(1, min(workers, _usable_cpus()))
     size = min(BLOCK, -(-n // (4 * workers)))
     los = range(0, n, size)
-    his = (min(lo + size, n) for lo in los)
     workers = min(workers, len(los))
-    if workers > 1:
-        # imported here: a pool loads multiprocessing, which no other
-        # command needs at start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_solve_block, repeat(grid), los, his))
-    else:
-        blocks = list(map(_solve_block, repeat(grid), los, his))
-    for lo, (block, _) in zip(los, blocks):
-        counts[:, lo:lo + block.shape[1]] = block
+    # every cell's point, row-major; a range sends only its own slice
+    x = np.tile(grid.x_values(), grid.delta_m_count)
+    delta_m = np.repeat(grid.delta_m_values(), grid.x_count)
+    tasks = (repeat(grid), (x[lo:lo + size] for lo in los),
+             (delta_m[lo:lo + size] for lo in los))
+    messages = {}
+    with ExitStack() as stack:
+        solve = map
+        if workers > 1:
+            # imported here: a pool loads multiprocessing, which no
+            # other command needs at start-up
+            from concurrent.futures import ProcessPoolExecutor
+            solve = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers)).map
+        # each range's results are stored as they come, not held
+        for lo, (block, errs) in zip(los, solve(solve_cells, *tasks)):
+            counts[:, lo:lo + block.shape[1]] = block
+            messages.update((lo + k, msg) for k, msg in errs.items())
     ns, nu, nm, ntot = counts.reshape((4,) + shape)
-    messages = {k: msg for _, errs in blocks for k, msg in errs.items()}
     errors.flat[list(messages)] = True
     return PhaseDiagram(
         grid=grid, stable=ns, unstable=nu, marginal=nm,
@@ -263,15 +272,9 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
 
 def bistable_onset(diagram: PhaseDiagram) -> np.ndarray:
     """First x index per detuning row in the 2S+1U phase, else -1."""
-    ny, nx = diagram.stable.shape
-    out = np.full(ny, -1, dtype=int)
-    for iy in range(ny):
-        hits = np.flatnonzero(
-            (diagram.stable[iy] == 2) & (diagram.unstable[iy] == 1)
-            & ~diagram.blank[iy] & ~diagram.errors[iy])
-        if hits.size:
-            out[iy] = hits[0]
-    return out
+    hits = ((diagram.stable == 2) & (diagram.unstable == 1)
+            & ~diagram.blank & ~diagram.errors)
+    return np.where(hits.any(1), hits.argmax(1), -1)
 
 
 def onset_monotonicity_flags(diagram: PhaseDiagram) -> list[int]:
@@ -288,13 +291,7 @@ def onset_monotonicity_flags(diagram: PhaseDiagram) -> list[int]:
     if present.size == 0:
         return []
     opt = present[np.argmin(onset[present])]
-    flags = []
-    for row_range in (range(opt, -1, -1), range(opt, len(onset))):
-        last = None
-        for iy in row_range:
-            if onset[iy] < 0:
-                continue
-            if last is not None and onset[iy] < last:
-                flags.append(iy)
-            last = onset[iy]
-    return sorted(set(flags))
+    # rows present on each side, walked outward from the optimum
+    sides = (present[present <= opt][::-1], present[present >= opt])
+    return np.sort(np.concatenate(
+        [side[1:][np.diff(onset[side]) < 0] for side in sides])).tolist()

@@ -419,9 +419,17 @@ def test_fit_commands_on_shipped_data(tmp_path, monkeypatch):
     assert fit["anisotropy_mt"] == pytest.approx(-3.35, rel=1e-4)
 
 
-@pytest.mark.parametrize("name", ["sweep_sidebands", "sweep_low_gain"])
+@pytest.mark.parametrize("name, dt_us, keep_spectrogram", [
+    pytest.param("sweep_sidebands", 1e-300, True, id="sweep_sidebands"),
+    pytest.param("sweep_low_gain", 1e-300, True, id="sweep_low_gain"),
+    # 4e18 samples: fewer than an index counts, but 32 bytes each are not
+    pytest.param("sweep_sidebands", 2e-18, True,
+                 id="samples_of_32_bytes_with_spectrogram"),
+    pytest.param("sweep_sidebands", 2e-18, False,
+                 id="samples_of_32_bytes_without_spectrogram"),
+])
 def test_sweep_step_an_array_cannot_index_is_a_config_error(
-        name, tmp_path, capsys, monkeypatch):
+        name, dt_us, keep_spectrogram, tmp_path, capsys, monkeypatch):
     # a spectrogram block sizes its FFT bins from the step at parse time;
     # without one, only the integrator would reach the step
     def no_integration(*args, **kwargs):
@@ -429,7 +437,9 @@ def test_sweep_step_an_array_cannot_index_is_a_config_error(
 
     monkeypatch.setattr(dynamics, "integrate_segment", no_integration)
     doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
-    doc["sweep"].update(steps=2, dt_us=1e-300)
+    doc["sweep"].update(steps=2, dt_us=dt_us)
+    if not keep_spectrogram:
+        doc.pop("spectrogram")
     out = tmp_path / "x"
     assert main(["sweep", "--config", _write_config(tmp_path, doc),
                  "--out", str(out)]) == 2
@@ -821,7 +831,7 @@ def test_grid_memory_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):
     def no_solve(*args):
         raise AssertionError("a range was solved")
 
-    monkeypatch.setattr(phasemap, "_solve_block", no_solve)
+    monkeypatch.setattr(phasemap, "solve_cells", no_solve)
     doc = _grid_doc()
     doc["grid"].update(x_count=10 ** 8, delta_m_count=10 ** 8)
     start = time.monotonic()

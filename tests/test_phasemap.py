@@ -12,7 +12,7 @@ from magpol.phasemap import (GridSpec, PhaseDiagram, bistable_onset,
                              n0_to_drive_passive, n0_to_gain_active,
                              onset_monotonicity_flags, scan)
 from magpol.stability import classify
-from magpol.steady import active_fixed_points
+from magpol.steady import active_fixed_points, passive_fixed_points
 
 
 def test_n0_mapping_inverts_the_bare_occupation():
@@ -236,21 +236,76 @@ def test_bistable_onset_and_monotonicity():
     assert onset_monotonicity_flags(diagram) == []
 
 
-def _cell_params(grid, iy, ix):
-    """The parameters of one active cell, built the way a per-cell scan
+def _onset_reference(diagram):
+    """Per-row loops: each row's first 2S+1U column, and the rows whose
+    onset falls while walking away from the earliest onset."""
+    ny = diagram.stable.shape[0]
+    onset = np.full(ny, -1)
+    for iy in range(ny):
+        hits = np.flatnonzero(
+            (diagram.stable[iy] == 2) & (diagram.unstable[iy] == 1)
+            & ~diagram.blank[iy] & ~diagram.errors[iy])
+        if hits.size:
+            onset[iy] = hits[0]
+    present = np.flatnonzero(onset >= 0)
+    if present.size == 0:
+        return onset, []
+    opt = present[np.argmin(onset[present])]
+    flags = set()
+    for rows in (range(opt, -1, -1), range(opt, ny)):
+        last = None
+        for iy in rows:
+            if onset[iy] < 0:
+                continue
+            if last is not None and onset[iy] < last:
+                flags.add(iy)
+            last = onset[iy]
+    return onset, sorted(flags)
+
+
+def test_onsets_match_per_row_reference():
+    rng = np.random.default_rng(46)
+    grid = WORKER_GRIDS["passive"]()  # only stored: the counts are drawn
+    flagged = 0
+    for _ in range(300):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 20)))
+        bistable = rng.random(shape) < rng.uniform(0.0, 0.4)
+        diagram = PhaseDiagram(
+            grid=grid,
+            stable=np.where(bistable, 2, rng.integers(0, 4, shape))
+            .astype(np.int16),
+            unstable=np.where(bistable, 1, rng.integers(0, 3, shape))
+            .astype(np.int16),
+            marginal=np.zeros(shape, dtype=np.int16),
+            blank=rng.random(shape) < 0.1, errors=rng.random(shape) < 0.05)
+        onset, flags = _onset_reference(diagram)
+        assert np.array_equal(bistable_onset(diagram), onset)
+        got = onset_monotonicity_flags(diagram)
+        assert got == flags
+        assert all(type(row) is int for row in got)  # the sidecar is JSON
+        flagged += bool(flags)
+    assert flagged > 100
+
+
+def _point_params(grid, x, delta_m):
+    """The parameters of one point, built the way a one-point solve
     builds them."""
-    params = grid.base.replace(delta_m=grid.delta_m_values()[iy])
-    x = grid.x_values()[ix]
+    params = grid.base.replace(delta_m=delta_m)
+    if grid.system == "passive":
+        return params
     g_eff = x if grid.x_axis == "gain" else n0_to_gain_active(x, params)
     return params.replace(gain=g_eff, gain_absorbed=True, delta_c=0.0)
 
 
-def _enumerate_cell(grid, iy, ix):
-    """(stable, unstable, marginal, total, error text) of one active
-    cell from one-cell ``active_fixed_points`` and ``classify`` calls."""
+def _enumerate_point(grid, x, delta_m):
+    """(stable, unstable, marginal, total, error text) of one point from
+    one-point ``passive_fixed_points`` or ``active_fixed_points`` and
+    ``classify`` calls."""
     try:
-        p = _cell_params(grid, iy, ix)
-        reps = [classify(fp, p) for fp in active_fixed_points(p)]
+        p = _point_params(grid, x, delta_m)
+        fps = (passive_fixed_points(p, n0_to_drive_passive(x, p))
+               if grid.system == "passive" else active_fixed_points(p))
+        reps = [classify(fp, p) for fp in fps]
     except Exception as exc:
         return 0, 0, 0, 0, f"{type(exc).__name__}: {exc}"
     nm = sum(r.is_marginal for r in reps)
@@ -260,9 +315,10 @@ def _enumerate_cell(grid, iy, ix):
 
 def _assert_scan_matches_cells(grid):
     diagram = scan(grid)
+    xs, dms = grid.x_values(), grid.delta_m_values()
     for iy in range(grid.delta_m_count):
         for ix in range(grid.x_count):
-            ns, nu, nm, total, err = _enumerate_cell(grid, iy, ix)
+            ns, nu, nm, total, err = _enumerate_point(grid, xs[ix], dms[iy])
             where = f"cell ({iy}, {ix})"
             assert diagram.error_messages.get((iy, ix)) == err, where
             assert diagram.errors[iy, ix] == (err is not None), where
@@ -275,6 +331,21 @@ def _assert_scan_matches_cells(grid):
 
 def test_scan_counts_match_direct_enumeration():
     _assert_scan_matches_cells(active_gain_grid(n=7))
+    _assert_scan_matches_cells(WORKER_GRIDS["passive"]())
+
+
+@pytest.mark.parametrize("name", ["active", "passive"])
+def test_scan_builds_each_axis_once(name, monkeypatch):
+    # blocks of 7 cells: the grid spans a dozen ranges or more
+    monkeypatch.setattr(phasemap, "BLOCK", 7)
+    calls = []
+    for axis in ("x_values", "delta_m_values"):
+        def counted(self, build=getattr(GridSpec, axis), axis=axis):
+            calls.append(axis)
+            return build(self)
+        monkeypatch.setattr(GridSpec, axis, counted)
+    scan(WORKER_GRIDS[name]())
+    assert sorted(calls) == ["delta_m_values", "x_values"]
 
 
 def _doublet_grid():
@@ -344,12 +415,66 @@ def test_batched_scan_matches_per_cell_enumeration(name, monkeypatch):
     if name == "doublet_line":
         cells += [(5, 5), (1, 8)]
     for iy, ix in cells:
-        p = _cell_params(grid, iy, ix)
+        p = _point_params(grid, grid.x_values()[ix],
+                          grid.delta_m_values()[iy])
         for n_starts in (48, 512):
             ref = active_fixed_points_newton(p, n_starts=n_starts)
             if len(ref) == total[iy, ix]:
                 break
         assert len(ref) == total[iy, ix], f"cell ({iy}, {ix})"
+
+
+SOLVE_GRIDS = {
+    **ACTIVE_GRIDS,
+    "n0_axis_no_saturation": lambda: GridSpec(
+        system="active", x_axis="n0", x_min=1e9, x_max=1e15, x_count=2,
+        delta_m_min=-TWO_PI * 100.0, delta_m_max=TWO_PI * 100.0,
+        delta_m_count=2, base=broadline_params(gamma_sat=0.0, gain=0.0)),
+    "passive": WORKER_GRIDS["passive"],
+    "passive_degenerate": lambda: GridSpec(
+        system="passive", x_axis="n0", x_min=1e9, x_max=1e12, x_count=2,
+        delta_m_min=-1.0, delta_m_max=1.0, delta_m_count=2,
+        base=SystemParams(kappa=0.0, gamma=TWO_PI * 10.0, g=TWO_PI * 5.0)),
+    "passive_overflowing": lambda: GridSpec(
+        system="passive", x_axis="n0", x_min=1e9, x_max=1e12, x_count=2,
+        delta_m_min=-1.0, delta_m_max=1.0, delta_m_count=2,
+        base=broadline_params(kappa=1e200)),
+}
+
+SOLVE_ERRORS = {
+    "no_saturation":
+        "ValueError: active model needs gamma_sat > 0 to saturate",
+    "n0_axis_no_saturation":
+        "ValueError: degenerate mapping: gamma_sat must be > 0",
+    "passive_degenerate": "ValueError: degenerate mapping: kappa and "
+                          "delta_c both zero, so n0 sets no drive",
+    "passive_overflowing": "ConditioningError: bare cavity: ",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_GRIDS))
+def test_solve_cells_matches_one_point_solves(name):
+    """Points off the grid get the counts and error texts of one-point
+    solves with the grid's system, axis and base parameters."""
+    grid = SOLVE_GRIDS[name]()
+    rng = np.random.default_rng(45)
+    u, v = rng.random((2, 40))
+    if grid.x_axis == "n0":
+        x = grid.x_min * (grid.x_max / grid.x_min) ** u
+    else:
+        x = grid.x_min + (grid.x_max - grid.x_min) * u
+    delta_m = grid.delta_m_min + (grid.delta_m_max - grid.delta_m_min) * v
+    counts, errors = phasemap.solve_cells(grid, x, delta_m)
+    assert counts.shape == (4, x.size)
+    for k in range(x.size):
+        ns, nu, nm, total, err = _enumerate_point(grid, x[k], delta_m[k])
+        assert errors.get(k) == err, f"point {k}"
+        assert tuple(counts[:, k]) == (ns, nu, nm, total), f"point {k}"
+    if name in SOLVE_ERRORS:
+        assert len(errors) == x.size
+        assert all(e.startswith(SOLVE_ERRORS[name]) for e in errors.values())
+    else:
+        assert not errors and counts[3].any()
 
 
 def test_every_passive_cell_has_one_or_three_fixed_points():
