@@ -160,8 +160,8 @@ def fit_s11(spectrum) -> ReflectionFit:
     # is refined as a free amplitude factor alongside the physics.
     def residual(theta):
         w_m, k_a, g_m, amp = theta
-        mag = np.abs(1.0 - k_a / (1j * (omega - w_m) + 0.5 * (k_a + g_m)))
-        return amp * mag - y
+        fit = ReflectionFit(omega_m=w_m, kappa_a=k_a, gamma=g_m, goodness=0.0)
+        return amp * np.abs(s11_model(omega, fit)) - y
 
     span = float(omega[-1] - omega[0])
     r0 = 0.5 * (1.0 - float(y[i_dip]))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Rates, SystemParams, jacobian
-from .steady import FixedPoint
+from .steady import Solution
 
 # |max Re eigenvalue| below MARGIN_RTOL * rate_scale counts as marginal.
 MARGIN_RTOL = 1e-6
@@ -131,8 +131,8 @@ def classify_points(params: SystemParams | Rates, a0, m0, omega,
                    neutral_suspect=neutral_suspect, errors=errors)
 
 
-def classify(fp: FixedPoint, params: SystemParams) -> Spectra:
-    """Stability of one fixed point: its row of ``classify_points``.
+def classify(fp: Solution, params: SystemParams) -> Spectra:
+    """Stability of one ``Solution`` row: its row of ``classify_points``.
 
     Every field of the returned ``Spectra`` is that row's: the (4,)
     ``eigenvalues`` and scalars, with no ``errors``; a failed

@@ -27,18 +27,21 @@ or, when 2A - gamma vanishes, from the first one (both signs kept and
 filtered by the full residual: that branch is the degenerate polariton
 doublet). The photon-only and zero-amplitude states are not coupled
 solutions and are never returned.
+
+Both routes report a ``Solution``: ``solve_active`` one of arrays for
+a batch of cells, the one-cell solves a list of its rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditioningError, InternalConsistencyError
 from .model import DriveSpec, Rates, SystemParams, bare_cavity_photons, \
-    batch_rates, jacobian, vector_field
+    batch_rates, jacobian, saturated_photons, vector_field
 
 # A polynomial root counts as real when |Im| <= RTOL*|root| + ATOL
 # (in the nondimensional variable, which is O(1) by construction).
@@ -58,23 +61,27 @@ NEAR_REAL_RTOL = 1e3 * math.sqrt(np.finfo(float).eps)
 RESIDUAL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """One steady state of either model.
+class Solution(NamedTuple):
+    """Steady states of a batch of cells of one model ("passive" or
+    "active" ``kind``), one entry per point; ``cell`` is its index in
+    the batch. One fixed point is a row: Python scalars, ``cell`` 0.
 
     ``omega`` is the emission frequency offset of the rotating ansatz
     (always 0 for the passive model, where the frame is the drive).
     ``net_gain`` is A = G_eff - gamma_sat*|a0|^2 for active points and
     0 for passive ones. ``residual`` is the steady-state defect in
-    rescaled units (rad/us), recorded at construction.
+    rescaled units (rad/us), recorded at construction. ``errors`` maps
+    a cell to the exception that stopped its solve (it has no points).
     """
 
-    a0: complex
-    m0: complex
-    omega: float
-    kind: str  # "passive" or "active"
-    net_gain: float
-    residual: float
+    kind: str
+    cell: int | np.ndarray
+    a0: complex | np.ndarray
+    m0: complex | np.ndarray
+    omega: float | np.ndarray
+    net_gain: float | np.ndarray
+    residual: float | np.ndarray
+    errors: dict[int, Exception]
 
     @property
     def n_a(self) -> float:
@@ -286,7 +293,7 @@ def _damped_newton4(x: np.ndarray, tol, rates: Rates,
 
 
 def passive_fixed_points(params: SystemParams,
-                         drive: DriveSpec) -> list[FixedPoint]:
+                         drive: DriveSpec) -> list[Solution]:
     """All steady states of the driven passive model, sorted by n_m.
 
     Solves the magnon-number cubic in units of the bare-cavity photon
@@ -301,8 +308,7 @@ def passive_fixed_points(params: SystemParams,
     dc, dm_det = params.delta_c, params.delta_m
     n_ref, denom0 = bare_cavity_photons(params, drive.eta)
     if drive.eta == 0.0:
-        return [FixedPoint(a0=0.0j, m0=0.0j, omega=0.0, kind="passive",
-                           net_gain=0.0, residual=0.0)]
+        return [Solution("passive", 0, 0j, 0j, 0.0, 0.0, 0.0, errors={})]
     if n_ref == 0.0:
         raise ConditioningError(
             "driven cavity needs kappa > 0 or delta_c != 0" if denom0 == 0.0
@@ -350,10 +356,9 @@ def passive_fixed_points(params: SystemParams,
             raise InternalConsistencyError(
                 f"passive root n_m={max(x1, 0.0) * n_ref:.6e} reconstructed "
                 f"with residual {rk:.3e} > {tol:.3e} rad/us")
-        out.append(FixedPoint(a0=complex(zk[0] + 1j * zk[1]) * s,
-                              m0=complex(zk[2] + 1j * zk[3]) * s,
-                              omega=0.0, kind="passive",
-                              net_gain=0.0, residual=rk))
+        out.append(Solution("passive", 0, complex(zk[0] + 1j * zk[1]) * s,
+                            complex(zk[2] + 1j * zk[3]) * s, 0.0, 0.0, rk,
+                            errors={}))
 
     out.sort(key=lambda f: f.n_m)
     zero = np.zeros(len(out))  # one cell, omega = 0
@@ -362,28 +367,9 @@ def passive_fixed_points(params: SystemParams,
     return [fp for fp, k in zip(out, keep) if k]
 
 
-@dataclass(frozen=True)
-class ActiveSolution:
-    """Coupled steady states of a batch of active parameter cells.
-
-    One entry per fixed point, in physical units as in ``FixedPoint``;
-    ``cell`` is the point's index in the batch. Points are grouped by
-    ascending cell and sorted by (omega, n_m) within it. ``errors``
-    maps a cell to the exception that stopped its solve; such a cell
-    has no points.
-    """
-
-    cell: np.ndarray
-    a0: np.ndarray
-    m0: np.ndarray
-    omega: np.ndarray
-    net_gain: np.ndarray
-    residual: np.ndarray
-    errors: dict[int, Exception]
-
-
-def _coupled_points(c: Rates, rate: np.ndarray):
-    """Polynomial route of ``solve_active`` for cells with g > 0.
+def _coupled_points(c: Rates, rate: np.ndarray, n_sat: np.ndarray):
+    """Polynomial route of ``solve_active`` for cells with g > 0 and
+    saturated photon numbers ``n_sat``.
 
     Returns the point arrays (cell, a0, m0, omega, net_gain, residual),
     unmerged, and the cells' errors, all indexed into ``c``.
@@ -407,7 +393,7 @@ def _coupled_points(c: Rates, rate: np.ndarray):
         v[keep] for v in (cell, optional, ge, gamma_c, g_c, a_val, n_m1))
     # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
     # saturation is G_eff, so the photon amplitude p is O(1)
-    s = np.sqrt(ge / c.gamma_sat[cell])
+    s = np.sqrt(n_sat[cell])
     scaled = c.take(cell)._replace(delta_c=0.0).rescale(s)
     p = np.sqrt((ge - a_val) / ge)
     u = scaled.delta_m + scaled.kerr * n_m1
@@ -481,17 +467,20 @@ def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,
     return keep
 
 
-def solve_active(cells: Rates) -> ActiveSolution:
+def solve_active(cells: Rates) -> Solution:
     """Coupled steady states of the gain-driven model, cell by cell.
 
     ``cells`` gives each batch member's rates (floats broadcast). The
     checks of a single cell run in this order: delta_c must be 0 and
     gamma > 0 (else ValueError); G_eff <= 0 gives no point; gamma_sat
-    must be > 0 (else ValueError); g == 0 gives the uncoupled
-    oscillator's photon-only limit cycle a0 = sqrt(G_eff/gamma_sat) at
-    omega = 0; every other cell is solved through the quintic, with
-    all cells' companion roots, Newton polishes and duplicate merging
-    done as array operations over the whole batch.
+    must be > 0 (else ValueError); G_eff/gamma_sat must not overflow
+    (else ``model.saturated_photons``' ConditioningError); g == 0 gives
+    the uncoupled oscillator's photon-only limit cycle
+    a0 = sqrt(G_eff/gamma_sat) at omega = 0; every other cell is solved
+    through the quintic, with all cells' companion roots, Newton
+    polishes and duplicate merging done as array operations over the
+    whole batch. Points are grouped by ascending cell and sorted by
+    (omega, n_m) within it.
     """
     c = Rates(*(np.array(v, dtype=float).ravel()
                 for v in np.broadcast_arrays(*cells)))
@@ -507,16 +496,25 @@ def solve_active(cells: Rates) -> ActiveSolution:
         errors[int(i)] = ValueError(
             "active model needs gamma_sat > 0 to saturate")
     lasing &= c.gamma_sat > 0.0
+    # G_eff / gamma_sat once per cell; where it overflows, the error of
+    # model.saturated_photons (on Python floats: numpy scalars warn)
+    with np.errstate(over="ignore"):
+        n_sat = c.gain_eff / np.where(lasing, c.gamma_sat, 1.0)
+    for i in np.flatnonzero(lasing & ~np.isfinite(n_sat)):
+        try:
+            saturated_photons(Rates(*(v[i].item() for v in c)))
+        except ConditioningError as exc:
+            errors[int(i)] = exc
+    lasing &= np.isfinite(n_sat)
 
     photon = np.flatnonzero(lasing & (c.g == 0.0))
     coupled = np.flatnonzero(lasing & (c.g != 0.0))
     sub = c.take(coupled)
     (cell, a0, m0, omega, net_gain, res), sub_errors = _coupled_points(
-        sub, rate[coupled])
+        sub, rate[coupled], n_sat[coupled])
     errors.update((int(coupled[i]), e) for i, e in sub_errors.items())
     cell = np.concatenate([photon, coupled[cell]])
-    a0 = np.concatenate([np.sqrt(c.gain_eff[photon] / c.gamma_sat[photon])
-                         + 0j, a0])
+    a0 = np.concatenate([np.sqrt(n_sat[photon]) + 0j, a0])
     m0 = np.concatenate([np.zeros(photon.size, dtype=complex), m0])
     omega, net_gain, res = (np.concatenate([np.zeros(photon.size), v])
                             for v in (omega, net_gain, res))
@@ -526,12 +524,12 @@ def solve_active(cells: Rates) -> ActiveSolution:
     cell, a0, m0, omega, net_gain, res, n_m = (
         v[order] for v in (cell, a0, m0, omega, net_gain, res, n_m))
     keep = _merge_duplicates(cell, omega, n_m, rate[cell])
-    return ActiveSolution(cell=cell[keep], a0=a0[keep], m0=m0[keep],
-                          omega=omega[keep], net_gain=net_gain[keep],
-                          residual=res[keep], errors=errors)
+    return Solution(kind="active", cell=cell[keep], a0=a0[keep],
+                    m0=m0[keep], omega=omega[keep], net_gain=net_gain[keep],
+                    residual=res[keep], errors=errors)
 
 
-def active_fixed_points(params: SystemParams) -> list[FixedPoint]:
+def active_fixed_points(params: SystemParams) -> list[Solution]:
     """Coupled steady states of the gain-driven model, sorted by omega.
 
     Only solutions with magnon number > 0 are returned; the origin is
@@ -541,12 +539,11 @@ def active_fixed_points(params: SystemParams) -> list[FixedPoint]:
     exception is the uncoupled oscillator g == 0, whose photon-only
     limit cycle a0 = sqrt(G_eff/gamma_sat) at omega = 0 is returned so
     the decoupled device still reports its lasing state. This is
-    ``solve_active`` on one cell; its error is raised.
+    ``solve_active`` on one cell, as rows of its ``Solution``; its error
+    is raised.
     """
     sol = solve_active(batch_rates(params))
     if sol.errors:
         raise sol.errors[0]
-    return [FixedPoint(a0=complex(a0), m0=complex(m0), omega=float(w),
-                       kind="active", net_gain=float(ng), residual=float(r))
-            for a0, m0, w, ng, r in zip(sol.a0, sol.m0, sol.omega,
-                                        sol.net_gain, sol.residual)]
+    return [Solution("active", 0, *row, errors={})
+            for row in zip(*(v.tolist() for v in sol[2:-1]))]

@@ -724,6 +724,41 @@ def test_active_sweep_scale_overflow_is_a_conditioning_error(tmp_path,
         "6.283185e+20, gamma_sat = 6.283185e-305 rad/us)")
 
 
+def test_saturated_photon_overflow_is_a_conditioning_error(tmp_path):
+    """An active system whose G_eff / gamma_sat overflows a float ends
+    with that ConditioningError, not a NaN root or eigenvalue solve:
+    one error line for fixed-points, coupled or not (g = 0), and the
+    error text in every cell of a map, with no numpy warning."""
+    system = _active_system(gain_mhz_over_2pi=1e4, delta_m_mhz_over_2pi=-46.4,
+                            gamma_sat_nhz_over_2pi=1e-290)
+    del system["kerr_uhz_over_2pi"], system["gamma_sat_uhz_over_2pi"]
+    message = ("saturated cavity: G_eff / gamma_sat overflows (G_eff = "
+               "{:.6e}, gamma_sat = 6.283185e-305 rad/us)")
+    for g in (25.0, 0.0):
+        doc = {"format_version": 1,
+               "system": {**system, "g_mhz_over_2pi": g}}
+        out = _run_cli("fixed-points", "--config",
+                       _write_config(tmp_path, doc),
+                       "--out", str(tmp_path / f"fp{g}"))
+        assert out.returncode == 1
+        assert out.stderr == "error: " + message.format(TWO_PI * 1e4) + \
+            "\n", out.stderr
+
+    del system["gain_mhz_over_2pi"], system["delta_m_mhz_over_2pi"]
+    pd = {"format_version": 1, "system": system,
+          "grid": {"x_axis": "gain", "gain_min_mhz_over_2pi": 1e4,
+                   "gain_max_mhz_over_2pi": 2e4, "x_count": 2,
+                   "delta_m_min_mhz_over_2pi": -70.0,
+                   "delta_m_max_mhz_over_2pi": -25.0, "delta_m_count": 2}}
+    out = _run_cli("phase-diagram", "--config", _write_config(tmp_path, pd),
+                   "--out", str(tmp_path / "pd"))
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    side = json.loads((tmp_path / "pd" / "phase_diagram.json").read_text())
+    assert side["error_messages"] == {
+        f"{iy},{ix}": "ConditioningError: " + message.format(TWO_PI * gain)
+        for iy in range(2) for ix, gain in enumerate((1e4, 2e4))}
+
+
 def _run_cli(*argv):
     """One CLI run in its own process, so a traceback would show."""
     import magpol

@@ -424,6 +424,15 @@ def test_batched_scan_matches_per_cell_enumeration(name, monkeypatch):
         assert len(ref) == total[iy, ix], f"cell ({iy}, {ix})"
 
 
+def _saturation_overflow_grid(g):
+    """Active gain grid whose G_eff / gamma_sat overflows in every cell."""
+    return GridSpec(
+        system="active", x_axis="gain", x_min=TWO_PI * 1e4,
+        x_max=TWO_PI * 2e4, x_count=2, delta_m_min=-TWO_PI * 70.0,
+        delta_m_max=-TWO_PI * 25.0, delta_m_count=2,
+        base=narrowline_params(g=g, kerr=0.0, gamma_sat=TWO_PI * 1e-305))
+
+
 SOLVE_GRIDS = {
     **ACTIVE_GRIDS,
     "n0_axis_no_saturation": lambda: GridSpec(
@@ -435,6 +444,8 @@ SOLVE_GRIDS = {
         system="passive", x_axis="n0", x_min=1e9, x_max=1e12, x_count=2,
         delta_m_min=-1.0, delta_m_max=1.0, delta_m_count=2,
         base=SystemParams(kappa=0.0, gamma=TWO_PI * 10.0, g=TWO_PI * 5.0)),
+    "saturation_overflow": lambda: _saturation_overflow_grid(TWO_PI * 25.0),
+    "saturation_overflow_uncoupled": lambda: _saturation_overflow_grid(0.0),
     "passive_overflowing": lambda: GridSpec(
         system="passive", x_axis="n0", x_min=1e9, x_max=1e12, x_count=2,
         delta_m_min=-1.0, delta_m_max=1.0, delta_m_count=2,
@@ -449,6 +460,10 @@ SOLVE_ERRORS = {
     "passive_degenerate": "ValueError: degenerate mapping: kappa and "
                           "delta_c both zero, so n0 sets no drive",
     "passive_overflowing": "ConditioningError: bare cavity: ",
+    "saturation_overflow": "ConditioningError: saturated cavity: G_eff / "
+                           "gamma_sat overflows (G_eff = ",
+    "saturation_overflow_uncoupled": "ConditioningError: saturated cavity: "
+                                     "G_eff / gamma_sat overflows (G_eff = ",
 }
 
 

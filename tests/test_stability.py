@@ -13,7 +13,7 @@ from magpol.dynamics import integrate_segment
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams, \
     batch_rates, jacobian, jacobian_rows
 from magpol.phasemap import BLOCK, n0_to_drive_passive, n0_to_gain_active
-from magpol.steady import FixedPoint, active_fixed_points, \
+from magpol.steady import Solution, active_fixed_points, \
     passive_fixed_points, solve_active
 from magpol.stability import MARGIN_RTOL, classify, classify_points
 
@@ -189,8 +189,8 @@ def test_gain_map_verdicts_match_the_doubled_basis():
 def test_decoupled_passive_spectrum():
     p = broadline_params(g=0.0, kerr=0.0, delta_c=TWO_PI * 7.0,
                          delta_m=TWO_PI * (-3.0))
-    fp = FixedPoint(a0=0j, m0=0j, omega=0.0, kind="passive",
-                    net_gain=0.0, residual=0.0)
+    fp = Solution(kind="passive", cell=0, a0=0j, m0=0j, omega=0.0,
+                  net_gain=0.0, residual=0.0, errors={})
     rep = classify(fp, p)
     expect = {-0.5 * p.kappa + 1j * p.delta_c, -0.5 * p.kappa - 1j * p.delta_c,
               -0.5 * p.gamma + 1j * p.delta_m, -0.5 * p.gamma - 1j * p.delta_m}
@@ -203,8 +203,8 @@ def test_beam_splitter_spectrum_at_origin():
     # m0 = 0 removes the Kerr blocks; the linear two-mode problem has
     # eigenvalues -(kappa/2 + i dc + gamma/2 + i dm)/2 +- sqrt(...).
     p = broadline_params(delta_c=0.0, delta_m=0.0)
-    fp = FixedPoint(a0=0j, m0=0j, omega=0.0, kind="passive",
-                    net_gain=0.0, residual=0.0)
+    fp = Solution(kind="passive", cell=0, a0=0j, m0=0j, omega=0.0,
+                  net_gain=0.0, residual=0.0, errors={})
     rep = classify(fp, p)
     half = 0.5 * (0.5 * p.kappa + 0.5 * p.gamma)
     disc = complex(half - 0.5 * p.kappa) ** 2 - p.g ** 2
@@ -300,8 +300,8 @@ def test_active_origin_keeps_full_spectrum():
     """The origin has no phase orbit: nothing is discarded, and its
     margin is the coupled linear growth rate."""
     p = narrowline_params(delta_m=TWO_PI * 5.0)
-    origin = FixedPoint(a0=0j, m0=0j, omega=0.0, kind="active",
-                        net_gain=0.0, residual=0.0)
+    origin = Solution(kind="active", cell=0, a0=0j, m0=0j, omega=0.0,
+                      net_gain=0.0, residual=0.0, errors={})
     rep = classify(origin, p)
     assert rep.discarded == -1
     assert not rep.is_stable
@@ -333,6 +333,5 @@ def test_neutral_suspect_flags_wrong_frame():
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
     fp = active_fixed_points(p)[2]
     assert not classify(fp, p).neutral_suspect
-    import dataclasses
-    skewed = dataclasses.replace(fp, omega=fp.omega + 0.3 * p.rate_scale())
+    skewed = fp._replace(omega=fp.omega + 0.3 * p.rate_scale())
     assert classify(skewed, p).neutral_suspect

@@ -1,6 +1,5 @@
 """Steady-state enumeration: polynomial routes against the Newton oracle."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +9,13 @@ from _cases import broadline_params, narrowline_params
 from _oracles import active_fixed_points_newton, complex_field, \
     passive_fixed_points_newton
 from magpol.errors import ConditioningError
+from magpol import steady
 from magpol.model import TWO_PI, DriveSpec, Rates, SystemParams, \
-    batch_rates, vector_field
+    bare_cavity_photons, batch_rates, vector_field
 from magpol.phasemap import n0_to_drive_passive
-from magpol.steady import _polish_defect, _polish_jacobian, _real_roots, \
-    active_fixed_points, passive_cubic_coefficients, passive_fixed_points, \
-    solve_active
+from magpol.steady import Solution, _polish_defect, _polish_jacobian, \
+    _real_roots, active_fixed_points, passive_cubic_coefficients, \
+    passive_fixed_points, solve_active
 
 # Frozen three-solution set of the narrow-line gain system at
 # gain/2pi = 15.45 MHz, delta_m/2pi = -46.4 MHz (sorted by omega).
@@ -80,7 +80,7 @@ def test_residual_small_on_returned_roots_and_large_on_perturbed():
     drive = n0_to_drive_passive(8e14, p)
     for fp in fps:
         assert _defect(fp, p, drive) < 1e-8
-    bent = dataclasses.replace(fps[1], m0=fps[1].m0 * math.sqrt(1.01))
+    bent = fps[1]._replace(m0=fps[1].m0 * math.sqrt(1.01))
     assert _defect(bent, p, drive) > 1e-8
 
 
@@ -352,6 +352,54 @@ def test_solve_active_batch_matches_one_cell_calls():
         for i, fp in zip(rows, fps):
             assert (sol.a0[i], sol.m0[i], sol.omega[i]) == \
                 (fp.a0, fp.m0, fp.omega)
+
+
+def _assert_row(fp, kind):
+    """A one-cell solve's entry is a ``Solution`` row of Python scalars."""
+    assert type(fp) is Solution and fp.kind == kind
+    assert fp.cell == 0 and fp.errors == {}
+    assert type(fp.a0) is complex and type(fp.m0) is complex
+    assert all(type(v) is float
+               for v in (fp.omega, fp.net_gain, fp.residual))
+
+
+def test_active_rows_are_the_one_cell_entries():
+    for p in (narrowline_params(delta_m=TWO_PI * (-46.4)),
+              narrowline_params(g=0.0)):
+        sol = solve_active(batch_rates(p))
+        fps = active_fixed_points(p)
+        assert len(fps) == sol.cell.size and fps
+        for i, fp in enumerate(fps):
+            _assert_row(fp, "active")
+            assert fp == ("active", 0, sol.a0[i], sol.m0[i], sol.omega[i],
+                          sol.net_gain[i], sol.residual[i], {})
+            assert (fp.n_a, fp.n_m) == (abs(sol.a0[i]) ** 2,
+                                        abs(sol.m0[i]) ** 2)
+
+
+def test_passive_rows_are_the_polished_roots(monkeypatch):
+    polished = []
+
+    def spy(*args):
+        polished.append(newton(*args))
+        return polished[-1]
+
+    newton = steady._damped_newton4
+    monkeypatch.setattr(steady, "_damped_newton4", spy)
+    p = passive_cell_params()
+    drive = n0_to_drive_passive(8e14, p)
+    fps = passive_fixed_points(p, drive)
+    (z, res), = polished
+    s = math.sqrt(bare_cavity_photons(p, drive.eta)[0])
+    assert len(fps) == len(z) == 3
+    for fp, zk, rk in zip(fps, z, res):
+        _assert_row(fp, "passive")
+        assert fp == ("passive", 0, complex(zk[0] + 1j * zk[1]) * s,
+                      complex(zk[2] + 1j * zk[3]) * s, 0.0, 0.0, rk, {})
+
+    origin, = passive_fixed_points(p, DriveSpec(eta=0.0))
+    _assert_row(origin, "passive")
+    assert origin == ("passive", 0, 0j, 0j, 0.0, 0.0, 0.0, {})
 
 
 def test_solution_count_bounds():
