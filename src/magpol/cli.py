@@ -32,7 +32,7 @@ from .errors import (ConditioningError, ConfigError, DivergenceError,
 from .model import TWO_PI
 from .phasemap import onset_monotonicity_flags, scan
 from .spectral import build_spectrogram
-from .stability import MARGIN_RTOL, VERDICTS, classify, phase_label, verdict
+from .stability import MARGIN_RTOL, VERDICTS, classify, phase_label, spectrum
 from .steady import RESIDUAL_RTOL, active_fixed_points, passive_fixed_points
 
 
@@ -62,15 +62,18 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _fp_record(fp, report, tol: float) -> dict:
-    """JSON record of one fixed point and its ``classify`` row;
-    ``tol`` is its residual tolerance.
+def _fp_record(fp, params, tol: float) -> dict:
+    """JSON record of one fixed point of ``params``: its ``classify``
+    verdict and its ``spectrum`` report; ``tol`` is its residual
+    tolerance.
 
     The residual is written as a multiple of 1e-3 * tol: the polish
     leaves defects of pure rounding (1e-14..1e-10 rad/us), which would
     otherwise change the artifact whenever the arithmetic is reordered.
     """
     quantum = 1e-3 * tol
+    verdict = VERDICTS[classify(fp, params)]
+    report = spectrum(fp, params)
     return {
         "kind": fp.kind,
         "omega_mhz_over_2pi": _mhz(fp.omega),
@@ -80,14 +83,13 @@ def _fp_record(fp, report, tol: float) -> dict:
         "m0": _complex_pair(fp.m0),
         "net_gain_per_us": fp.net_gain,
         "residual_per_us": round(fp.residual / quantum) * quantum,
-        "classification": VERDICTS[verdict(report.is_stable,
-                                           report.is_marginal)],
-        "margin_per_us": float(report.margin),
+        "classification": verdict,
+        "margin_per_us": report.margin,
         "eigenvalues_per_us": [_complex_pair(e) for e in report.eigenvalues],
         "discarded_per_us": (
             _complex_pair(report.eigenvalues[report.discarded])
             if report.discarded >= 0 else None),
-        "neutral_suspect": bool(report.neutral_suspect),
+        "neutral_suspect": report.neutral_suspect,
     }
 
 
@@ -98,7 +100,7 @@ def cmd_fixed_points(run: config.RunConfig, out_dir: str) -> int:
     else:
         fps = active_fixed_points(params)
     tol = RESIDUAL_RTOL * params.rate_scale()
-    records = [_fp_record(fp, classify(fp, params), tol) for fp in fps]
+    records = [_fp_record(fp, params, tol) for fp in fps]
     counts = {v: sum(rec["classification"] == v for rec in records)
               for v in VERDICTS}
     phase = phase_label(*counts.values())

@@ -1,8 +1,9 @@
 """Stability phase diagrams over (drive or gain) x (magnon detuning).
 
 A grid cell fixes one point in parameter space; the cell is solved for
-all fixed points, each is classified, and the cell reports how many
-came out stable, unstable, and marginal. Cells with no admissible
+all fixed points, each is classified by the Hurwitz test of
+``stability`` (no eigenvalue is computed), and the cell reports how
+many came out stable, unstable, and marginal. Cells with no admissible
 fixed point are blank (for the active system that means the origin is
 the only attractor). Exceptions raised while solving a cell go to a
 per-cell error channel instead of aborting the scan.
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import steady
 from .model import DriveSpec, SystemParams, bare_cavity_photons, batch_rates
-from .stability import classify, classify_points, phase_label, verdict
+from .stability import classify, classify_points, phase_label
 # active_fixed_points is unused here but stays a module attribute:
 # perfbench/tracing.py rebinds the solver names it finds on phasemap.
 from .steady import active_fixed_points, passive_fixed_points  # noqa: F401
@@ -177,7 +178,7 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
     """
     failed: dict[int, Exception] = {}
     if grid.system == "passive":
-        points = []  # (point, classify row) of every fixed point
+        points = []  # (point, verdict) of every fixed point
         for k, (n0, dm) in enumerate(zip(x, delta_m)):
             try:
                 params = grid.base.replace(delta_m=dm)
@@ -186,10 +187,7 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
                 points += [(k, classify(fp, params)) for fp in fps]
             except Exception as exc:  # point errors must not abort a scan
                 failed[k] = exc
-        cell = np.array([k for k, _ in points], dtype=np.intp)
-        code = verdict(np.array([r.is_stable for _, r in points], dtype=bool),
-                       np.array([r.is_marginal for _, r in points],
-                                dtype=bool))
+        cell, code = np.array(points, dtype=np.intp).reshape(-1, 2).T
     else:
         try:
             gains = x if grid.x_axis == "gain" else n0_to_gain_active(
@@ -201,12 +199,12 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
                             gain_eff=gains)
         sol = steady.solve_active(cells)
         rates = cells.take(sol.cell)
-        spectra = classify_points(rates, sol.a0, sol.m0, sol.omega, True)
+        code, errors = classify_points(rates, sol.a0, sol.m0, sol.omega,
+                                       True)
         failed.update(sol.errors)
-        for i, exc in spectra.errors.items():
+        for i, exc in errors.items():
             failed.setdefault(int(sol.cell[i]), exc)
         cell = sol.cell
-        code = verdict(spectra.is_stable, spectra.is_marginal)
     ok = ~np.isin(cell, list(failed))
     counts = np.zeros((4, len(x)), dtype=np.int64)
     np.add.at(counts, (code[ok], cell[ok]), 1)

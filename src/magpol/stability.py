@@ -4,23 +4,37 @@ Fluctuations around a fixed point couple amplitudes to their
 conjugates through the Kerr and saturation terms, so the linearization
 is not complex-linear in (da, dm). ``model.jacobian`` writes it as a
 real 4x4 matrix on (Re a, Im a, Re m, Im m), similar to the complex
-one on the doubled vector (da, da*, dm, dm*). Its spectrum is closed
-under complex conjugation: real eigenvalues come out with an imaginary
-part of exactly 0, and conjugate pairs exactly conjugate.
+one on the doubled vector (da, da*, dm, dm*).
 
 Active fixed points are linearized in their own co-rotating frame
 (d/dt picks up +i*omega), where the limit cycle becomes a circle of
 fixed points. The overall phase freedom contributes one exactly
-neutral eigenvalue, which is discarded before classification; it is
-identified as the smallest-magnitude one, and ``neutral_suspect``
-flags the discard when that eigenvalue is not actually small against
-the rest of the spectrum (degenerate case near a bifurcation). The
-active origin is the exception: it carries no phase orbit and keeps
-its full spectrum.
+neutral eigenvalue, which takes no part in the verdict. The active
+origin is the exception: it carries no phase orbit and keeps its full
+spectrum.
+
+A verdict needs no eigenvalues. ``classify_points`` builds the
+characteristic polynomial det(lambda I - J) of each matrix from sums
+of principal minors; an oscillating active point divides out its
+neutral root lambda = 0, which leaves a cubic, and every other point
+keeps the quartic. With band = ``MARGIN_RTOL * rate_scale()``, the
+Hurwitz inequalities of the polynomial shifted by -band and by +band
+say whether every root lies left of -band (stable), left of +band
+(marginal), or neither (unstable): the largest real part of the
+retained spectrum, the margin, is below -band, within the band, or
+above it.
+
+``spectrum`` is the eigenvalue report of one point that the
+``fixed-points`` command prints: its sorted spectrum, the discarded
+neutral mode, the margin, and ``neutral_suspect``, set when the
+smallest-magnitude eigenvalue, the one taken for the neutral mode, is
+not small against the rest of the spectrum (degenerate case near a
+bifurcation, or a frame that does not co-rotate with the point).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -35,17 +49,8 @@ MARGIN_RTOL = 1e-6
 # above this relative size the discard is flagged for review.
 NEUTRAL_SUSPECT_REL = 1e-3
 
-# Verdict names, indexed by what ``verdict`` returns.
+# Verdict names, indexed by what ``classify_points`` returns.
 VERDICTS = ("stable", "unstable", "marginal")
-
-
-def verdict(is_stable, is_marginal):
-    """Index into ``VERDICTS`` of classified points, elementwise.
-
-    A marginal point is marginal whatever the sign of its margin, so it
-    counts as neither stable nor unstable.
-    """
-    return np.where(is_marginal, 2, np.where(is_stable, 0, 1))
 
 
 def phase_label(n_stable: int, n_unstable: int, n_marginal: int) -> str:
@@ -57,89 +62,130 @@ def phase_label(n_stable: int, n_unstable: int, n_marginal: int) -> str:
     return label
 
 
-class Spectra(NamedTuple):
-    """Classification of a batch of fixed points, one row per point.
+def _char_poly(a) -> list:
+    """Coefficients c1..c4 of det(lambda I - J) = lambda^4 + c1 lambda^3
+    + c2 lambda^2 + c3 lambda + c4 from the entries a[i][j] of J
+    (numbers, or arrays elementwise over a batch): c_k is (-1)^k times
+    the sum of the k x k principal minors, all built from the 2x2
+    minors of rows (0, 1) and of rows (2, 3)."""
+    pairs = list(combinations(range(4), 2))
+    top = {(c, d): a[0][c] * a[1][d] - a[0][d] * a[1][c] for c, d in pairs}
+    low = {(c, d): a[2][c] * a[3][d] - a[2][d] * a[3][c] for c, d in pairs}
 
-    ``eigenvalues`` (M, 4) is each 4x4 spectrum sorted by descending
-    real part; ``discarded`` is the index in it of the dropped neutral
-    mode, or -1 (passive points and the active origin). ``margin`` is
-    the largest real part left after the discard: negative means
-    stable. ``is_marginal`` is set when the margin is too close to zero
-    to call, and such points count as neither stable nor unstable.
-    ``neutral_suspect`` flags a discarded mode that is not small
-    against the rest of the spectrum. ``errors`` maps the rows whose
-    eigenvalue solve failed to the exception; their other fields are
-    meaningless.
-    """
+    def minor3(row, minors, c, d, e):
+        # columns c < d < e; rows: ``row`` and the pair of ``minors``
+        return (a[row][c] * minors[d, e] - a[row][d] * minors[c, e]
+                + a[row][e] * minors[c, d])
 
-    eigenvalues: np.ndarray
-    discarded: np.ndarray
-    margin: np.ndarray
-    is_stable: np.ndarray
-    is_marginal: np.ndarray
-    neutral_suspect: np.ndarray
-    errors: dict[int, Exception]
+    c2 = top[0, 1] + low[2, 3]
+    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
+        c2 = c2 + (a[i][i] * a[j][j] - a[i][j] * a[j][i])
+    return [
+        -(a[0][0] + a[1][1] + a[2][2] + a[3][3]),
+        c2,
+        -(minor3(0, low, 0, 2, 3) + minor3(1, low, 1, 2, 3)
+          + minor3(2, top, 0, 1, 2) + minor3(3, top, 0, 1, 3)),
+        (top[0, 1] * low[2, 3] - top[0, 2] * low[1, 3]
+         + top[0, 3] * low[1, 2] + top[1, 2] * low[0, 3]
+         - top[1, 3] * low[0, 2] + top[2, 3] * low[0, 1]),
+    ]
+
+
+def _hurwitz(c, shift) -> np.ndarray:
+    """Whether every root of the monic cubic or quartic with lower
+    coefficients ``c`` lies left of Re lambda = ``shift``: the
+    Lienard-Chipart form of the Hurwitz test on the polynomial in
+    mu = lambda - shift, whose coefficients a Taylor shift gives."""
+    a = [1.0, *c]
+    n = len(c)
+    for i in range(n):
+        for j in range(1, n - i + 1):
+            a[j] = a[j] + shift * a[j - 1]
+    if n == 3:
+        return (a[1] > 0) & (a[3] > 0) & (a[1] * a[2] > a[3])
+    return ((a[1] > 0) & (a[3] > 0) & (a[4] > 0)
+            & (a[1] * a[2] * a[3] > a[3] * a[3] + a[1] * a[1] * a[4]))
 
 
 def classify_points(params: SystemParams | Rates, a0, m0, omega,
-                    active: bool) -> Spectra:
-    """Stability of M fixed points of one model, in one batched solve.
+                    active: bool) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Verdicts of M fixed points of one model, in one batched call.
 
     ``a0``, ``m0`` and ``omega`` are arrays (M,) or, for one point,
-    scalars; the ``params`` rates broadcast over them. Oscillating
-    active points drop their neutral phase mode before the margin is
-    taken; a margin within ``MARGIN_RTOL * params.rate_scale()`` (per
-    point, rad/us) of zero is marginal.
+    scalars; the ``params`` rates broadcast over them. Returns each
+    point's index into ``VERDICTS``, decided by the Hurwitz test of
+    the module docstring with the band ``MARGIN_RTOL *
+    params.rate_scale()`` (per point, rad/us), and {row: LinAlgError}
+    for the rows whose linearization is not finite; their verdicts are
+    meaningless.
     """
     jac = jacobian(params, a0, m0, omega, active).reshape(-1, 4, 4)
-    a0, m0 = np.atleast_1d(a0), np.atleast_1d(m0)
-    errors: dict[int, Exception] = {}
-    try:
-        eigs = np.linalg.eigvals(jac).astype(complex, copy=False)
-    except np.linalg.LinAlgError:  # one failed matrix fails the stack
-        eigs = np.full(jac.shape[:-1], np.nan, dtype=complex)
-        for i, mat in enumerate(jac):
-            try:
-                eigs[i] = np.linalg.eigvals(mat)
-            except np.linalg.LinAlgError as exc:
-                kind = "active" if active else "passive"
-                errors[i] = np.linalg.LinAlgError(
-                    f"eigenvalue solve failed for {kind} fixed point; "
-                    f"matrix:\n{np.array2string(mat, precision=8)}")
-                errors[i].__cause__ = exc
-
-    rows = np.arange(len(eigs))
-    eigs = eigs[rows[:, None], np.argsort(-eigs.real, axis=-1)]
-    discarded = np.full(len(eigs), -1)
-    neutral_suspect = np.zeros(len(eigs), dtype=bool)
-    retained = eigs.real
+    # Each matrix and its band are scaled by 2^-e, with e the exponent
+    # of its rate scale: exact, and it keeps the coefficients near 1.
+    mant, exp = np.frexp(params.rate_scale())
+    band = MARGIN_RTOL * mant
+    a = np.multiply(jac.transpose(1, 2, 0), np.ldexp(1.0, -exp), order="C")
+    if len(jac) == 1:
+        # the same arithmetic on Python floats costs a one-point call
+        # far less than on arrays of one element
+        a, band = a[..., 0].tolist(), band.item()
+    c = _char_poly(a)
     if active:
-        # The origin has no phase orbit, so its spectrum carries no
-        # neutral mode to drop; only oscillating points get the discard.
-        drop = np.abs(a0) ** 2 + np.abs(m0) ** 2 > 0
-        mag = np.abs(eigs)
-        discarded[drop] = mag[drop].argmin(axis=-1)
-        kept = np.arange(4) != discarded[:, None]
-        span = np.where(kept, mag, -np.inf).max(axis=-1)
-        neutral_suspect = drop & (span > 0) & (
-            mag[rows, discarded] >= NEUTRAL_SUSPECT_REL * span)
-        retained = np.where(kept, retained, -np.inf)
-    margin = retained.max(axis=-1)
-    band = MARGIN_RTOL * params.rate_scale()
-    return Spectra(eigenvalues=eigs, discarded=discarded, margin=margin,
-                   is_stable=margin < 0.0, is_marginal=np.abs(margin) < band,
-                   neutral_suspect=neutral_suspect, errors=errors)
+        # Oscillating points drop their neutral root: c4 = det J is 0
+        # up to rounding, and the cubic keeps the other three roots.
+        cubic = np.abs(a0) ** 2 + np.abs(m0) ** 2 > 0
+        stable = np.where(cubic, _hurwitz(c[:3], -band), _hurwitz(c, -band))
+        inside = np.where(cubic, _hurwitz(c[:3], band), _hurwitz(c, band))
+    else:
+        stable, inside = _hurwitz(c, -band), _hurwitz(c, band)
+    errors: dict[int, Exception] = {}
+    kind = "active" if active else "passive"
+    for i in np.flatnonzero(~np.isfinite(c).all(axis=0)):
+        errors[int(i)] = np.linalg.LinAlgError(
+            f"eigenvalue solve failed for {kind} fixed point; "
+            f"matrix:\n{np.array2string(jac[i], precision=8)}")
+    return np.where(stable, 0, np.where(inside, 2, 1)).reshape(-1), errors
 
 
-def classify(fp: Solution, params: SystemParams) -> Spectra:
-    """Stability of one ``Solution`` row: its row of ``classify_points``.
+def classify(fp: Solution, params: SystemParams) -> int:
+    """Verdict of one ``Solution`` row, as an index into ``VERDICTS``:
+    its row of ``classify_points``, whose error it raises."""
+    code, errors = classify_points(params, fp.a0, fp.m0, fp.omega,
+                                   fp.kind == "active")
+    if errors:
+        raise errors[0]
+    return int(code[0])
 
-    Every field of the returned ``Spectra`` is that row's: the (4,)
-    ``eigenvalues`` and scalars, with no ``errors``; a failed
-    eigenvalue solve is raised instead.
+
+class Spectrum(NamedTuple):
+    """Eigenvalue report of one fixed point.
+
+    ``eigenvalues`` (4,) is the spectrum sorted by descending real
+    part; ``discarded`` is the index in it of the dropped neutral mode
+    (its smallest-magnitude eigenvalue), or -1 (passive points and the
+    active origin). ``margin`` is the largest real part left after the
+    discard, the quantity whose sign and band ``classify`` decides.
+    ``neutral_suspect`` flags a discarded mode that is not small
+    against the rest of the spectrum.
     """
-    sp = classify_points(params, fp.a0, fp.m0, fp.omega,
-                         fp.kind == "active")
-    if sp.errors:
-        raise sp.errors[0]
-    return Spectra(*(field[0] for field in sp[:-1]), errors={})
+
+    eigenvalues: np.ndarray
+    discarded: int
+    margin: float
+    neutral_suspect: bool
+
+
+def spectrum(fp: Solution, params: SystemParams) -> Spectrum:
+    """Eigenvalue report of one ``Solution`` row; see ``Spectrum``."""
+    eigs = np.linalg.eigvals(jacobian(params, fp.a0, fp.m0, fp.omega,
+                                      fp.kind == "active"))
+    eigs = eigs.astype(complex, copy=False)[np.argsort(-eigs.real)]
+    if fp.kind != "active" or abs(fp.a0) ** 2 + abs(fp.m0) ** 2 == 0:
+        return Spectrum(eigs, -1, float(eigs.real.max()), False)
+    mag = np.abs(eigs)
+    discarded = int(mag.argmin())
+    kept = np.arange(4) != discarded
+    span = mag[kept].max()
+    return Spectrum(eigs, discarded, float(eigs.real[kept].max()),
+                    bool(span > 0 and mag[discarded]
+                         >= NEUTRAL_SUSPECT_REL * span))

@@ -21,7 +21,7 @@ from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams
 from magpol.phasemap import GridSpec, scan
 from magpol.spectral import (build_spectrogram, fft_peak_offset,
                              phase_slope_offset)
-from magpol.stability import classify
+from magpol.stability import VERDICTS, classify, spectrum
 from magpol.steady import active_fixed_points, passive_fixed_points
 
 
@@ -278,9 +278,10 @@ def test_criterion_07_classification_agrees_with_dynamics():
         for fp in fps:
             if checked >= 200:
                 break
-            report = classify(fp, p)
+            verdict = VERDICTS[classify(fp, p)]
+            report = spectrum(fp, p)
             # away from boundaries: clearly signed margin, clean spectrum
-            if (report.neutral_suspect or report.is_marginal
+            if (report.neutral_suspect or verdict == "marginal"
                     or abs(report.margin) < 2.0):
                 continue
             scale = np.sqrt(fp.n_a + fp.n_m)
@@ -302,7 +303,7 @@ def test_criterion_07_classification_agrees_with_dynamics():
             except Exception:
                 continue
             d1 = dev(seg.a[-1], seg.m[-1])
-            outcome_ok = (d1 < 3.0 * d0 if report.is_stable
+            outcome_ok = (d1 < 3.0 * d0 if verdict == "stable"
                           else d1 > 10.0 * d0)
             checked += 1
             agree += int(outcome_ok)

@@ -1,17 +1,19 @@
 """Grid scans, drive mappings, and phase-count bookkeeping."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from _cases import broadline_params, narrowline_params
 from _oracles import active_fixed_points_newton
-from magpol import phasemap
+from magpol import phasemap, steady
 from magpol.model import TWO_PI, SystemParams, eta_from_power, \
     power_from_drive
 from magpol.phasemap import (GridSpec, PhaseDiagram, bistable_onset,
                              n0_to_drive_passive, n0_to_gain_active,
                              onset_monotonicity_flags, scan)
-from magpol.stability import classify
+from magpol.stability import VERDICTS, classify, spectrum
 from magpol.steady import active_fixed_points, passive_fixed_points
 
 
@@ -305,12 +307,10 @@ def _enumerate_point(grid, x, delta_m):
         p = _point_params(grid, x, delta_m)
         fps = (passive_fixed_points(p, n0_to_drive_passive(x, p))
                if grid.system == "passive" else active_fixed_points(p))
-        reps = [classify(fp, p) for fp in fps]
+        verdicts = [VERDICTS[classify(fp, p)] for fp in fps]
     except Exception as exc:
         return 0, 0, 0, 0, f"{type(exc).__name__}: {exc}"
-    nm = sum(r.is_marginal for r in reps)
-    ns = sum(r.is_stable and not r.is_marginal for r in reps)
-    return ns, len(reps) - ns - nm, nm, len(reps), None
+    return (*(verdicts.count(v) for v in VERDICTS), len(verdicts), None)
 
 
 def _assert_scan_matches_cells(grid):
@@ -527,3 +527,29 @@ def test_region_summary_matches_per_cell_labels():
     assert got == want
     assert {"error", "blank"} <= set(got)
     assert any(lab.endswith("M") for lab in got)
+
+
+@pytest.mark.parametrize("name", ["active", "passive"])
+def test_map_verdicts_solve_no_eigenvalues(name, monkeypatch):
+    """Map cells are classified by the Hurwitz test alone: an
+    eigenvalue solve anywhere but the root finder's companion matrices
+    fails the run. Passive point errors are caught per point, so they
+    show as error texts."""
+    eigvals = np.linalg.eigvals
+    roots = steady._real_roots.__code__
+
+    def roots_only(mat):
+        if sys._getframe(1).f_code is not roots:
+            raise AssertionError("eigenvalue solve outside the root finder")
+        return eigvals(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvals", roots_only)
+    fp = active_fixed_points(narrowline_params())[0]
+    with pytest.raises(AssertionError, match="outside the root finder"):
+        spectrum(fp, narrowline_params())  # the guard is live
+    grid = WORKER_GRIDS[name]()
+    x = np.tile(grid.x_values(), grid.delta_m_count)
+    delta_m = np.repeat(grid.delta_m_values(), grid.x_count)
+    counts, errors = phasemap.solve_cells(grid, x, delta_m)
+    assert errors == {}
+    assert counts[0].any() and counts[1].any()

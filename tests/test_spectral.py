@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from magpol import spectral
 from magpol.errors import FitError
 from magpol.model import TWO_PI
 from magpol.spectral import (build_spectrogram, fft_peak_offset, hann_fft,
@@ -168,3 +169,19 @@ def test_spectrogram_input_validation():
         build_spectrogram(ragged, DT)
     with pytest.raises(ValueError, match="crop leaves no bins"):
         build_spectrogram(_windows([5.0, 10.0]), DT, f_min=1e4, f_max=2e4)
+
+
+def test_hann_window_is_built_once_per_length_and_read_only():
+    """Every spectrum of one length reads one cached, read-only window,
+    with the bits ``np.hanning`` gives; the input is not modified."""
+    z = _tone(TIMES, 10.0)
+    before = z.copy()
+    mags = hann_fft(z, DT)[1]
+    spec = np.fft.fftshift(np.fft.fft(np.hanning(z.size) * z))
+    np.testing.assert_array_equal(mags, np.abs(spec)[::-1])
+    np.testing.assert_array_equal(z, before)
+    window = spectral._hann(z.size)
+    assert window is spectral._hann(z.size)
+    np.testing.assert_array_equal(window, np.hanning(z.size))
+    with pytest.raises(ValueError):
+        window[0] = 1.0
