@@ -248,10 +248,14 @@ def _read_two_column_csv(path: str, expect_tag: str,
             raise ConfigError(f"{path}:{ln}: expected 2 columns, got "
                               f"{len(cells)}")
         try:
-            rows.append((float(cells[0]), float(cells[1])))
+            x, y = float(cells[0]), float(cells[1])
         except ValueError:
             raise ConfigError(f"{path}:{ln}: non-numeric value in "
                               f"{','.join(cells)!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigError(f"{path}:{ln}: non-finite value in "
+                              f"{','.join(cells)!r}")
+        rows.append((x, y))
     if unit is None:
         raise ConfigError(f"{path}: empty file; expected a "
                           f"'{expect_tag},<unit>' header")

@@ -114,7 +114,7 @@ def cmd_fixed_points(run: config.RunConfig, out_dir: str) -> int:
     if run.kind == "active":
         payload["counting"] = "admissible coupled solutions only (n_m > 0)"
     _write_json(os.path.join(out_dir, "fixed_points.json"), payload)
-    config.dump_manifest(run, os.path.join(out_dir, "manifest.json"))
+    _write_json(os.path.join(out_dir, "manifest.json"), run.resolved)
     print(f"{len(records)} fixed point(s), phase {phase}")
     for rec in records:
         print(f"  omega/2pi = {rec['omega_mhz_over_2pi']:+10.4f} MHz   "
@@ -158,7 +158,7 @@ def cmd_phase_diagram(run: config.RunConfig, out_dir: str,
             f"{iy},{ix}": msg
             for (iy, ix), msg in sorted(diagram.error_messages.items())}
     _write_json(os.path.join(out_dir, "phase_diagram.json"), sidecar)
-    config.dump_manifest(run, os.path.join(out_dir, "manifest.json"))
+    _write_json(os.path.join(out_dir, "manifest.json"), run.resolved)
 
     total = grid.x_count * grid.delta_m_count
     print(f"{grid.delta_m_count} x {grid.x_count} cells "
@@ -209,7 +209,7 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
             "t_drop_us": run.protocol.t_drop,
             "rows_are": "frequency",
         })
-    config.dump_manifest(run, os.path.join(out_dir, "manifest.json"))
+    _write_json(os.path.join(out_dir, "manifest.json"), run.resolved)
 
     n_low = int(result.low_confidence[:n_done].sum())
     print(f"{n_done}/{len(run.protocol.detunings)} steps integrated; "
@@ -235,7 +235,7 @@ def cmd_fit_s11(run: config.RunConfig, out_dir: str) -> int:
         "version": __version__,
     }
     _write_json(os.path.join(out_dir, "fit_s11.json"), payload)
-    config.dump_manifest(run, os.path.join(out_dir, "manifest.json"))
+    _write_json(os.path.join(out_dir, "manifest.json"), run.resolved)
     print(f"omega_m/2pi = {payload['omega_m_ghz_over_2pi']:.6f} GHz   "
           f"kappa_a/2pi = {payload['kappa_a_mhz_over_2pi']:.4f} MHz   "
           f"gamma/2pi = {payload['gamma_mhz_over_2pi']:.4f} MHz   "
@@ -252,7 +252,7 @@ def cmd_fit_kittel(run: config.RunConfig, out_dir: str) -> int:
         "version": __version__,
     }
     _write_json(os.path.join(out_dir, "fit_kittel.json"), payload)
-    config.dump_manifest(run, os.path.join(out_dir, "manifest.json"))
+    _write_json(os.path.join(out_dir, "manifest.json"), run.resolved)
     print(f"gamma_e/2pi = {payload['gamma_e_mhz_per_mt']:.4f} MHz/mT   "
           f"mu0 H_A = {payload['anisotropy_mt']:+.4f} mT   "
           f"rms {payload['residual_rms_mhz_over_2pi']:.3e} MHz")

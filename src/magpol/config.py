@@ -12,7 +12,8 @@ values are all ConfigError with the JSON path of the offending field.
 
 ``parse_run`` returns both the solver-ready objects and a resolved
 copy of the document with every applied default materialized. The
-resolved form is what run manifests contain, and it is a fixpoint:
+resolved form is what run manifests contain, written by the CLI's one
+JSON writer, the one that writes its JSON artifacts. It is a fixpoint:
 parsing a manifest resolves to itself, which is what makes re-running
 a manifest reproduce the original outputs byte for byte.
 """
@@ -63,31 +64,27 @@ class _Block:
         self.path = path
         self.seen: set[str] = set()
 
-    def _fetch(self, key: str, required: bool, default):
+    def _fetch(self, key: str, required: bool, default, types,
+               expected: str):
+        """The value of ``key``, else ``default`` (materialized), checked
+        to be one of ``types`` unless None; a bool counts only where
+        ``types`` is bool."""
         self.seen.add(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: missing required key")
+        if key in self.data:
+            v = self.data[key]
+        elif required:
+            raise ConfigError(f"{self.path}.{key}: missing required key")
+        else:
+            v = default
             if default is not None:
                 self.data[key] = default
-            return default
-        return self.data[key]
-
-    def number(self, key: str, *, required: bool = False, default=None,
-               lo=None, hi=None, lo_open: bool = False) -> float | None:
-        v = self._fetch(key, required, default)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{self.path}.{key}: expected a number, got "
+        if v is not None and (not isinstance(v, types) or
+                              isinstance(v, bool) and types is not bool):
+            raise ConfigError(f"{self.path}.{key}: expected {expected}, got "
                               f"{type(v).__name__}")
-        try:
-            v = float(v)
-        except OverflowError:  # an integer literal beyond any float
-            raise ConfigError(f"{self.path}.{key}: must be finite, got an "
-                              f"integer too large for a float") from None
-        if not math.isfinite(v):
-            raise ConfigError(f"{self.path}.{key}: must be finite, got {v}")
+        return v
+
+    def _bounded(self, key: str, v, lo, hi, lo_open: bool = False):
         if lo is not None and (v <= lo if lo_open else v < lo):
             op = ">" if lo_open else ">="
             raise ConfigError(f"{self.path}.{key}: must be {op} {lo}, "
@@ -96,39 +93,33 @@ class _Block:
             raise ConfigError(f"{self.path}.{key}: must be <= {hi}, got {v}")
         return v
 
-    def integer(self, key: str, *, required: bool = False, default=None,
-                lo=None, hi=None) -> int | None:
-        v = self._fetch(key, required, default)
+    def number(self, key: str, *, required: bool = False, default=None,
+               lo=None, hi=None, lo_open: bool = False) -> float | None:
+        v = self._fetch(key, required, default, (int, float), "a number")
         if v is None:
             return None
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{self.path}.{key}: expected an integer, got "
-                              f"{type(v).__name__}")
-        if lo is not None and v < lo:
-            raise ConfigError(f"{self.path}.{key}: must be >= {lo}, got {v}")
-        if hi is not None and v > hi:
-            raise ConfigError(f"{self.path}.{key}: must be <= {hi}, got {v}")
-        return v
+        try:
+            v = float(v)
+        except OverflowError:  # an integer literal beyond any float
+            raise ConfigError(f"{self.path}.{key}: must be finite, got an "
+                              f"integer too large for a float") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"{self.path}.{key}: must be finite, got {v}")
+        return self._bounded(key, v, lo, hi, lo_open)
+
+    def integer(self, key: str, *, required: bool = False, default=None,
+                lo=None, hi=None) -> int | None:
+        v = self._fetch(key, required, default, int, "an integer")
+        return None if v is None else self._bounded(key, v, lo, hi)
 
     def boolean(self, key: str, *, required: bool = False,
                 default=None) -> bool | None:
-        v = self._fetch(key, required, default)
-        if v is None:
-            return None
-        if not isinstance(v, bool):
-            raise ConfigError(f"{self.path}.{key}: expected true/false, got "
-                              f"{type(v).__name__}")
-        return v
+        return self._fetch(key, required, default, bool, "true/false")
 
     def string(self, key: str, *, choices=None, required: bool = False,
                default=None) -> str | None:
-        v = self._fetch(key, required, default)
-        if v is None:
-            return None
-        if not isinstance(v, str):
-            raise ConfigError(f"{self.path}.{key}: expected a string, got "
-                              f"{type(v).__name__}")
-        if choices is not None and v not in choices:
+        v = self._fetch(key, required, default, str, "a string")
+        if v is not None and choices is not None and v not in choices:
             raise ConfigError(f"{self.path}.{key}: must be one of "
                               f"{sorted(choices)}, got {v!r}")
         return v
@@ -173,6 +164,15 @@ class _Block:
             if f"{base}_{u}_over_2pi" in self.data:
                 raise ConfigError(
                     f"{self.path}.{base}_{u}_over_2pi: {why}")
+
+    def make(self, factory, /, *args, **kwargs):
+        """``factory(*args, **kwargs)``, its ValueError a ConfigError at
+        this block's path. Map only the call itself: ConfigError and
+        ConditioningError are ValueErrors too."""
+        try:
+            return factory(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from None
 
     def block(self, key: str, *, required: bool = False,
               create: bool = False) -> "_Block | None":
@@ -256,13 +256,9 @@ def _parse_system(blk: _Block, command: str,
         kappa_ext = blk.angular("kappa_ext", default=0.0, lo=0.0)
         omega_d = blk.angular("omega_d", default=0.0, lo=0.0)
         blk.finish()
-        try:
-            return kind, SystemParams(kappa=kappa, gamma=gamma, g=g,
-                                      kerr=kerr, delta_c=delta_c,
-                                      delta_m=delta_m, kappa_ext=kappa_ext,
-                                      omega_d=omega_d)
-        except ValueError as exc:
-            raise ConfigError(f"{blk.path}: {exc}") from None
+        return kind, blk.make(SystemParams, kappa=kappa, gamma=gamma, g=g,
+                              kerr=kerr, delta_c=delta_c, delta_m=delta_m,
+                              kappa_ext=kappa_ext, omega_d=omega_d)
 
     # active
     delta_c = blk.angular("delta_c", default=0.0)
@@ -290,13 +286,9 @@ def _parse_system(blk: _Block, command: str,
     blk.forbid_angular("kappa_ext", "the active model does not use an "
                                     "external port rate")
     blk.finish()
-    try:
-        return kind, SystemParams(kappa=kappa, gamma=gamma, g=g, kerr=kerr,
-                                  delta_m=delta_m, gain=gain,
-                                  gamma_sat=gamma_sat,
-                                  gain_absorbed=gain_absorbed)
-    except ValueError as exc:
-        raise ConfigError(f"{blk.path}: {exc}") from None
+    return kind, blk.make(SystemParams, kappa=kappa, gamma=gamma, g=g,
+                          kerr=kerr, delta_m=delta_m, gain=gain,
+                          gamma_sat=gamma_sat, gain_absorbed=gain_absorbed)
 
 
 def _parse_drive(blk: _Block, params: SystemParams) -> DriveSpec:
@@ -310,14 +302,11 @@ def _parse_drive(blk: _Block, params: SystemParams) -> DriveSpec:
         raise ConfigError(f"{blk.path}: exactly one of n0, power_uw, "
                           f"eta_per_us is required, got "
                           f"{given if given else 'none'}")
-    try:
-        if n0 is not None:
-            return n0_to_drive_passive(n0, params)
-        if power_uw is not None:
-            return eta_from_power(power_uw * 1e-6, params)
-        return DriveSpec(eta=eta)
-    except ValueError as exc:
-        raise ConfigError(f"{blk.path}: {exc}") from None
+    if n0 is not None:
+        return blk.make(n0_to_drive_passive, n0, params)
+    if power_uw is not None:
+        return blk.make(eta_from_power, power_uw * 1e-6, params)
+    return blk.make(DriveSpec, eta=eta)
 
 
 def _parse_grid(blk: _Block, system_blk: _Block, command: str) -> GridSpec:
@@ -353,13 +342,10 @@ def _parse_grid(blk: _Block, system_blk: _Block, command: str) -> GridSpec:
             pass
         except ValueError as exc:
             raise ConfigError(f"{blk.path}.x_axis: {exc}") from None
-    try:
-        return GridSpec(system=kind, x_axis=x_axis, x_min=x_min,
-                        x_max=x_max, x_count=x_count,
-                        delta_m_min=delta_m_min, delta_m_max=delta_m_max,
-                        delta_m_count=delta_m_count, base=base)
-    except ValueError as exc:
-        raise ConfigError(f"{blk.path}: {exc}") from None
+    return blk.make(GridSpec, system=kind, x_axis=x_axis, x_min=x_min,
+                    x_max=x_max, x_count=x_count, delta_m_min=delta_m_min,
+                    delta_m_max=delta_m_max, delta_m_count=delta_m_count,
+                    base=base)
 
 
 def _parse_sweep(blk: _Block, params: SystemParams,
@@ -394,14 +380,12 @@ def _parse_sweep(blk: _Block, params: SystemParams,
     else:
         detunings = tuple((start + (stop - start) * np.arange(steps)
                            / (steps - 1)).tolist())
-    try:
-        protocol = SweepProtocol(detunings=detunings, dt=dt, t_total=t_total,
-                                 t_drop=t_drop, fit_fraction=fit_fraction,
-                                 memory_detuning=memory_detuning,
-                                 memory_state=memory_state,
-                                 omega_initial=omega_initial)
-    except ValueError as exc:
-        raise ConfigError(f"{blk.path}: {exc}") from None
+    protocol = blk.make(SweepProtocol, detunings=detunings, dt=dt,
+                        t_total=t_total, t_drop=t_drop,
+                        fit_fraction=fit_fraction,
+                        memory_detuning=memory_detuning,
+                        memory_state=memory_state,
+                        omega_initial=omega_initial)
     state = ModeState(a=complex(a_re, a_im), m=complex(m_re, m_im))
     return protocol, state
 
@@ -487,10 +471,3 @@ def parse_run(doc: dict, command: str) -> RunConfig:
                                              run.protocol)
     top.finish()
     return run
-
-
-def dump_manifest(run: RunConfig, path: str) -> None:
-    """Write the resolved config as a rerunnable manifest."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(run.resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -142,7 +142,7 @@ def classify_points(params: SystemParams | Rates, a0, m0, omega,
     kind = "active" if active else "passive"
     for i in np.flatnonzero(~np.isfinite(c).all(axis=0)):
         errors[int(i)] = np.linalg.LinAlgError(
-            f"eigenvalue solve failed for {kind} fixed point; "
+            f"non-finite linearization of {kind} fixed point; "
             f"matrix:\n{np.array2string(jac[i], precision=8)}")
     return np.where(stable, 0, np.where(inside, 2, 1)).reshape(-1), errors
 

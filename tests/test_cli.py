@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from magpol import config, dynamics, phasemap
-from magpol.cli import _write_matrix_csv, main
+from magpol.cli import _write_json, _write_matrix_csv, main
 from magpol.spectral import spectrum_freqs
 
 TWO_PI = 2.0 * math.pi
@@ -190,8 +190,8 @@ def test_shipped_config_manifest_is_a_fixpoint(tmp_path, name):
         config.load_config(str(ROOT / "configs" / f"{name}.json")), command)
     again = config.parse_run(run.resolved, command)
     assert again.resolved == run.resolved
-    config.dump_manifest(run, str(tmp_path / "first.json"))
-    config.dump_manifest(again, str(tmp_path / "second.json"))
+    _write_json(str(tmp_path / "first.json"), run.resolved)
+    _write_json(str(tmp_path / "second.json"), again.resolved)
     assert filecmp.cmp(tmp_path / "first.json", tmp_path / "second.json",
                        shallow=False)
 
@@ -840,6 +840,18 @@ def _malformed_input(tmp_path, case):
         doc = _sweep_doc()
         doc["system"]["gamma_mhz_over_2pi"] = 10 ** 400
         cfg.write_text(json.dumps(doc))
+    elif case.endswith(("_nan", "_inf", "_1e999")):
+        # a shipped data CSV whose line 6 holds a value that is no
+        # finite number
+        fit, value = case.split("_csv_")
+        lines = (ROOT / "configs" / "data" / f"{fit}_example.csv").read_text(
+            encoding="utf-8").splitlines()
+        lines[5] = f"{lines[5].split(',')[0]},{value}"
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg.write_text(json.dumps({"format_version": 1,
+                                   "data_csv": str(csv_path)}))
+        return f"fit-{fit}", str(cfg)
     else:  # a data CSV that is not UTF-8
         csv_path = tmp_path / "dip.csv"
         csv_path.write_bytes(b"freq_unit,GHz\n\xff3.0,0.9\n")
@@ -851,13 +863,17 @@ def _malformed_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "config_not_utf8", "config_nested_too_deep", "value_nested_too_deep",
-    "integer_past_digit_limit", "integer_beyond_float", "csv_not_utf8"])
+    "integer_past_digit_limit", "integer_beyond_float", "csv_not_utf8",
+    "s11_csv_nan", "s11_csv_inf", "s11_csv_1e999",
+    "kittel_csv_nan", "kittel_csv_inf", "kittel_csv_1e999"])
 def test_malformed_input_file_is_one_error_line(tmp_path, case):
     command, cfg = _malformed_input(tmp_path, case)
     out = _run_cli(command, "--config", cfg, "--out", str(tmp_path / "x"))
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    if "_csv_" in case:
+        assert "data.csv:6: non-finite value in " in out.stderr, out.stderr
 
 
 def test_grid_memory_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):

@@ -119,6 +119,29 @@ REJECTIONS = {
     "nested_too_deep": (SWEEP, "system.kind",
                         json.loads("[" * 900 + "]" * 900), "$",
                         "nesting too deep"),
+    "integer_lower_bound": (N0_GRID, "grid.x_count", 1, "$.grid.x_count",
+                            "must be >= 2, got 1"),
+    "number_lower_bound": (SWEEP, "sweep.t_drop_us", -1.0,
+                           "$.sweep.t_drop_us", "must be >= 0.0, got -1.0"),
+    # library constructors: their ValueError at the block's path
+    "kappa_ext": (PASSIVE_POINT, "system.kappa_ext_mhz_over_2pi", 2.0,
+                  "$.system", "kappa_ext must lie in [0, kappa]"),
+    "power_without_omega_d": (PASSIVE_POINT, "drive", {"power_uw": 1.0},
+                              "$.drive", "omega_d must be > 0 to convert "
+                              "power to flux"),
+    "delta_m_order": (N0_GRID, "grid.delta_m_min_mhz_over_2pi", -50.0,
+                      "$.grid", "delta_m_min must be < delta_m_max"),
+    "x_order": (N0_GRID, "grid.n0_min", 1e16, "$.grid",
+                "x_min must be < x_max"),
+    "t_drop_order": (SWEEP, "sweep.t_drop_us", 1.0, "$.sweep",
+                     "need 0 <= t_drop < t_total"),
+    "window_too_short": (SWEEP, "sweep.t_drop_us", 0.99, "$.sweep",
+                         "fewer than 16 samples would survive t_drop"),
+    "fit_too_short": (SWEEP, "sweep",
+                      dict(SWEEP["sweep"], t_total_us=8.0, t_drop_us=3.0,
+                           fit_fraction=0.001),
+                      "$.sweep", "fit_fraction 0.001 fits fewer than 8 of "
+                                 "5001 samples"),
 }
 
 

@@ -7,6 +7,8 @@
 - Every name in the package's ``__all__`` must be bound in
   ``__init__.py``.
 - A text-mode ``open`` names its encoding.
+- ``json.dump`` is called in one function only, so manifests and
+  artifacts are written alike.
 - The test oracles (``tests/_oracles.py``) may take from the package
   only the parameter containers and the equations, so they stay
   independent of the solvers they check.
@@ -133,6 +135,34 @@ def test_text_files_are_opened_as_utf8():
             for node in ast.walk(_tree(path))
             if _opens_text_without_encoding(node)]
     assert not bare, f"open() without encoding=: {bare}"
+
+
+def _json_dump_callers(path) -> list[str]:
+    """``module:function`` of each ``json.dump`` call in ``path``;
+    a call outside any function is ``module:<module>``."""
+    callers = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dump"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            callers.append(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(_tree(path), "<module>")
+    return callers
+
+
+def test_one_json_writer():
+    """Every JSON file, manifest or artifact, gets its bytes from one
+    function."""
+    callers = [c for path in MODULES for c in _json_dump_callers(path)]
+    assert len(set(callers)) == 1, f"json.dump called in {callers}"
 
 
 def test_oracles_import_only_the_equations():
