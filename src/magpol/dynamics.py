@@ -1,12 +1,13 @@
 """Time integration and hysteretic detuning sweeps.
 
 Segments are integrated with a fixed-step classical Runge-Kutta
-scheme on the real and imaginary parts of the two mode amplitudes.
-Before integrating, state and drive are divided by a scale s that
-makes them O(1), and the nonlinear rates absorb it
-(``model.Rates.rescale``): the trajectory is exactly equivalent, and a
-fixed overflow guard then means the same thing for every parameter
-set.
+scheme on the real and imaginary parts of the two mode amplitudes,
+in one loop that restates ``model.vector_field`` inline, pinned to it
+bit for bit by the tests. Before integrating, state and drive are
+divided by a scale s that makes them O(1), and the nonlinear rates
+absorb it (``model.Rates.rescale``): the trajectory is exactly
+equivalent, and a fixed overflow guard then means the same thing for
+every parameter set.
 
 The sweep protocol models a stepped magnet sweep in which the system
 keeps oscillating between steps: each step starts from the final
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DivergenceError, FitError
-from .model import DriveSpec, ModeState, Rates, SystemParams, \
-    bare_cavity_photons, batch_rates, saturated_photons, vector_field
+from .model import DriveSpec, ModeState, SystemParams, bare_cavity_photons, \
+    batch_rates, saturated_photons
 from .spectral import phase_slope_offset
 
 # Squared-amplitude overflow guard, in rescaled units where the
@@ -84,6 +85,10 @@ def integrate_segment(state: ModeState, params: SystemParams,
     With ``drive`` the passive driven equations are integrated;
     without it the active (gain plus saturation) equations are, which
     requires ``delta_c == 0`` like the rest of the active machinery.
+    The step loop holds one fused restatement of ``model.vector_field``
+    with no call per stage: each stage does its operations in its
+    order, so every sample has the bits of an RK4 on vector_field (the
+    tests pin the two together). Only photon rows branch on the model.
     Raises DivergenceError if the rescaled squared amplitude of either
     mode exceeds DIVERGENCE_CAP, with ``step`` set to the offending
     step index; ConditioningError if the initial occupation, the
@@ -98,9 +103,10 @@ def integrate_segment(state: ModeState, params: SystemParams,
         raise ValueError(f"duration {duration} shorter than one step {dt}")
     if not state.is_finite():
         raise ValueError("initial state is not finite")
-    # Every sample's four components, allocated before the first step so
-    # that a step count memory cannot hold fails at once.
-    out = array.array("d", [0.0]) * (4 * (n + 1))
+    # Every sample's four components, one column each, allocated before
+    # the first step so that a step count memory cannot hold fails at once.
+    out_ar, out_ai, out_mr, out_mi = (array.array("d", [0.0]) * (n + 1)
+                                      for _ in range(4))
 
     try:
         n_state = max(state.n_a, state.n_m)
@@ -112,23 +118,77 @@ def integrate_segment(state: ModeState, params: SystemParams,
     # Python floats throughout: a numpy scalar (a fitted detuning, say)
     # would make every operation of the loop a numpy scalar operation,
     # several times slower, with the same bits.
-    rates = Rates._make(map(float, batch_rates(params).rescale(s)))
-    rhs = vector_field(rates, None if drive is None
-                       else DriveSpec(eta=float(drive.eta / s)))
+    kappa, gamma, g, kerr, dc, dmg, g_eff, gsat = map(
+        float, batch_rates(params).rescale(s))
+    passive = drive is not None
+    if not passive and dc != 0.0:
+        raise ValueError(f"active model requires delta_c == 0, got {dc}")
+    eta = float(drive.eta / s) if passive else 0.0
+    hk, hg = 0.5 * kappa, 0.5 * gamma
+    # vector_field's leading -hk * ai and -hg * mi are (-hk) * ai, (-hg) * mi
+    nhk, nhg = -hk, -hg
     a, m = state.a / s, state.m / s
     ar, ai, mr, mi = map(float, (a.real, a.imag, m.real, m.imag))
-    out[0], out[1], out[2], out[3] = ar, ai, mr, mi
+    out_ar[0], out_ai[0], out_mr[0], out_mi[0] = ar, ai, mr, mi
+    na = ar * ar + ai * ai
+    nm = mr * mr + mi * mi
     h = dt
     h2 = 0.5 * dt
     h6 = dt / 6.0
     for k in range(1, n + 1):
-        k1ar, k1ai, k1mr, k1mi = rhs(ar, ai, mr, mi)
-        k2ar, k2ai, k2mr, k2mi = rhs(ar + h2 * k1ar, ai + h2 * k1ai,
-                                     mr + h2 * k1mr, mi + h2 * k1mi)
-        k3ar, k3ai, k3mr, k3mi = rhs(ar + h2 * k2ar, ai + h2 * k2ai,
-                                     mr + h2 * k2mr, mi + h2 * k2mi)
-        k4ar, k4ai, k4mr, k4mi = rhs(ar + h * k3ar, ai + h * k3ai,
-                                     mr + h * k3mr, mi + h * k3mi)
+        # stage 1, at the step's start: na and nm are its |a|^2, |m|^2
+        w = dmg + kerr * nm
+        if passive:
+            k1ar = dc * ai - hk * ar + g * mi + eta
+            k1ai = nhk * ai - dc * ar - g * mr + 0.0
+        else:
+            net = g_eff - gsat * na
+            k1ar = net * ar + g * mi
+            k1ai = net * ai - g * mr
+        k1mr = w * mi - hg * mr + g * ai
+        k1mi = nhg * mi - w * mr - g * ar
+        xar = ar + h2 * k1ar
+        xai = ai + h2 * k1ai
+        xmr = mr + h2 * k1mr
+        xmi = mi + h2 * k1mi
+        w = dmg + kerr * (xmr * xmr + xmi * xmi)
+        if passive:
+            k2ar = dc * xai - hk * xar + g * xmi + eta
+            k2ai = nhk * xai - dc * xar - g * xmr + 0.0
+        else:
+            net = g_eff - gsat * (xar * xar + xai * xai)
+            k2ar = net * xar + g * xmi
+            k2ai = net * xai - g * xmr
+        k2mr = w * xmi - hg * xmr + g * xai
+        k2mi = nhg * xmi - w * xmr - g * xar
+        xar = ar + h2 * k2ar
+        xai = ai + h2 * k2ai
+        xmr = mr + h2 * k2mr
+        xmi = mi + h2 * k2mi
+        w = dmg + kerr * (xmr * xmr + xmi * xmi)
+        if passive:
+            k3ar = dc * xai - hk * xar + g * xmi + eta
+            k3ai = nhk * xai - dc * xar - g * xmr + 0.0
+        else:
+            net = g_eff - gsat * (xar * xar + xai * xai)
+            k3ar = net * xar + g * xmi
+            k3ai = net * xai - g * xmr
+        k3mr = w * xmi - hg * xmr + g * xai
+        k3mi = nhg * xmi - w * xmr - g * xar
+        xar = ar + h * k3ar
+        xai = ai + h * k3ai
+        xmr = mr + h * k3mr
+        xmi = mi + h * k3mi
+        w = dmg + kerr * (xmr * xmr + xmi * xmi)
+        if passive:
+            k4ar = dc * xai - hk * xar + g * xmi + eta
+            k4ai = nhk * xai - dc * xar - g * xmr + 0.0
+        else:
+            net = g_eff - gsat * (xar * xar + xai * xai)
+            k4ar = net * xar + g * xmi
+            k4ai = net * xai - g * xmr
+        k4mr = w * xmi - hg * xmr + g * xai
+        k4mi = nhg * xmi - w * xmr - g * xar
         ar = ar + h6 * (k1ar + 2.0 * (k2ar + k3ar) + k4ar)
         ai = ai + h6 * (k1ai + 2.0 * (k2ai + k3ai) + k4ai)
         mr = mr + h6 * (k1mr + 2.0 * (k2mr + k3mr) + k4mr)
@@ -140,15 +200,15 @@ def integrate_segment(state: ModeState, params: SystemParams,
                 f"amplitude overflow at step {k} (t = "
                 f"{state.t + k * dt:.6g} us): scaled photon number "
                 f"{na:.3e}, magnon number {nm:.3e}", step=k)
-        j = 4 * k
-        out[j] = ar
-        out[j + 1] = ai
-        out[j + 2] = mr
-        out[j + 3] = mi
+        out_ar[k] = ar
+        out_ai[k] = ai
+        out_mr[k] = mr
+        out_mi[k] = mi
 
-    am = np.frombuffer(out, dtype=complex).reshape(n + 1, 2)
-    return TrajectorySegment(a=am[:, 0] * s, m=am[:, 1] * s, t0=state.t,
-                             dt=dt)
+    a, m = am = np.empty((2, n + 1), dtype=complex)
+    a.real, a.imag, m.real, m.imag = out_ar, out_ai, out_mr, out_mi
+    am *= s
+    return TrajectorySegment(a=a, m=m, t0=state.t, dt=dt)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,20 @@ rotates at the gain center, so ``delta_c`` is zero exactly::
 holds G_eff directly when ``gain_absorbed`` is true (the default);
 otherwise it holds the raw pump gain and ``kappa/2`` is subtracted.
 
-This module holds the only copy of the equations, used by every
-solver: ``vector_field`` builds the right-hand side
-``rhs(ar, ai, mr, mi) -> (dar, dai, dmr, dmi)``, the equations above
-split into real and imaginary parts and evaluated in real arithmetic;
+This module states the equations for the solvers: ``vector_field``
+builds the right-hand side ``rhs(ar, ai, mr, mi) -> (dar, dai, dmr,
+dmi)``, the equations above split into real and imaginary parts and
+evaluated in real arithmetic;
 ``jacobian_rows`` gives their linearization as coefficients of
 (a, a*, m, m*), and ``jacobian`` the same linearization as a real
 matrix on (Re a, Im a, Re m, Im m). All three evaluate elementwise on
 floats or on arrays of states of any leading shape, with the rates
 taken from a ``SystemParams`` or, for a batch of parameter points, from
-a ``Rates`` of broadcasting arrays.
+a ``Rates`` of broadcasting arrays. The Newton polish, the stability
+classification and the test oracles call them. The RK4 loop of
+``dynamics.integrate_segment`` holds one fused restatement of
+``vector_field`` instead, with no call per stage, which the tests pin
+to it bit for bit.
 
 Large occupations (1e9..1e15 quanta) make the raw nonlinear terms span
 many decades, so solvers rescale amplitudes by ``s = sqrt(n_ref)``
@@ -313,8 +317,7 @@ def vector_field(params: SystemParams | Rates,
     broadcasting arrays. With ``drive`` the passive driven model,
     without it the active model, whose frame is pinned to the gain
     center, so a nonzero ``delta_c`` is rejected rather than silently
-    ignored. The rates are bound as closure locals for the inner loop
-    of the integrator.
+    ignored. The rates are bound as closure locals.
 
     Real arithmetic only: each component is the textbook expansion of
     the complex products in the module docstring with the exact zero

@@ -453,13 +453,12 @@ def test_sweep_step_memory_cannot_hold_exits_1(tmp_path, capsys, monkeypatch,
                                                spectrogram):
     # 8e15 RK4 steps per step: the spectrogram's FFT axis cannot be
     # allocated at parse time, nor the integrator's samples before its
-    # first step
+    # first step. The integrator reads its rates after allocating and
+    # before the first step, and nothing else in a sweep reads them.
     def no_step(*args, **kwargs):
-        def rhs(*state):
-            raise AssertionError("integration started")
-        return rhs
+        raise AssertionError("integration started")
 
-    monkeypatch.setattr(dynamics, "vector_field", no_step)
+    monkeypatch.setattr(dynamics, "batch_rates", no_step)
     doc = json.loads((ROOT / "configs" / "sweep_sidebands.json").read_text())
     doc["sweep"].update(steps=2, dt_us=1e-15)
     if not spectrogram:

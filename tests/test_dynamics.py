@@ -13,7 +13,7 @@ from magpol.dynamics import (DIVERGENCE_CAP, LOW_CONFIDENCE, SweepProtocol,
 from magpol.errors import ConditioningError, DivergenceError
 from magpol.model import (TWO_PI, DriveSpec, ModeState, SystemParams,
                           bare_cavity_photons, batch_rates,
-                          saturated_photons)
+                          saturated_photons, vector_field)
 from magpol.spectral import phase_slope_offset
 from magpol.steady import active_fixed_points
 
@@ -236,6 +236,104 @@ def test_integrate_segment_matches_complex_rk4_bits():
         integrate_segment(state, runaway, 1.0, 1e-3)
     with pytest.raises(DivergenceError) as ref:
         _complex_rk4(state, runaway, 1.0, 1e-3)
+    assert err.value.step == ref.value.step > 0
+    assert str(err.value) == str(ref.value)
+
+
+def _vector_field_rk4(state, params, duration, dt, drive=None):
+    """RK4 stated on ``model.vector_field``, one call per stage, at the
+    scale, overflow guard and sample layout of ``integrate_segment``."""
+    natural = saturated_photons(params) if drive is None \
+        else bare_cavity_photons(params, drive.eta)[0]
+    s = math.sqrt(max(natural, state.n_a, state.n_m, 1.0))
+    rhs = vector_field(batch_rates(params).rescale(s), None if drive is None
+                       else DriveSpec(eta=drive.eta / s))
+    n = int(round(duration / dt))
+    out = np.empty((n + 1, 4))
+    a, m = state.a / s, state.m / s
+    x = (a.real, a.imag, m.real, m.imag)
+    out[0] = x
+    h, h2, h6 = dt, 0.5 * dt, dt / 6.0
+    for k in range(1, n + 1):
+        k1 = rhs(*x)
+        k2 = rhs(*[xi + h2 * ki for xi, ki in zip(x, k1)])
+        k3 = rhs(*[xi + h2 * ki for xi, ki in zip(x, k2)])
+        k4 = rhs(*[xi + h * ki for xi, ki in zip(x, k3)])
+        x = tuple(xi + h6 * (c1 + 2.0 * (c2 + c3) + c4)
+                  for xi, c1, c2, c3, c4 in zip(x, k1, k2, k3, k4))
+        na = x[0] * x[0] + x[1] * x[1]
+        nm = x[2] * x[2] + x[3] * x[3]
+        if not (na < DIVERGENCE_CAP and nm < DIVERGENCE_CAP):
+            raise DivergenceError(
+                f"amplitude overflow at step {k} (t = "
+                f"{state.t + k * dt:.6g} us): scaled photon number "
+                f"{na:.3e}, magnon number {nm:.3e}", step=k)
+        out[k] = x
+    am = out.view(complex) * s
+    return am[:, 0], am[:, 1]
+
+
+def _signed_zero(rng) -> complex:
+    return complex(*rng.choice([-0.0, 0.0], size=2))
+
+
+def test_fused_loop_matches_vector_field_bits():
+    """The step loop's inline equations round exactly like
+    ``vector_field``: every sample, signed zeros included, on seeded
+    draws of both models (kerr of either sign, passive delta_c != 0,
+    an eta = 0 drive on signed-zero states), and a runaway diverges at
+    the same step with the same message."""
+    rng = np.random.default_rng(1807)
+
+    def kerr(n_ref):
+        """Either sign, shifting the magnon by 1-60 MHz at n_ref."""
+        return rng.choice([-1.0, 1.0]) * TWO_PI * rng.uniform(1, 60) / n_ref
+
+    def draw_state(n_ref):
+        a, m = math.sqrt(n_ref) * 10.0 ** rng.uniform(-3, 0, size=2) \
+            * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+        return ModeState(a=complex(a), m=complex(m), t=rng.uniform(0, 5))
+
+    cases = []
+    for i in range(24):
+        p = narrowline_params(gain=TWO_PI * rng.uniform(1.0, 30.0),
+                              gamma_sat=TWO_PI * 10.0 ** rng.uniform(-13, -11),
+                              delta_m=TWO_PI * rng.uniform(-60, 60))
+        p = p.replace(kerr=kerr(saturated_photons(p)))
+        st = draw_state(saturated_photons(p))
+        if i % 6 == 0:
+            st = ModeState(a=_signed_zero(rng), m=_signed_zero(rng))
+        cases.append((st, p, None))
+    for i in range(24):
+        p = broadline_params(delta_c=TWO_PI * rng.uniform(-40, 40),
+                             delta_m=TWO_PI * rng.uniform(-60, 60))
+        drive = DriveSpec(eta=10.0 ** rng.uniform(4, 6))
+        n0 = bare_cavity_photons(p, drive.eta)[0]
+        p = p.replace(kerr=kerr(n0))
+        st = draw_state(n0)
+        if i % 4 == 0:
+            st = ModeState(a=_signed_zero(rng), m=_signed_zero(rng))
+            drive = DriveSpec(eta=0.0)
+        cases.append((st, p, drive))
+    assert all(p.delta_c != 0.0 for _, p, drive in cases if drive)
+    assert {np.sign(p.kerr) for _, p, _ in cases} == {-1.0, 1.0}
+
+    for st, p, drive in cases:
+        dt = float(rng.choice([5e-4, 1e-3, 2e-3]))
+        seg = integrate_segment(st, p, 300 * dt, dt, drive)
+        for got, ref in zip((seg.a, seg.m),
+                            _vector_field_rk4(st, p, 300 * dt, dt, drive)):
+            assert np.array_equal(got, ref)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)),
+                                      np.signbit(part(ref)))
+
+    runaway = narrowline_params(gain=TWO_PI * 100.0, gamma_sat=0.0)
+    state = ModeState(a=1.0 - 2.0j, m=0.5j, t=0.75)
+    with pytest.raises(DivergenceError) as err:
+        integrate_segment(state, runaway, 1.0, 1e-3)
+    with pytest.raises(DivergenceError) as ref:
+        _vector_field_rk4(state, runaway, 1.0, 1e-3)
     assert err.value.step == ref.value.step > 0
     assert str(err.value) == str(ref.value)
 

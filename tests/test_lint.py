@@ -12,6 +12,8 @@
 - The test oracles (``tests/_oracles.py``) may take from the package
   only the parameter containers and the equations, so they stay
   independent of the solvers they check.
+- The RK4 step loop of ``dynamics.integrate_segment`` calls nothing
+  outside its ``raise``: the equations are written into it.
 """
 
 import ast
@@ -179,3 +181,28 @@ def test_oracles_import_only_the_equations():
     assert taken, "_oracles.py imports nothing from magpol"
     extra = sorted(taken - ORACLE_IMPORTS)
     assert not extra, f"_oracles.py imports {extra} from magpol"
+
+
+def test_integrator_step_loop_calls_nothing():
+    """A call per RK4 stage costs about as much as the stage's
+    arithmetic, so the equations stay inline in the one step loop of
+    ``integrate_segment``; only the divergence ``raise`` may call."""
+    func = next(node for node in ast.walk(_tree(SRC / "dynamics.py"))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "integrate_segment")
+    loops = [node for node in ast.walk(func)
+             if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1, f"integrate_segment has {len(loops)} loops"
+    calls = []
+
+    def visit(node):
+        if isinstance(node, ast.Raise):
+            return
+        if isinstance(node, ast.Call):
+            calls.append(f"dynamics.py:{node.lineno} {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for stmt in loops[0].body + loops[0].orelse:
+        visit(stmt)
+    assert not calls, f"calls in the step loop: {calls}"
