@@ -273,6 +273,13 @@ def _apply_resolution(doc: dict, resolution: str) -> None:
     grid["delta_m_count"] = ny
 
 
+def worker_count(text: str) -> int:
+    """The type of --threads: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magpol",
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config 'out' "
                             "field, else current directory)")
         if name == "phase-diagram":
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=worker_count, default=1,
                            help="worker processes that solve the grid's "
                                 "cell ranges (passive and active maps); "
                                 "at most one per usable CPU")
@@ -316,7 +323,7 @@ def main(argv=None) -> int:
         if args.command == "fixed-points":
             return cmd_fixed_points(run, out_dir)
         if args.command == "phase-diagram":
-            return cmd_phase_diagram(run, out_dir, max(1, args.threads))
+            return cmd_phase_diagram(run, out_dir, args.threads)
         if args.command == "sweep":
             return cmd_sweep(run, out_dir)
         if args.command == "fit-s11":

@@ -132,9 +132,9 @@ def integrate_segment(state: ModeState, params: SystemParams,
     out_ar[0], out_ai[0], out_mr[0], out_mi[0] = ar, ai, mr, mi
     na = ar * ar + ai * ai
     nm = mr * mr + mi * mi
-    h = dt
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
+    h = float(dt)
+    h2 = 0.5 * h
+    h6 = h / 6.0
     for k in range(1, n + 1):
         # stage 1, at the step's start: na and nm are its |a|^2, |m|^2
         w = dmg + kerr * nm

@@ -30,10 +30,8 @@ otherwise it holds the raw pump gain and ``kappa/2`` is subtracted.
 This module states the equations for the solvers: ``vector_field``
 builds the right-hand side ``rhs(ar, ai, mr, mi) -> (dar, dai, dmr,
 dmi)``, the equations above split into real and imaginary parts and
-evaluated in real arithmetic;
-``jacobian_rows`` gives their linearization as coefficients of
-(a, a*, m, m*), and ``jacobian`` the same linearization as a real
-matrix on (Re a, Im a, Re m, Im m). All three evaluate elementwise on
+evaluated in real arithmetic, and ``jacobian`` their linearization as a
+real matrix on (Re a, Im a, Re m, Im m). Both evaluate elementwise on
 floats or on arrays of states of any leading shape, with the rates
 taken from a ``SystemParams`` or, for a batch of parameter points, from
 a ``Rates`` of broadcasting arrays. The Newton polish, the stability
@@ -225,7 +223,7 @@ def power_from_drive(drive: DriveSpec, params: SystemParams) -> float:
 class Rates(NamedTuple):
     """The rates the equations read, as floats or broadcasting arrays.
 
-    ``vector_field`` and ``jacobian_rows`` read only these attributes,
+    ``vector_field`` and ``jacobian`` read only these attributes,
     so they take a ``Rates`` wherever they take a ``SystemParams``: a
     batch of parameter points (one detuning, gain or rescaled
     nonlinearity per state) then evaluates as one array expression.
@@ -359,16 +357,19 @@ def vector_field(params: SystemParams | Rates,
     return rhs
 
 
-def jacobian_rows(params: SystemParams | Rates, a, m, omega=0.0,
-                  active: bool = False) -> tuple[tuple, tuple]:
-    """Rows d(da/dt) and d(dm/dt) of the linearization.
+def jacobian(params: SystemParams | Rates, a, m, omega=0.0,
+             active: bool = False) -> np.ndarray:
+    """Real linearization acting on (Re a, Im a, Re m, Im m).
 
-    Columns are the derivatives with respect to (a, a*, m, m*) at the
-    state (a, m), in a frame co-rotating at ``omega`` (d/dt picks up
-    +i*omega). Only the photon row depends on the model: gain and
-    saturation with ``active``, else the passive cavity (the constant
-    drive drops out). Entries are scalars or arrays broadcasting over
-    the states.
+    Shape (..., 4, 4) over the broadcast shape of the states (a, m), in
+    a frame co-rotating at ``omega`` (d/dt picks up +i*omega). Each row
+    pair is built from the derivatives (A, B) of da/dt or dm/dt with
+    respect to (z, z*), z = a or m, as the block [[Re(A+B), -Im(A-B)],
+    [Im(A+B), Re(A-B)]]. Only the photon rows depend on the model: gain
+    and saturation with ``active``, else the passive cavity (the
+    constant drive drops out). The matrix is similar to the
+    doubled-basis one on (da, da*, dm, dm*), so it has the same
+    spectrum, closed under complex conjugation.
     """
     g = params.g
     kerr = params.kerr
@@ -383,22 +384,9 @@ def jacobian_rows(params: SystemParams | Rates, a, m, omega=0.0,
     else:
         row_a = (-(0.5 * params.kappa + 1j * (params.delta_c - omega)), 0j,
                  -1j * g, 0j)
-    return row_a, row_m
-
-
-def jacobian(params: SystemParams | Rates, a, m, omega=0.0,
-             active: bool = False) -> np.ndarray:
-    """Real linearization acting on (Re a, Im a, Re m, Im m).
-
-    Shape (..., 4, 4) over the broadcast shape of the states. A pair of
-    ``jacobian_rows`` coefficients (A, B) of (z, z*) becomes the block
-    [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]]. The matrix is similar to
-    the doubled-basis one on (da, da*, dm, dm*), so it has the same
-    spectrum, closed under complex conjugation.
-    """
     cols = [(row[0] + row[1], 1j * (row[0] - row[1]),
              row[2] + row[3], 1j * (row[2] - row[3]))
-            for row in jacobian_rows(params, a, m, omega, active)]
+            for row in (row_a, row_m)]
     out = np.empty(np.broadcast(*cols[0], *cols[1]).shape + (4, 4))
     for i, row in enumerate(cols):
         for k, col in enumerate(row):

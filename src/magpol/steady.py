@@ -147,24 +147,29 @@ def _real_roots(coeffs: np.ndarray, what: str
     Returns (x, optional, errors): ``x`` (N, degree) holds each row's
     roots in ascending order with NaN where there is none; ``optional``
     marks the roots that came from near-real pairs; ``errors`` maps the
-    rows with non-finite coefficients to a ConditioningError.
+    rows with non-finite coefficients, or with a leading coefficient
+    whose reciprocal overflows, to a ConditioningError.
     """
     c = np.array(coeffs, dtype=float, ndmin=2)
     n, d = c.shape[0], c.shape[1] - 1
     finite = np.isfinite(c).all(axis=1)
-    errors: dict[int, Exception] = {
-        int(i): ConditioningError(f"{what}: non-finite polynomial "
-                                  f"coefficients")
-        for i in np.flatnonzero(~finite)}
     cmax = np.abs(c).max(axis=1)
     solve = finite & (cmax > 0.0)
     c /= np.where(solve, cmax, 1.0)[:, None]
     c[~solve] = 0.0
-
-    roots = np.full((n, d), np.nan, dtype=complex)
     nonzero = c != 0.0
     first = nonzero.argmax(axis=1)
     last = d - nonzero[:, ::-1].argmax(axis=1)
+    # the companion divides by the leading coefficient (the largest is 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        finite &= ~solve | np.isfinite(1.0 / c[np.arange(n), first])
+    solve &= finite
+    errors: dict[int, Exception] = {
+        int(i): ConditioningError(f"{what}: non-finite polynomial "
+                                  f"coefficients")
+        for i in np.flatnonzero(~finite)}
+
+    roots = np.full((n, d), np.nan, dtype=complex)
     for lo, hi in sorted(set(zip(first[solve].tolist(),
                                  last[solve].tolist()))):
         rows = np.flatnonzero(solve & (first == lo) & (last == hi))
@@ -188,17 +193,6 @@ def _real_roots(coeffs: np.ndarray, what: str
     return x[index, order], optional[index, order], errors
 
 
-def _polish_state(z: np.ndarray, active: bool):
-    """(a, m, omega) from the polish unknowns z (..., 4): (Re a, Im a,
-    Re m, Im m) for passive points, (p, omega, Re m, Im m) for active
-    ones, whose photon amplitude a = p is real (the phase gauge)."""
-    x0, x1, mr, mi = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
-    m = mr + 1j * mi
-    if active:
-        return x0, m, x1
-    return x0 + 1j * x1, m, 0.0
-
-
 def _polish_defect(z: np.ndarray, rhs, active: bool) -> np.ndarray:
     """(Re, Im) of da/dt and dm/dt, active points co-rotating at omega:
     d/dt picks up i*omega, which adds (-w ai, w ar, -w mi, w mr)."""
@@ -217,8 +211,13 @@ def _polish_jacobian(z: np.ndarray, params: SystemParams | Rates,
 
     That is ``model.jacobian``, except that for active points column 1
     is the derivative in omega, which enters the defect as i (a, m).
+    The unknowns z are (Re a, Im a, Re m, Im m) for passive points,
+    (p, omega, Re m, Im m) for active ones, whose photon amplitude
+    a = p is real (the phase gauge).
     """
-    a, m, w = _polish_state(z, active)
+    x0, x1, mr, mi = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
+    m = mr + 1j * mi
+    a, w = (x0, x1) if active else (x0 + 1j * x1, 0.0)
     jac = jacobian(params, a, m, w, active)
     if active:
         jac[..., :, 1] = (1j * np.stack((a, m), axis=-1)).view(float)
@@ -301,8 +300,8 @@ def passive_fixed_points(params: SystemParams,
     polishes amplitudes root by root, divided by s = sqrt(n0), merging
     coinciding points by ``_merge_duplicates`` at omega = 0. Raises
     ConditioningError if n0 is 0 (undamped resonant cavity, or eta^2
-    underflows) or n0 ** 3 overflows, and InternalConsistencyError if a
-    reconstructed point fails its residual check.
+    underflows) or the scaled cubic overflows, and InternalConsistencyError
+    if a reconstructed point fails its residual check.
     """
     kappa, gamma, g = params.kappa, params.gamma, params.g
     dc, dm_det = params.delta_c, params.delta_m
@@ -314,14 +313,12 @@ def passive_fixed_points(params: SystemParams,
             "driven cavity needs kappa > 0 or delta_c != 0" if denom0 == 0.0
             else f"passive cubic: drive eta = {drive.eta:.6e} /us "
                  f"underflows the bare-cavity photon number to 0")
-    try:
-        scale_pow = np.array([n_ref ** 3, n_ref ** 2, n_ref, 1.0])
-    except OverflowError:
-        raise ConditioningError(f"passive cubic: drive eta = {drive.eta:.6e}"
-                                f" /us overflows n0 ** 3") from None
-
-    c = passive_cubic_coefficients(params, drive)
-    x, optional, errors = _real_roots(c * scale_pow, "passive cubic")
+    n = np.float64(n_ref)  # scalar powers: Python's bits, inf if too large
+    # extreme rates overflow here; _real_roots reports them
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeffs = passive_cubic_coefficients(params, drive) \
+            * np.array([n ** 3, n ** 2, n, 1.0])
+    x, optional, errors = _real_roots(coeffs, "passive cubic")
     if errors:
         raise errors[0]
     keep = np.isfinite(x[0]) & (x[0] >= -1e-12)
@@ -375,9 +372,9 @@ def _coupled_points(c: Rates, rate: np.ndarray, n_sat: np.ndarray):
     unmerged, and the cells' errors, all indexed into ``c``.
     """
     gamma, g, g_eff = c.gamma, c.g, c.gain_eff
-    a_hi = np.minimum(g_eff, 2.0 * g * g / gamma)
     # extreme rates overflow here; _real_roots reports those rows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a_hi = np.minimum(g_eff, 2.0 * g * g / gamma)
         coeffs = active_quintic_coefficients(c) \
             * a_hi[:, None] ** np.arange(5, -1, -1, dtype=float)
     x, optional, errors = _real_roots(coeffs, "active quintic")

@@ -2,8 +2,9 @@
 
 Everything here works directly on the coupled-mode equations with
 generic numerics (multi-start damped Newton with finite-difference
-Jacobians, direct time integration). Nothing imports the polynomial
-coefficients, reconstruction code, or analytic Jacobians under test.
+Jacobians, direct time integration, the linearization restated from
+the equations). Nothing imports the polynomial coefficients,
+reconstruction code, or analytic Jacobians under test.
 """
 
 from __future__ import annotations
@@ -213,6 +214,40 @@ def jacobian_fd(params: SystemParams, a0: complex, m0: complex,
     cols = [(rhs(a0 + ua * h, m0 + um * h) - rhs(a0 - ua * h, m0 - um * h))
             / (2.0 * h) for ua, um in ((1, 0), (1j, 0), (0, 1), (0, 1j))]
     return np.array(cols).view(float).T
+
+
+def doubled_jacobian(params, a, m, omega=0.0, active=False) -> np.ndarray:
+    """Complex linearization (..., 4, 4) on (da, da*, dm, dm*).
+
+    Stated from the equations of ``magpol.model`` in a frame
+    co-rotating at ``omega`` (d/dt picks up +i omega): row k holds the
+    derivatives of the k-th of (da/dt, da*/dt, dm/dt, dm*/dt) with
+    respect to (a, a*, m, m*). ``params`` is a ``SystemParams`` or a
+    batch of broadcasting rates; a and m are scalars or arrays.
+    """
+    cg = -1j * params.g  # -i g m in da/dt, -i g a in dm/dt
+    if active:
+        # (G_eff - gamma_sat a a*) a
+        aa = params.gain_eff + 1j * omega \
+            - 2.0 * params.gamma_sat * np.abs(a) ** 2
+        ab = -params.gamma_sat * a * a
+    else:
+        # -(kappa/2 + i delta_c) a + eta
+        aa = -(0.5 * params.kappa + 1j * (params.delta_c - omega))
+        ab = 0j
+    # -(gamma/2 + i delta_m) m - i kerr m m* m
+    mm = -(0.5 * params.gamma + 1j * (params.delta_m - omega)) \
+        - 2j * params.kerr * np.abs(m) ** 2
+    mb = -1j * params.kerr * m * m
+    rows = ((aa, ab, cg, 0j),
+            (np.conj(ab), np.conj(aa), 0j, np.conj(cg)),
+            (cg, 0j, mm, mb),
+            (0j, np.conj(cg), np.conj(mb), np.conj(mm)))
+    entries = [entry for row in rows for entry in row]
+    out = np.empty(np.broadcast(*entries).shape + (16,), dtype=complex)
+    for k, entry in enumerate(entries):
+        out[..., k] = entry
+    return out.reshape(out.shape[:-1] + (4, 4))
 
 
 def integrate_reference(params: SystemParams, a: complex, m: complex,

@@ -257,6 +257,19 @@ def test_phase_diagram_files_do_not_depend_on_threads(tmp_path, config):
                            shallow=False), name
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_command_line_error(tmp_path, capsys,
+                                                   threads):
+    cfg, out = _write_config(tmp_path, _grid_doc()), tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["phase-diagram", "--config", cfg, "--out", str(out),
+              "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --threads: must be at least 1, got {threads}\n" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("matrix,expected", [
     (np.array([[True, False, True], [False, False, True]]),
      b"1,0,1\r\n0,0,1\r\n"),
@@ -768,16 +781,19 @@ def _run_cli(*argv):
 
 
 def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
-    """Overflowing quintic coefficients are reported, not warned about:
-    stderr holds the one error line of a fixed-points run and nothing
-    for a map whose cells all fail."""
+    """Overflowing quintic coefficients, or a leading one too small to
+    divide by, are reported, not warned about: stderr holds the one
+    error line of a fixed-points run and nothing for a map whose cells
+    all fail."""
     def run(command, doc):
         return _run_cli(command, "--config", _write_config(tmp_path, doc),
                         "--out", str(tmp_path / command))
 
     for key, value in (("gain_mhz_over_2pi", 1e200),
                        ("kerr_mhz_over_2pi", 1e250),
-                       ("gamma_sat_nhz_over_2pi", 1e-290)):
+                       ("gamma_sat_nhz_over_2pi", 1e-290),
+                       ("g_mhz_over_2pi", 1e200),
+                       ("kerr_uhz_over_2pi", 1e-160)):
         system = _active_system(gain_mhz_over_2pi=15.45)
         system.pop(key.rsplit("_", 3)[0] + "_uhz_over_2pi", None)
         system[key] = value
@@ -786,17 +802,54 @@ def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
         assert out.stderr == ("error: active quintic: non-finite "
                               "polynomial coefficients\n"), out.stderr
 
-    pd = {"format_version": 1, "system": _active_system(),
-          "grid": {"x_axis": "gain", "gain_min_mhz_over_2pi": 1e199,
-                   "gain_max_mhz_over_2pi": 1e200, "x_count": 2,
-                   "delta_m_min_mhz_over_2pi": -100.0,
-                   "delta_m_max_mhz_over_2pi": -60.0, "delta_m_count": 2}}
+    for system, gains in ((_active_system(), (1e199, 1e200)),
+                          (_active_system(g_mhz_over_2pi=1e200), (5, 10)),
+                          (_active_system(kerr_uhz_over_2pi=1e-160),
+                           (15, 20))):
+        pd = {"format_version": 1, "system": system,
+              "grid": {"x_axis": "gain", "gain_min_mhz_over_2pi": gains[0],
+                       "gain_max_mhz_over_2pi": gains[1], "x_count": 2,
+                       "delta_m_min_mhz_over_2pi": -100.0,
+                       "delta_m_max_mhz_over_2pi": -60.0,
+                       "delta_m_count": 2}}
+        out = run("phase-diagram", pd)
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        side = json.loads(
+            (tmp_path / "phase-diagram" / "phase_diagram.json").read_text())
+        assert set(side["error_messages"].values()) == {
+            "ConditioningError: active quintic: non-finite polynomial "
+            "coefficients"}
+
+
+def test_extreme_passive_rates_print_no_numpy_warnings(tmp_path):
+    """The passive cubic overflows into the same one error as the
+    quintic: one line from fixed-points, no numpy warning, and a map
+    whose numpy-scalar detunings overflow exits 0 with a clean stderr."""
+    def run(command, doc):
+        return _run_cli(command, "--config", _write_config(tmp_path, doc),
+                        "--out", str(tmp_path / command))
+
+    huge_kerr = _passive_system(kerr_ghz_over_2pi=1e300)
+    del huge_kerr["kerr_nhz_over_2pi"]
+    for system, n0 in ((_passive_system(delta_m_ghz_over_2pi=1e300), 1e12),
+                       (huge_kerr, 1e-300),
+                       (_passive_system(), 1e300)):
+        out = run("fixed-points", {"format_version": 1, "system": system,
+                                   "drive": {"n0": n0}})
+        assert out.returncode == 1
+        assert out.stderr == ("error: passive cubic: non-finite "
+                              "polynomial coefficients\n"), out.stderr
+
+    pd = {"format_version": 1, "system": huge_kerr,
+          "grid": {"x_axis": "n0", "n0_min": 1e9, "n0_max": 1e12,
+                   "x_count": 2, "delta_m_min_mhz_over_2pi": -10.0,
+                   "delta_m_max_mhz_over_2pi": 10.0, "delta_m_count": 2}}
     out = run("phase-diagram", pd)
     assert out.returncode == 0 and out.stderr == "", out.stderr
     side = json.loads(
         (tmp_path / "phase-diagram" / "phase_diagram.json").read_text())
     assert set(side["error_messages"].values()) == {
-        "ConditioningError: active quintic: non-finite polynomial "
+        "ConditioningError: passive cubic: non-finite polynomial "
         "coefficients"}
 
 

@@ -1,6 +1,7 @@
 """Integrator correctness and the memory-sweep protocol."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,31 @@ def test_fused_loop_matches_vector_field_bits():
         _vector_field_rk4(state, runaway, 1.0, 1e-3)
     assert err.value.step == ref.value.step > 0
     assert str(err.value) == str(ref.value)
+
+
+def test_numpy_scalar_dt_steps_as_a_float():
+    """A numpy-scalar dt (one drawn by numpy, say) gives the samples and
+    times of the float, and a runaway stops at the same step with no
+    numpy overflow warning."""
+    p = narrowline_params(gain=TWO_PI * 16.94, delta_m=TWO_PI * (-30.0))
+    st = default_seed_state(p)
+    ref = integrate_segment(st, p, 0.5, 1e-3)
+    seg = integrate_segment(st, p, 0.5, np.float64(1e-3))
+    for got, want in ((seg.a, ref.a), (seg.m, ref.m),
+                      (seg.times, ref.times)):
+        assert np.array_equal(got, want)
+
+    # a Kerr shift this large overflows a step's stages before its guard
+    runaway = narrowline_params(kerr=TWO_PI * 1e3)
+    state = ModeState(a=1.0 - 2.0j, m=0.5j)
+    stops = []
+    for dt in (1e-3, np.float64(1e-3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                integrate_segment(state, runaway, 1.0, dt)
+        stops.append((err.value.step, str(err.value)))
+    assert stops[0] == stops[1] and stops[0][0] > 1
 
 
 def test_default_seed_is_small_and_reproducible():

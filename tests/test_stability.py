@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from _cases import broadline_params, narrowline_params
-from _oracles import jacobian_fd
+from _oracles import doubled_jacobian, jacobian_fd
 from magpol import config, stability
 from magpol.dynamics import integrate_segment
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams, \
-    batch_rates, jacobian, jacobian_rows
+    batch_rates, jacobian
 from magpol.phasemap import BLOCK, n0_to_drive_passive, n0_to_gain_active, \
     solve_cells
 from magpol.steady import Solution, active_fixed_points, \
@@ -71,18 +71,6 @@ def test_active_jacobian_matches_finite_differences():
             checked += 1
 
 
-def _doubled_jacobian(params, a, m, omega=0.0, active=False):
-    """Complex linearization (..., 4, 4) on (da, da*, dm, dm*): rows 1
-    and 3 are rows 0 and 2 conjugated with the pairing swapped."""
-    row_a, row_m = jacobian_rows(params, a, m, omega, active)
-    entries = [*row_a, *(np.conj(row_a[k]) for k in (1, 0, 3, 2)),
-               *row_m, *(np.conj(row_m[k]) for k in (1, 0, 3, 2))]
-    out = np.empty(np.broadcast(*entries).shape + (16,), dtype=complex)
-    for k, entry in enumerate(entries):
-        out[..., k] = entry
-    return out.reshape(out.shape[:-1] + (4, 4))
-
-
 def test_real_basis_keeps_the_doubled_basis_spectrum():
     rng = np.random.default_rng(35)
     checked = {False: 0, True: 0}
@@ -95,7 +83,7 @@ def test_real_basis_keeps_the_doubled_basis_spectrum():
             for fp in fps:
                 active = fp.kind == "active"
                 args = (params, fp.a0, fp.m0, fp.omega, active)
-                ref = np.linalg.eigvals(_doubled_jacobian(*args))
+                ref = np.linalg.eigvals(doubled_jacobian(*args))
                 real = jacobian(*args)
                 assert real.dtype == float
                 eigs = np.linalg.eigvals(real)
@@ -197,7 +185,7 @@ def test_gain_map_verdicts_match_the_doubled_basis():
         assert not errors
 
         eigs = np.linalg.eigvals(
-            _doubled_jacobian(rates, sol.a0, sol.m0, sol.omega, True))
+            doubled_jacobian(rates, sol.a0, sol.m0, sol.omega, True))
         neutral = np.abs(eigs).argmin(axis=-1)
         oscillating = np.abs(sol.a0) ** 2 + np.abs(sol.m0) ** 2 > 0
         retained = eigs.real.copy()

@@ -318,6 +318,20 @@ def test_near_real_pairs_are_optional_candidates():
     assert isinstance(errors[0], ConditioningError)
 
 
+def test_real_roots_reports_a_leading_coefficient_too_small_to_divide_by():
+    """A row whose companion matrix would overflow fails as a row with
+    non-finite coefficients does, alone in its batch and with no numpy
+    warning; a small leading coefficient that divides keeps its roots."""
+    rows = [[1.0, -3.0, 2.0], [1e-310, 1.0, -1.0], [1e-300, 1.0, -1.0],
+            [0.0, 0.0, 0.0]]
+    x, _, errors = _real_roots(rows, "test")
+    assert list(errors) == [1]
+    assert str(errors[1]) == "test: non-finite polynomial coefficients"
+    assert x[0].tolist() == pytest.approx([1.0, 2.0])
+    assert np.isnan(x[1]).all() and np.isnan(x[3]).all()
+    assert x[2].tolist() == pytest.approx([-1e300, 1.0])
+
+
 def test_solve_active_batch_matches_one_cell_calls():
     # one batch mixing quintic and cubic (kerr = 0) cells, uncoupled
     # (g = 0), sub-threshold and unsaturated (error) cells
