@@ -273,9 +273,12 @@ def bare_cavity_photons(params: SystemParams,
     n0 = eta^2 / denom, or n0 = 0 where denom is 0 (no steady state:
     callers decide). Raises ConditioningError if either overflows.
     """
+    # Python floats: an overflowing square raises, where numpy scalars warn
+    kappa, delta_c = float(params.kappa), float(params.delta_c)
+    eta = float(eta)
     denom = n0 = math.inf
     try:
-        denom = (0.5 * params.kappa) ** 2 + params.delta_c ** 2
+        denom = (0.5 * kappa) ** 2 + delta_c ** 2
         n0 = eta ** 2 / denom if denom > 0.0 else 0.0
     except OverflowError:
         pass
@@ -283,8 +286,7 @@ def bare_cavity_photons(params: SystemParams,
         raise ConditioningError(
             f"bare cavity: {'eta^2 / ' if math.isfinite(denom) else ''}"
             f"((kappa/2)^2 + delta_c^2) overflows (eta = {eta:.6e} /us, "
-            f"kappa = {params.kappa:.6e}, delta_c = {params.delta_c:.6e} "
-            f"rad/us)")
+            f"kappa = {kappa:.6e}, delta_c = {delta_c:.6e} rad/us)")
     return n0, denom
 
 
@@ -295,14 +297,15 @@ def saturated_photons(params: SystemParams) -> float:
     where gamma_sat is 0 (no saturation: callers decide). Raises
     ConditioningError if the ratio overflows.
     """
-    if params.gamma_sat <= 0.0:
+    # Python floats: an overflowing ratio is inf, where numpy scalars warn
+    gain_eff, gamma_sat = float(params.gain_eff), float(params.gamma_sat)
+    if gamma_sat <= 0.0:
         return 0.0
-    n_sat = params.gain_eff / params.gamma_sat
+    n_sat = gain_eff / gamma_sat
     if not math.isfinite(n_sat):
         raise ConditioningError(
             f"saturated cavity: G_eff / gamma_sat overflows (G_eff = "
-            f"{params.gain_eff:.6e}, gamma_sat = {params.gamma_sat:.6e} "
-            f"rad/us)")
+            f"{gain_eff:.6e}, gamma_sat = {gamma_sat:.6e} rad/us)")
     return n_sat
 
 

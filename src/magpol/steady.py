@@ -91,6 +91,11 @@ class Solution(NamedTuple):
     def n_m(self) -> float:
         return abs(self.m0) ** 2
 
+    def take(self, idx) -> "Solution":
+        """The points ``idx`` of a batch result, with its kind and errors."""
+        return Solution(self.kind, *(v[idx] for v in self[1:-1]),
+                        self.errors)
+
 
 def passive_cubic_coefficients(params: SystemParams,
                                drive: DriveSpec) -> np.ndarray:
@@ -364,59 +369,54 @@ def passive_fixed_points(params: SystemParams,
     return [fp for fp, k in zip(out, keep) if k]
 
 
-def _coupled_points(c: Rates, rate: np.ndarray, n_sat: np.ndarray):
+def _coupled_points(c: Rates, rate: np.ndarray, n_sat: np.ndarray
+                    ) -> Solution:
     """Polynomial route of ``solve_active`` for cells with g > 0 and
-    saturated photon numbers ``n_sat``.
-
-    Returns the point arrays (cell, a0, m0, omega, net_gain, residual),
-    unmerged, and the cells' errors, all indexed into ``c``.
+    saturated photon numbers ``n_sat``. Candidates are rows of one table
+    (cell, ``Rates``, start), the doublet's mirrors appended. Returns a
+    ``Solution`` of the admitted points, unsorted and unmerged, and the
+    cells' errors, all indexed into ``c``.
     """
-    gamma, g, g_eff = c.gamma, c.g, c.gain_eff
     # extreme rates overflow here; _real_roots reports those rows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a_hi = np.minimum(g_eff, 2.0 * g * g / gamma)
+        a_hi = np.minimum(c.gain_eff, 2.0 * c.g * c.g / c.gamma)
         coeffs = active_quintic_coefficients(c) \
             * a_hi[:, None] ** np.arange(5, -1, -1, dtype=float)
     x, optional, errors = _real_roots(coeffs, "active quintic")
 
     cell, slot = np.nonzero(np.isfinite(x))
     x, optional = x[cell, slot], optional[cell, slot]
-    ge = g_eff[cell]
-    gamma_c, g_c = gamma[cell], g[cell]
-    a_val = np.minimum(x, 1.0) * a_hi[cell]
-    n_m1 = 2.0 * a_val * (ge - a_val) / (ge * gamma_c)
-    keep = (x > 1e-14) & (x <= 1.0 + 1e-9) & (n_m1 > 0.0)
-    cell, optional, ge, gamma_c, g_c, a_val, n_m1 = (
-        v[keep] for v in (cell, optional, ge, gamma_c, g_c, a_val, n_m1))
-    # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
-    # saturation is G_eff, so the photon amplitude p is O(1)
-    s = np.sqrt(n_sat[cell])
-    scaled = c.take(cell)._replace(delta_c=0.0).rescale(s)
-    p = np.sqrt((ge - a_val) / ge)
-    u = scaled.delta_m + scaled.kerr * n_m1
-    q = 2.0 * g_c * g_c * a_val / gamma_c - a_val * a_val
-    regular = np.abs(2.0 * a_val - gamma_c) > 1e-6 * rate[cell]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_ratio = 2.0 * a_val * u / (2.0 * a_val - gamma_c)
-    # near the polariton doublet the ratio above is 0/0; take the
-    # frequency from the gain constraint instead, keeping both signs
-    # and letting the residual filter decide
-    w_gain = np.sqrt(np.maximum(q, 0.0))
-    doublet = ~regular & (w_gain > 0.0)
-    rep = np.repeat(np.arange(cell.size), 1 + doublet)
-    second = np.zeros(rep.size, dtype=bool)
-    second[1:] = rep[1:] == rep[:-1]
-    w = np.where(regular[rep], w_ratio[rep],
-                 np.where(second, -w_gain[rep], w_gain[rep]))
-    cell, a_val, p, g_c, ge, s = (
-        v[rep] for v in (cell, a_val, p, g_c, ge, s))
-    optional = optional[rep] | doublet[rep]
-    scaled = scaled.take(rep)
+    r = c.take(cell)
+    # extreme finite rates overflow here; the masks and residuals drop them
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a_val = np.minimum(x, 1.0) * a_hi[cell]
+        n_m1 = 2.0 * a_val * (r.gain_eff - a_val) / (r.gain_eff * r.gamma)
+        keep = (x > 1e-14) & (x <= 1.0 + 1e-9) & (n_m1 > 0.0)
+        cell, optional, a_val, n_m1 = (
+            v[keep] for v in (cell, optional, a_val, n_m1))
+        # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
+        # saturation is G_eff, so the photon amplitude p is O(1)
+        s = np.sqrt(n_sat[cell])
+        r = r.take(keep)._replace(delta_c=0.0).rescale(s)
+        p = np.sqrt((r.gain_eff - a_val) / r.gain_eff)
+        u = r.delta_m + r.kerr * n_m1
+        q = 2.0 * r.g * r.g * a_val / r.gamma - a_val * a_val
+        regular = np.abs(2.0 * a_val - r.gamma) > 1e-6 * rate[cell]
+        w_ratio = 2.0 * a_val * u / (2.0 * a_val - r.gamma)
+        # near the polariton doublet the ratio above is 0/0; take the
+        # frequency from the gain constraint instead, appending the
+        # mirror -w and letting the residual filter decide
+        w_gain = np.sqrt(np.maximum(q, 0.0))
+        doublet = ~regular & (w_gain > 0.0)
+        rep = np.r_[np.arange(cell.size), np.flatnonzero(doublet)]
+        w = np.r_[np.where(regular, w_ratio, w_gain), -w_gain[doublet]]
+        cell, a_val, p, s = (v[rep] for v in (cell, a_val, p, s))
+        optional = (optional | doublet)[rep]
+        r = r.take(rep)
+        start = np.stack([p, w, w * p / r.g, -a_val * p / r.g], axis=-1)
 
     tol = RESIDUAL_RTOL * rate[cell]
-    start = np.stack([p, w, w * p / g_c, -a_val * p / g_c], axis=-1)
-    z, res = _damped_newton4(start, tol, scaled, None)
-
+    z, res = _damped_newton4(start, tol, r, None)
     ok = res <= tol
     for i in np.flatnonzero(~ok & ~optional):
         errors.setdefault(int(cell[i]), InternalConsistencyError(
@@ -429,8 +429,9 @@ def _coupled_points(c: Rates, rate: np.ndarray, n_sat: np.ndarray):
             & ~np.isin(cell, list(errors)))
     m0 = np.empty(cell.size, dtype=complex)
     m0.real, m0.imag = mr1 * s, mi1 * s
-    return ((cell[keep], (p1 * s)[keep] + 0j, m0[keep], w1[keep],
-             (ge - scaled.gamma_sat * p1 * p1)[keep], res[keep]), errors)
+    return Solution("active", cell, p1 * s + 0j, m0, w1,
+                    r.gain_eff - r.gamma_sat * p1 * p1, res,
+                    errors).take(keep)
 
 
 def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,
@@ -474,10 +475,10 @@ def solve_active(cells: Rates) -> Solution:
     (else ``model.saturated_photons``' ConditioningError); g == 0 gives
     the uncoupled oscillator's photon-only limit cycle
     a0 = sqrt(G_eff/gamma_sat) at omega = 0; every other cell is solved
-    through the quintic, with all cells' companion roots, Newton
-    polishes and duplicate merging done as array operations over the
-    whole batch. Points are grouped by ascending cell and sorted by
-    (omega, n_m) within it.
+    through the quintic (``_coupled_points``), with all cells' companion
+    roots and Newton polishes done as array operations over the batch.
+    The photon-only and coupled points form one ``Solution``, which is
+    sorted by (cell, omega, n_m) and then merged by ``_merge_duplicates``.
     """
     c = Rates(*(np.array(v, dtype=float).ravel()
                 for v in np.broadcast_arrays(*cells)))
@@ -494,36 +495,29 @@ def solve_active(cells: Rates) -> Solution:
             "active model needs gamma_sat > 0 to saturate")
     lasing &= c.gamma_sat > 0.0
     # G_eff / gamma_sat once per cell; where it overflows, the error of
-    # model.saturated_photons (on Python floats: numpy scalars warn)
+    # model.saturated_photons
     with np.errstate(over="ignore"):
         n_sat = c.gain_eff / np.where(lasing, c.gamma_sat, 1.0)
     for i in np.flatnonzero(lasing & ~np.isfinite(n_sat)):
         try:
-            saturated_photons(Rates(*(v[i].item() for v in c)))
+            saturated_photons(c.take(i))
         except ConditioningError as exc:
             errors[int(i)] = exc
     lasing &= np.isfinite(n_sat)
 
     photon = np.flatnonzero(lasing & (c.g == 0.0))
     coupled = np.flatnonzero(lasing & (c.g != 0.0))
-    sub = c.take(coupled)
-    (cell, a0, m0, omega, net_gain, res), sub_errors = _coupled_points(
-        sub, rate[coupled], n_sat[coupled])
-    errors.update((int(coupled[i]), e) for i, e in sub_errors.items())
-    cell = np.concatenate([photon, coupled[cell]])
-    a0 = np.concatenate([np.sqrt(n_sat[photon]) + 0j, a0])
-    m0 = np.concatenate([np.zeros(photon.size, dtype=complex), m0])
-    omega, net_gain, res = (np.concatenate([np.zeros(photon.size), v])
-                            for v in (omega, net_gain, res))
-
-    n_m = np.abs(m0) ** 2
-    order = np.lexsort((n_m, omega, cell))
-    cell, a0, m0, omega, net_gain, res, n_m = (
-        v[order] for v in (cell, a0, m0, omega, net_gain, res, n_m))
-    keep = _merge_duplicates(cell, omega, n_m, rate[cell])
-    return Solution(kind="active", cell=cell[keep], a0=a0[keep],
-                    m0=m0[keep], omega=omega[keep], net_gain=net_gain[keep],
-                    residual=res[keep], errors=errors)
+    pts = _coupled_points(c.take(coupled), rate[coupled], n_sat[coupled])
+    errors.update((int(coupled[i]), e) for i, e in pts.errors.items())
+    zero = np.zeros(photon.size)
+    sol = Solution("active", np.r_[photon, coupled[pts.cell]],
+                   np.r_[np.sqrt(n_sat[photon]) + 0j, pts.a0],
+                   np.r_[zero + 0j, pts.m0], np.r_[zero, pts.omega],
+                   np.r_[zero, pts.net_gain], np.r_[zero, pts.residual],
+                   errors)
+    sol = sol.take(np.lexsort((sol.n_m, sol.omega, sol.cell)))
+    return sol.take(_merge_duplicates(sol.cell, sol.omega, sol.n_m,
+                                      rate[sol.cell]))
 
 
 def active_fixed_points(params: SystemParams) -> list[Solution]:

@@ -821,6 +821,21 @@ def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
             "coefficients"}
 
 
+def test_overflowing_magnon_scale_prints_no_numpy_warning(tmp_path):
+    """G_eff * gamma overflows in the magnon number of a quintic root
+    whose state is far below admission: the run reports no fixed point
+    and warns about nothing."""
+    system = _active_system(gamma_mhz_over_2pi=3.56e151,
+                            gain_mhz_over_2pi=5.59e253,
+                            delta_m_mhz_over_2pi=3.0)
+    out = _run_cli("fixed-points", "--config",
+                   _write_config(tmp_path, {"format_version": 1,
+                                            "system": system}),
+                   "--out", str(tmp_path / "fp"))
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
+    assert out.stdout == "0 fixed point(s), phase 0S+0U\n"
+
+
 def test_extreme_passive_rates_print_no_numpy_warnings(tmp_path):
     """The passive cubic overflows into the same one error as the
     quintic: one line from fixed-points, no numpy warning, and a map

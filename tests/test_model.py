@@ -1,6 +1,7 @@
 """Equations of motion, drive conversion, and amplitude rescaling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,28 @@ def test_bare_cavity_photons():
                         (broadline_params(delta_c=1e155), 0.0)):
         with pytest.raises(ConditioningError, match="overflows"):
             bare_cavity_photons(params, eta)
+
+
+def test_occupation_scales_of_numpy_scalars_do_not_warn():
+    """numpy-scalar rates, as a map axis hands them over, overflow into
+    the same ConditioningError as Python floats, with no numpy warning."""
+    cases = ((bare_cavity_photons, SystemParams(kappa=1.0, gamma=1.0, g=1.0,
+                                                delta_c=-3e171), (1.0,)),
+             (bare_cavity_photons, SystemParams(kappa=1e200), (1.0,)),
+             (bare_cavity_photons, SystemParams(kappa=1e-160), (1e3,)),
+             (saturated_photons, SystemParams(gain=1e20, gamma_sat=1e-305),
+              ()))
+    for scale, params, args in cases:
+        with pytest.raises(ConditioningError) as floats:
+            scale(params, *args)
+        scalars = SystemParams(**{
+            k: np.float64(v) if type(v) is float else v
+            for k, v in vars(params).items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError) as numpy_scalars:
+                scale(scalars, *map(np.float64, args))
+        assert str(numpy_scalars.value) == str(floats.value)
 
 
 def test_saturated_photons():

@@ -1,6 +1,9 @@
 """Steady-state enumeration: polynomial routes against the Newton oracle."""
 
+import collections
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from _cases import broadline_params, narrowline_params
 from _oracles import active_fixed_points_newton, complex_field, \
     passive_fixed_points_newton
-from magpol.errors import ConditioningError
+from magpol.errors import ConditioningError, InternalConsistencyError
 from magpol import steady
 from magpol.model import TWO_PI, DriveSpec, Rates, SystemParams, \
     bare_cavity_photons, batch_rates, vector_field
@@ -366,6 +369,63 @@ def test_solve_active_batch_matches_one_cell_calls():
         for i, fp in zip(rows, fps):
             assert (sol.a0[i], sol.m0[i], sol.omega[i]) == \
                 (fp.a0, fp.m0, fp.omega)
+
+
+def test_solution_take_subsets_a_batch_result():
+    p = narrowline_params(delta_m=TWO_PI * (-46.4))
+    sol = solve_active(batch_rates(p, g=np.array([p.g, 0.0, p.g, p.g]),
+                                   delta_c=np.array([0.0, 0.0, 1.0, 0.0])))
+    assert sol.cell.tolist() == [0, 0, 0, 1, 3, 3, 3]
+    assert list(sol.errors) == [2]
+    for idx in (np.array([4, 0, 3]), sol.cell == 3, slice(1, 3)):
+        sub = sol.take(idx)
+        assert sub.kind == "active" and sub.errors is sol.errors
+        for name in Solution._fields[1:-1]:
+            assert np.array_equal(getattr(sub, name), getattr(sol, name)[idx])
+
+
+def _extreme_rate(rng, center, spread, signed=False):
+    """A rate of 10^(center +- spread) rad/us, of either sign when
+    ``signed``, half of them numpy scalars as a map axis hands them over."""
+    v = 10.0 ** (center + rng.uniform(-spread, spread))
+    if signed and rng.random() < 0.5:
+        v = -v
+    return np.float64(v) if rng.random() < 0.5 else v
+
+
+def test_extreme_rates_end_in_points_or_errors_and_warn_about_nothing():
+    """2,000 seeded solves, alternating the routes, with log-uniform
+    rates from about 1e-100 to 1e250 rad/us: half spread over the whole
+    range, half within 20 decades of a common scale. Each ends in points
+    or a ConditioningError, or in the InternalConsistencyError of a few
+    failed polishes, and none emits a RuntimeWarning."""
+    rng = np.random.default_rng(2026)
+    outcomes = collections.Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(2000):
+            center, spread = (75.0, 175.0) if k % 4 < 2 \
+                else (rng.uniform(-100, 250), 20.0)
+            rate = functools.partial(_extreme_rate, rng, center, spread)
+            if k % 2:
+                route = "active"
+                solve = functools.partial(active_fixed_points, SystemParams(
+                    gamma=rate(), g=rate(), kerr=rate(True),
+                    delta_m=rate(True), gain=rate(), gamma_sat=rate()))
+            else:
+                route = "passive"
+                solve = functools.partial(passive_fixed_points, SystemParams(
+                    kappa=rate(), gamma=rate(), g=rate(), kerr=rate(True),
+                    delta_c=rate(True), delta_m=rate(True)),
+                    DriveSpec(eta=rate()))
+            try:
+                solve()
+                outcomes[route, "points"] += 1
+            except (ConditioningError, InternalConsistencyError) as exc:
+                outcomes[route, type(exc).__name__] += 1
+    for route in ("passive", "active"):
+        assert outcomes[route, "points"] >= 100, outcomes
+        assert outcomes[route, "ConditioningError"] >= 100, outcomes
 
 
 def _assert_row(fp, kind):
