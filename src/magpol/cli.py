@@ -72,7 +72,10 @@ def _fp_record(fp, params, tol: float) -> dict:
     otherwise change the artifact whenever the arithmetic is reordered.
     """
     quantum = 1e-3 * tol
-    verdict = VERDICTS[classify(fp, params)]
+    code, errors = classify(fp, params)
+    if errors:
+        raise errors[0]
+    verdict = VERDICTS[code[0]]
     report = spectrum(fp, params)
     return {
         "kind": fp.kind,

@@ -15,14 +15,15 @@ directly. n0 axes are sampled logarithmically, gain axes linearly,
 detuning always linearly.
 
 ``solve_cells`` labels any set of points, on the grid or off it: an
-active set is solved as batched array computations
-(``steady.solve_active`` and ``stability.classify_points``), a passive
-set point by point. ``scan`` is the layout around it: it builds both
-axes once, cuts the grid into row-major ranges of at most ``BLOCK``
-cells and hands each range's points to ``solve_cells``, in one process
-or spread over worker processes. Scans are deterministic: every cell's
-result depends only on that cell and is assembled by index, so it is
-identical for any worker count.
+active set is solved as one batched array computation
+(``steady.solve_active``), a passive set point by point, and the fixed
+points of either are classified in one ``stability.classify`` call.
+``scan`` is the layout around it: it builds both axes once, cuts the
+grid into row-major ranges of at most ``BLOCK`` cells and hands each
+range's points to ``solve_cells``, in one process or spread over worker
+processes. Scans are deterministic: every cell's result depends only
+on that cell and is assembled by index, so it is identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import steady
 from .model import DriveSpec, SystemParams, bare_cavity_photons, batch_rates
-from .stability import classify, classify_points, phase_label
+from .stability import classify, phase_label
 # active_fixed_points is unused here but stays a module attribute:
 # perfbench/tracing.py rebinds the solver names it finds on phasemap.
 from .steady import active_fixed_points, passive_fixed_points  # noqa: F401
@@ -172,22 +173,28 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
     array; the points need not lie on the grid, whose system, axis and
     base parameters they take. Returns the (4, K) stable, unstable,
     marginal and total counts and {k: error text}. Active points are
-    one ``steady.solve_active`` and one ``classify_points`` (an n0 axis
-    that does not map to gain fails every point); passive points go
-    one by one through ``passive_fixed_points`` and ``classify``.
+    solved in one ``steady.solve_active`` call (an n0 axis that does
+    not map to gain fails every point), passive points one by one
+    through ``passive_fixed_points``; either way the fixed points of
+    all K points are classified in one ``classify`` call.
     """
     failed: dict[int, Exception] = {}
     if grid.system == "passive":
-        points = []  # (point, verdict) of every fixed point
+        found = []  # (k, a0, m0, residual) of every fixed point
         for k, (n0, dm) in enumerate(zip(x, delta_m)):
             try:
                 params = grid.base.replace(delta_m=dm)
                 fps = passive_fixed_points(params,
                                            n0_to_drive_passive(n0, params))
-                points += [(k, classify(fp, params)) for fp in fps]
+                found += [(k, fp.a0, fp.m0, fp.residual) for fp in fps]
             except Exception as exc:  # point errors must not abort a scan
                 failed[k] = exc
-        cell, code = np.array(points, dtype=np.intp).reshape(-1, 2).T
+        pts = np.array(found, dtype=[("cell", np.intp), ("a0", complex),
+                                     ("m0", complex), ("residual", float)])
+        zero = np.zeros(len(pts))  # passive omega and net gain
+        sol = steady.Solution("passive", pts["cell"], pts["a0"], pts["m0"],
+                              zero, zero, pts["residual"], {})
+        rates = batch_rates(grid.base, delta_m=delta_m[sol.cell])
     else:
         try:
             gains = x if grid.x_axis == "gain" else n0_to_gain_active(
@@ -199,15 +206,13 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
                             gain_eff=gains)
         sol = steady.solve_active(cells)
         rates = cells.take(sol.cell)
-        code, errors = classify_points(rates, sol.a0, sol.m0, sol.omega,
-                                       True)
         failed.update(sol.errors)
-        for i, exc in errors.items():
-            failed.setdefault(int(sol.cell[i]), exc)
-        cell = sol.cell
-    ok = ~np.isin(cell, list(failed))
+    code, errors = classify(sol, rates)
+    for i, exc in errors.items():
+        failed.setdefault(int(sol.cell[i]), exc)
+    ok = ~np.isin(sol.cell, list(failed))
     counts = np.zeros((4, len(x)), dtype=np.int64)
-    np.add.at(counts, (code[ok], cell[ok]), 1)
+    np.add.at(counts, (code[ok], sol.cell[ok]), 1)
     counts[3] = counts[:3].sum(axis=0)
     return counts, {k: _error_text(e) for k, e in sorted(failed.items())}
 

@@ -13,7 +13,9 @@ neutral eigenvalue, which takes no part in the verdict. The active
 origin is the exception: it carries no phase orbit and keeps its full
 spectrum.
 
-A verdict needs no eigenvalues. ``classify_points`` builds the
+A verdict needs no eigenvalues. ``classify``, the one classification
+call, takes a whole ``Solution``: every point of a map range at once,
+or one row of the ``fixed-points`` command. It builds the
 characteristic polynomial det(lambda I - J) of each matrix from sums
 of principal minors; an oscillating active point divides out its
 neutral root lambda = 0, which leaves a cubic, and every other point
@@ -49,7 +51,7 @@ MARGIN_RTOL = 1e-6
 # above this relative size the discard is flagged for review.
 NEUTRAL_SUSPECT_REL = 1e-3
 
-# Verdict names, indexed by what ``classify_points`` returns.
+# Verdict names, indexed by what ``classify`` returns.
 VERDICTS = ("stable", "unstable", "marginal")
 
 
@@ -107,54 +109,41 @@ def _hurwitz(c, shift) -> np.ndarray:
             & (a[1] * a[2] * a[3] > a[3] * a[3] + a[1] * a[1] * a[4]))
 
 
-def classify_points(params: SystemParams | Rates, a0, m0, omega,
-                    active: bool) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Verdicts of M fixed points of one model, in one batched call.
+def classify(sol: Solution, params: SystemParams | Rates
+             ) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Verdicts of the fixed points of ``sol``, in one batched call.
 
-    ``a0``, ``m0`` and ``omega`` are arrays (M,) or, for one point,
-    scalars; the ``params`` rates broadcast over them. Returns each
-    point's index into ``VERDICTS``, decided by the Hurwitz test of
-    the module docstring with the band ``MARGIN_RTOL *
-    params.rate_scale()`` (per point, rad/us), and {row: LinAlgError}
-    for the rows whose linearization is not finite; their verdicts are
-    meaningless.
+    ``sol`` is a batch of points of one model or one row of it; the
+    ``params`` rates broadcast over its points. Returns each point's
+    index into ``VERDICTS`` as an array (M,), M = 1 for a row, decided
+    by the Hurwitz test of the module docstring with the band
+    ``MARGIN_RTOL * params.rate_scale()`` (per point, rad/us), and
+    {row: LinAlgError} for the rows whose linearization is not finite;
+    their verdicts are meaningless.
     """
-    jac = jacobian(params, a0, m0, omega, active).reshape(-1, 4, 4)
+    active = sol.kind == "active"
+    jac = jacobian(params, sol.a0, sol.m0, sol.omega,
+                   active).reshape(-1, 4, 4)
     # Each matrix and its band are scaled by 2^-e, with e the exponent
     # of its rate scale: exact, and it keeps the coefficients near 1.
     mant, exp = np.frexp(params.rate_scale())
     band = MARGIN_RTOL * mant
     a = np.multiply(jac.transpose(1, 2, 0), np.ldexp(1.0, -exp), order="C")
-    if len(jac) == 1:
-        # the same arithmetic on Python floats costs a one-point call
-        # far less than on arrays of one element
-        a, band = a[..., 0].tolist(), band.item()
     c = _char_poly(a)
     if active:
         # Oscillating points drop their neutral root: c4 = det J is 0
         # up to rounding, and the cubic keeps the other three roots.
-        cubic = np.abs(a0) ** 2 + np.abs(m0) ** 2 > 0
+        cubic = np.abs(sol.a0) ** 2 + np.abs(sol.m0) ** 2 > 0
         stable = np.where(cubic, _hurwitz(c[:3], -band), _hurwitz(c, -band))
         inside = np.where(cubic, _hurwitz(c[:3], band), _hurwitz(c, band))
     else:
         stable, inside = _hurwitz(c, -band), _hurwitz(c, band)
     errors: dict[int, Exception] = {}
-    kind = "active" if active else "passive"
     for i in np.flatnonzero(~np.isfinite(c).all(axis=0)):
         errors[int(i)] = np.linalg.LinAlgError(
-            f"non-finite linearization of {kind} fixed point; "
+            f"non-finite linearization of {sol.kind} fixed point; "
             f"matrix:\n{np.array2string(jac[i], precision=8)}")
     return np.where(stable, 0, np.where(inside, 2, 1)).reshape(-1), errors
-
-
-def classify(fp: Solution, params: SystemParams) -> int:
-    """Verdict of one ``Solution`` row, as an index into ``VERDICTS``:
-    its row of ``classify_points``, whose error it raises."""
-    code, errors = classify_points(params, fp.a0, fp.m0, fp.omega,
-                                   fp.kind == "active")
-    if errors:
-        raise errors[0]
-    return int(code[0])
 
 
 class Spectrum(NamedTuple):

@@ -4,9 +4,16 @@ Two recurring parameter sets: a broad-line strong-coupling pair used
 by the map tests (kerr per magnon of order 2pi x 10 nHz) and a
 narrow-line pair with larger Kerr used by the sweep and bistability
 tests. Rates are rad/us throughout; **over replaces any field.
+
+``stack`` and ``verdict_of`` put fixed-point rows into the shape
+``stability.classify`` takes and back.
 """
 
+import numpy as np
+
 from magpol.model import SystemParams, TWO_PI
+from magpol.stability import VERDICTS, classify
+from magpol.steady import Solution
 
 
 def broadline_params(**over) -> SystemParams:
@@ -21,3 +28,17 @@ def narrowline_params(**over) -> SystemParams:
               gamma_sat=TWO_PI * 0.8e-12, gain=TWO_PI * 15.45)
     kw.update(over)
     return SystemParams(**kw)
+
+
+def stack(rows) -> Solution:
+    """One batch ``Solution`` of fixed-point rows of one model."""
+    cols = list(zip(*rows))
+    return Solution(rows[0].kind, *map(np.array, cols[1:-1]), errors={})
+
+
+def verdict_of(row: Solution, params) -> str:
+    """Verdict name of one fixed-point row; raises the row's error."""
+    code, errors = classify(row, params)
+    if errors:
+        raise errors[0]
+    return VERDICTS[code[0]]

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from _cases import broadline_params, narrowline_params
+from _cases import broadline_params, narrowline_params, verdict_of
+from _digests import of_fixture, pinned
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.calib import ReflectionFit, fit_kittel, fit_s11, s11_model
 from magpol.dynamics import (SweepProtocol, default_seed_state,
@@ -21,7 +22,7 @@ from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams
 from magpol.phasemap import GridSpec, scan
 from magpol.spectral import (build_spectrogram, fft_peak_offset,
                              phase_slope_offset)
-from magpol.stability import VERDICTS, classify, spectrum
+from magpol.stability import spectrum
 from magpol.steady import active_fixed_points, passive_fixed_points
 
 
@@ -37,52 +38,78 @@ def _passive_grid(**base_over):
                     base=broadline_params(**base_over))
 
 
+UP_SWEEP = tuple(TWO_PI * d for d in np.linspace(-75.0, 20.0, 191))
+
+# What each module fixture computes, by fixture name; its digest is
+# pinned in digests.json (see _digests).
+FIXTURES = {
+    "zero_detuning_map": lambda: scan(_passive_grid()),
+    "detuned_map": lambda: scan(_passive_grid(delta_c=TWO_PI * 80.0)),
+    "active_photon_map": lambda: scan(GridSpec(
+        system="active", x_axis="n0", x_min=1e9, x_max=1e15, x_count=201,
+        delta_m_min=-TWO_PI * 100.0, delta_m_max=TWO_PI * 100.0,
+        delta_m_count=201,
+        base=broadline_params(gamma_sat=TWO_PI * 2.0e-12, gain=0.0))),
+    "gain_map": lambda: scan(GridSpec(
+        system="active", x_axis="gain", x_min=TWO_PI * 10.0,
+        x_max=TWO_PI * 22.0, x_count=151, delta_m_min=-TWO_PI * 70.0,
+        delta_m_max=-TWO_PI * 25.0, delta_m_count=151,
+        base=narrowline_params(gain=0.0))),
+    "low_gain_sweep": lambda: run_sweep(
+        SweepProtocol(detunings=UP_SWEEP),
+        narrowline_params(gain=TWO_PI * 15.45)),
+    "sideband_sweep": lambda: run_sweep(
+        SweepProtocol(detunings=UP_SWEEP),
+        narrowline_params(gain=TWO_PI * 16.94)),
+}
+
+
+def _timed(name):
+    t0 = time.perf_counter()
+    value = FIXTURES[name]()
+    return value, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def zero_detuning_map():
-    t0 = time.perf_counter()
-    diagram = scan(_passive_grid())
-    return diagram, time.perf_counter() - t0
+    return _timed("zero_detuning_map")
 
 
 @pytest.fixture(scope="module")
 def detuned_map():
-    return scan(_passive_grid(delta_c=TWO_PI * 80.0))
+    return FIXTURES["detuned_map"]()
 
 
 @pytest.fixture(scope="module")
 def active_photon_map():
-    grid = GridSpec(system="active", x_axis="n0", x_min=1e9, x_max=1e15,
-                    x_count=201, delta_m_min=-TWO_PI * 100.0,
-                    delta_m_max=TWO_PI * 100.0, delta_m_count=201,
-                    base=broadline_params(gamma_sat=TWO_PI * 2.0e-12,
-                                          gain=0.0))
-    return scan(grid)
+    return FIXTURES["active_photon_map"]()
 
 
 @pytest.fixture(scope="module")
 def gain_map():
-    grid = GridSpec(system="active", x_axis="gain", x_min=TWO_PI * 10.0,
-                    x_max=TWO_PI * 22.0, x_count=151,
-                    delta_m_min=-TWO_PI * 70.0, delta_m_max=-TWO_PI * 25.0,
-                    delta_m_count=151, base=narrowline_params(gain=0.0))
-    return scan(grid)
-
-
-UP_SWEEP = tuple(TWO_PI * d for d in np.linspace(-75.0, 20.0, 191))
+    return FIXTURES["gain_map"]()
 
 
 @pytest.fixture(scope="module")
 def low_gain_sweep():
-    t0 = time.perf_counter()
-    result = run_sweep(SweepProtocol(detunings=UP_SWEEP),
-                       narrowline_params(gain=TWO_PI * 15.45))
-    return result, time.perf_counter() - t0
+    return _timed("low_gain_sweep")
 
 
 @pytest.fixture(scope="module")
 def sideband_sweep():
-    return run_sweep(SweepProtocol(detunings=UP_SWEEP),
-                     narrowline_params(gain=TWO_PI * 16.94))
+    return FIXTURES["sideband_sweep"]()
+
+
+def test_fixture_digests(zero_detuning_map, detuned_map, active_photon_map,
+                         gain_map, low_gain_sweep, sideband_sweep):
+    """Every count, mask bit, fitted frequency and window sample of the
+    fixtures is as pinned in digests.json."""
+    got = {"zero_detuning_map": zero_detuning_map[0],
+           "detuned_map": detuned_map,
+           "active_photon_map": active_photon_map, "gain_map": gain_map,
+           "low_gain_sweep": low_gain_sweep[0],
+           "sideband_sweep": sideband_sweep}
+    assert {k: of_fixture(v) for k, v in got.items()} == pinned("fixtures")
 
 
 def _labels(diagram):
@@ -278,7 +305,7 @@ def test_criterion_07_classification_agrees_with_dynamics():
         for fp in fps:
             if checked >= 200:
                 break
-            verdict = VERDICTS[classify(fp, p)]
+            verdict = verdict_of(fp, p)
             report = spectrum(fp, p)
             # away from boundaries: clearly signed margin, clean spectrum
             if (report.neutral_suspect or verdict == "marginal"

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _digests import of_files, pinned
 from magpol import config, dynamics, phasemap
 from magpol.cli import _write_json, _write_matrix_csv, main
 from magpol.spectral import spectrum_freqs
@@ -208,23 +209,34 @@ ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
-def test_shipped_config_runs(tmp_path, monkeypatch, name):
-    """Every shipped config runs as written, cut only in size: maps at
-    12x9 and sweeps to 3 steps, with their own dt, t_total and t_drop."""
-    monkeypatch.chdir(ROOT)  # shipped configs use repo-relative data paths
+def run_shipped(name, tmp_path):
+    """Run the shipped config ``name`` from the repository root as
+    written, cut only in size: maps at 12x9 and sweeps to 3 steps, with
+    their own dt, t_total and t_drop. Returns its output folder."""
     command = SHIPPED_CONFIGS[name]
     doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
     extra = ["--resolution", "12x9"] if command == "phase-diagram" else []
-    expected = ARTIFACTS[command] + ["manifest.json"]
     if command == "sweep":
         doc["sweep"]["steps"] = 3
-    if "spectrogram" in doc:
-        expected += ["spectrogram.csv", "spectrogram_axes.json"]
     out = tmp_path / "out"
     assert main([command, "--config", _write_config(tmp_path, doc),
                  "--out", str(out), *extra]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_runs(tmp_path, monkeypatch, name):
+    """Every shipped config runs as written, cut only in size (see
+    ``run_shipped``), and writes the files pinned in digests.json."""
+    monkeypatch.chdir(ROOT)  # shipped configs use repo-relative data paths
+    command = SHIPPED_CONFIGS[name]
+    expected = ARTIFACTS[command] + ["manifest.json"]
+    if "spectrogram" in json.loads(
+            (ROOT / "configs" / f"{name}.json").read_text()):
+        expected += ["spectrogram.csv", "spectrogram_axes.json"]
+    out = run_shipped(name, tmp_path)
     assert sorted(os.listdir(out)) == sorted(expected)
+    assert of_files(out) == pinned("shipped")[name]
 
 
 def test_resolution_override(tmp_path):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from _cases import broadline_params, narrowline_params
+from _cases import broadline_params, narrowline_params, verdict_of
 from _oracles import active_fixed_points_newton
 from magpol import phasemap, steady
 from magpol.model import TWO_PI, SystemParams, eta_from_power, \
@@ -307,7 +307,7 @@ def _enumerate_point(grid, x, delta_m):
         p = _point_params(grid, x, delta_m)
         fps = (passive_fixed_points(p, n0_to_drive_passive(x, p))
                if grid.system == "passive" else active_fixed_points(p))
-        verdicts = [VERDICTS[classify(fp, p)] for fp in fps]
+        verdicts = [verdict_of(fp, p) for fp in fps]
     except Exception as exc:
         return 0, 0, 0, 0, f"{type(exc).__name__}: {exc}"
     return (*(verdicts.count(v) for v in VERDICTS), len(verdicts), None)
@@ -422,6 +422,95 @@ def test_batched_scan_matches_per_cell_enumeration(name, monkeypatch):
             if len(ref) == total[iy, ix]:
                 break
         assert len(ref) == total[iy, ix], f"cell ({iy}, {ix})"
+
+
+PASSIVE_GRIDS = {
+    "bistable_tongue": WORKER_GRIDS["passive"],
+    # past its first column every cell overflows the scaled cubic
+    "n0_overflow": lambda: GridSpec(
+        system="passive", x_axis="n0", x_min=1e14, x_max=1e301, x_count=4,
+        delta_m_min=TWO_PI * (-100.0), delta_m_max=TWO_PI * (-60.0),
+        delta_m_count=5, base=broadline_params(delta_c=TWO_PI * 80.0)),
+    "bare_cavity_overflow": lambda: GridSpec(
+        system="passive", x_axis="n0", x_min=1e9, x_max=1e12, x_count=3,
+        delta_m_min=-1.0, delta_m_max=1.0, delta_m_count=3,
+        base=broadline_params(kappa=1e200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSIVE_GRIDS))
+def test_batched_passive_scan_matches_per_cell_enumeration(name,
+                                                           monkeypatch):
+    """The passive twin: cells solved one by one and classified once
+    per range give the counts and error texts of one-point calls."""
+    monkeypatch.setattr(phasemap, "BLOCK", 7)
+    diagram = _assert_scan_matches_cells(PASSIVE_GRIDS[name]())
+    messages = set(diagram.error_messages.values())
+    if name == "bistable_tongue":
+        assert not messages and (diagram.stable == 2).any()
+    elif name == "n0_overflow":
+        assert not diagram.errors[:, 0].any() and diagram.errors[:, 1:].all()
+        assert messages == {"ConditioningError: passive cubic: non-finite "
+                            "polynomial coefficients"}
+    else:
+        assert diagram.errors.all()
+        assert all(m.startswith("ConditioningError: bare cavity: ")
+                   for m in messages)
+
+
+def test_non_finite_passive_point_fails_only_its_cell(monkeypatch):
+    """A passive point whose linearization is not finite turns its cell
+    into an error cell with the LinAlgError text of its row; every
+    other cell, its range's included, keeps its counts."""
+    monkeypatch.setattr(phasemap, "BLOCK", 7)
+    grid = WORKER_GRIDS["passive"]()
+    clean = scan(grid)
+    iy, ix = np.argwhere(clean.stable == 2)[0]
+    target = iy * grid.x_count + ix
+    solve, calls, spoilt = phasemap.passive_fixed_points, [], []
+
+    def one_point_spoilt(params, drive):
+        fps = solve(params, drive)
+        if len(calls) == target:
+            fps[1] = fps[1]._replace(m0=complex(np.nan))
+            spoilt.append((fps[1], params))
+        calls.append(None)
+        return fps
+
+    monkeypatch.setattr(phasemap, "passive_fixed_points", one_point_spoilt)
+    diagram = scan(grid)
+    (row, params), = spoilt
+    _, errors = classify(row, params)
+    assert diagram.error_messages == {
+        (iy, ix): f"LinAlgError: {errors[0]}"}
+    assert str(errors[0]).startswith(
+        "non-finite linearization of passive fixed point; matrix:\n")
+    other = np.ones(clean.errors.shape, dtype=bool)
+    other[iy, ix] = False
+    assert diagram.errors[iy, ix] and not diagram.blank[iy, ix]
+    for field in ("stable", "unstable", "marginal", "blank", "errors"):
+        assert np.array_equal(getattr(diagram, field)[other],
+                              getattr(clean, field)[other]), field
+
+
+@pytest.mark.parametrize("name", ["active", "passive"])
+def test_scan_classifies_once_per_range(name, monkeypatch):
+    """Both systems classify a range's points in one ``classify`` call;
+    passive cells are still solved one ``passive_fixed_points`` call
+    each."""
+    monkeypatch.setattr(phasemap, "BLOCK", 7)
+    calls = {"classify": 0, "passive_fixed_points": 0}
+    for fn in calls:
+        def counted(*args, fn=fn, call=getattr(phasemap, fn)):
+            calls[fn] += 1
+            return call(*args)
+        monkeypatch.setattr(phasemap, fn, counted)
+    grid = WORKER_GRIDS[name]()
+    scan(grid)
+    n = grid.x_count * grid.delta_m_count
+    assert n > 4 * 7  # so every range holds BLOCK cells but the last
+    assert calls == {"classify": -(-n // 7),
+                     "passive_fixed_points": n if name == "passive" else 0}
 
 
 def _saturation_overflow_grid(g):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _cases import broadline_params, narrowline_params
+from _cases import broadline_params, narrowline_params, stack, verdict_of
 from _oracles import doubled_jacobian, jacobian_fd
 from magpol import config, stability
 from magpol.dynamics import integrate_segment
@@ -16,8 +16,7 @@ from magpol.phasemap import BLOCK, n0_to_drive_passive, n0_to_gain_active, \
     solve_cells
 from magpol.steady import Solution, active_fixed_points, \
     passive_fixed_points, solve_active
-from magpol.stability import MARGIN_RTOL, VERDICTS, classify, \
-    classify_points, spectrum
+from magpol.stability import MARGIN_RTOL, VERDICTS, classify, spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,7 +97,7 @@ def test_real_basis_keeps_the_doubled_basis_spectrum():
                 checked[active] += 1
 
 
-def test_classify_points_fallback_isolates_a_failed_row():
+def test_classify_isolates_a_failed_row():
     """A non-finite point fails its own row only; the rest classify as
     in a clean batch. Its eigenvalue report fails as well."""
     cases = []
@@ -108,15 +107,11 @@ def test_classify_points_fallback_isolates_a_failed_row():
     cases.append((p, active_fixed_points(p)))
     for p, fps in cases:
         active = fps[0].kind == "active"
-        a0, m0, omega = (np.array([getattr(fp, k) for fp in fps])
-                         for k in ("a0", "m0", "omega"))
-        clean, clean_errors = classify_points(p, a0, m0, omega, active)
+        clean, clean_errors = classify(stack(fps), p)
         assert len(fps) == 3 and not clean_errors
         bad = 1
-        spoilt, errors = classify_points(p, np.insert(a0, bad, a0[0]),
-                                         np.insert(m0, bad, np.nan),
-                                         np.insert(omega, bad, omega[0]),
-                                         active)
+        nan_row = fps[0]._replace(m0=complex(np.nan))
+        spoilt, errors = classify(stack([fps[0], nan_row, *fps[1:]]), p)
         assert list(errors) == [bad]
         err = errors[bad]
         assert isinstance(err, np.linalg.LinAlgError)
@@ -125,10 +120,10 @@ def test_classify_points_fallback_isolates_a_failed_row():
             f"matrix:\n")
         keep = np.arange(len(fps) + 1) != bad
         np.testing.assert_array_equal(spoilt[keep], clean)
+        _, errors = classify(nan_row, p)
+        assert list(errors) == [0] and str(errors[0]) == str(err)
         with pytest.raises(np.linalg.LinAlgError):
-            classify(fps[0]._replace(m0=complex(np.nan)), p)
-        with pytest.raises(np.linalg.LinAlgError):
-            spectrum(fps[0]._replace(m0=complex(np.nan)), p)
+            spectrum(nan_row, p)
         for fp, code in zip(fps, clean):
             rep = spectrum(fp, p)
             assert rep.eigenvalues.shape == (4,)
@@ -137,26 +132,21 @@ def test_classify_points_fallback_isolates_a_failed_row():
             assert _margin_verdicts(rep.margin, band) == code
 
 
-def test_classify_is_its_row_of_classify_points():
-    """A one-point call, which runs on Python floats, gives each point
-    the verdict of its row in a batch, which runs on arrays."""
+def test_classify_of_a_row_is_its_row_of_a_batch():
+    """A one-row call gives each point the verdict of its row in a
+    batch of the points of one cell."""
     cases = []
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
     cases.append((p, active_fixed_points(p)))
     p = broadline_params(delta_c=TWO_PI * 80.0, delta_m=TWO_PI * (-85.0))
     cases.append((p, passive_fixed_points(p, n0_to_drive_passive(8e14, p))))
     for p, fps in cases:
-        active = fps[0].kind == "active"
-        batch, errors = classify_points(
-            p, *(np.array([getattr(fp, k) for fp in fps])
-                 for k in ("a0", "m0", "omega")), active)
+        batch, errors = classify(stack(fps), p)
         assert not errors and batch.shape == (len(fps),)
         for fp, code in zip(fps, batch):
-            row = classify(fp, p)
-            assert type(row) is int and row == code
-            single, errors = classify_points(p, fp.a0, fp.m0, fp.omega,
-                                             active)
-            assert not errors and single.tolist() == [row]
+            single, errors = classify(fp, p)
+            assert not errors and single.tolist() == [code]
+        assert len(set(batch.tolist())) > 1
 
 
 def test_gain_map_verdicts_match_the_doubled_basis():
@@ -180,8 +170,7 @@ def test_gain_map_verdicts_match_the_doubled_basis():
         assert not sol.errors
         rates = cells.take(sol.cell)
         band = MARGIN_RTOL * rates.rate_scale()
-        got, errors = classify_points(rates, sol.a0, sol.m0, sol.omega,
-                                      True)
+        got, errors = classify(sol, rates)
         assert not errors
 
         eigs = np.linalg.eigvals(
@@ -216,7 +205,7 @@ def test_decoupled_passive_spectrum():
               -0.5 * p.gamma + 1j * p.delta_m, -0.5 * p.gamma - 1j * p.delta_m}
     for e in expect:
         assert min(abs(np.array(rep.eigenvalues) - e)) < 1e-9 * p.rate_scale()
-    assert VERDICTS[classify(fp, p)] == "stable" and rep.discarded == -1
+    assert verdict_of(fp, p) == "stable" and rep.discarded == -1
 
 
 def test_beam_splitter_spectrum_at_origin():
@@ -247,7 +236,7 @@ def test_uncoupled_oscillator_spectrum():
         assert min(abs(eigs - e)) < 1e-8 * p.rate_scale()
     assert rep.discarded >= 0
     assert abs(eigs[rep.discarded]) < 1e-9 * p.rate_scale()
-    assert VERDICTS[classify(fp, p)] == "stable"
+    assert verdict_of(fp, p) == "stable"
     assert not rep.neutral_suspect
 
 
@@ -280,7 +269,7 @@ def test_middle_branch_is_a_saddle():
     drive = n0_to_drive_passive(8e14, p)
     fps = passive_fixed_points(p, drive)
     assert len(fps) == 3
-    assert [VERDICTS[classify(fp, p)] for fp in fps] == [
+    assert [verdict_of(fp, p) for fp in fps] == [
         "stable", "unstable", "stable"]
     mid = spectrum(fps[1], p)
     retained = mid.eigenvalues[np.arange(4) != mid.discarded]
@@ -304,7 +293,7 @@ def test_coexisting_unstable_pair():
     p = p.replace(gain=n0_to_gain_active(6.3096e14, p))
     fps = active_fixed_points(p)
     assert len(fps) == 3
-    verdicts = [VERDICTS[classify(fp, p)] for fp in fps]
+    verdicts = [verdict_of(fp, p) for fp in fps]
     assert verdicts.count("stable") == 1
     assert verdicts.count("unstable") == 2
 
@@ -325,7 +314,7 @@ def test_active_origin_keeps_full_spectrum():
                       net_gain=0.0, residual=0.0, errors={})
     rep = spectrum(origin, p)
     assert rep.discarded == -1
-    assert VERDICTS[classify(origin, p)] == "unstable"
+    assert verdict_of(origin, p) == "unstable"
     assert rep.margin == pytest.approx(_origin_margin(p), rel=1e-10)
 
     lossy = narrowline_params(gain=TWO_PI * 2.0, kappa=TWO_PI * 8.0,
@@ -333,19 +322,19 @@ def test_active_origin_keeps_full_spectrum():
     assert lossy.gain_eff < 0
     rep = spectrum(origin, lossy)
     assert rep.discarded == -1
-    assert VERDICTS[classify(origin, lossy)] == "stable"
+    assert verdict_of(origin, lossy) == "stable"
     assert rep.margin == pytest.approx(_origin_margin(lossy), rel=1e-10)
 
 
 def test_marginal_band(monkeypatch):
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
     fp = active_fixed_points(p)[1]
-    assert VERDICTS[classify(fp, p)] != "marginal"
+    assert verdict_of(fp, p) != "marginal"
     # the band is read at call time: |margin| << rate scale once it is 1x
     monkeypatch.setattr(stability, "MARGIN_RTOL", 1.0)
-    wide, _ = classify_points(p, fp.a0, fp.m0, fp.omega, True)
+    wide, _ = classify(fp, p)
     assert VERDICTS[wide[0]] == "marginal"
-    assert VERDICTS[classify(fp, p)] == "marginal"
+    assert verdict_of(fp, p) == "marginal"
 
 
 def test_neutral_suspect_flags_wrong_frame():
@@ -404,17 +393,14 @@ def _knife_cases(at, lo, hi):
 
 
 def _assert_knife_edge_verdicts(cases):
-    """classify_points gives every point of each case the verdict of
+    """classify gives every point of each case the verdict of
     the eigenvalue margin, and the knife's point the verdict its
     margin was placed for. A disagreement would be allowed only on a
     point whose report flags its neutral-mode discard as suspect;
     returns how many such points there were."""
     suspects = 0
     for params, fps, reports, row, knife in cases:
-        active = fps[0].kind == "active"
-        got, errors = classify_points(
-            params, *(np.array([getattr(fp, k) for fp in fps])
-                      for k in ("a0", "m0", "omega")), active)
+        got, errors = classify(stack(fps), params)
         assert not errors
         band = MARGIN_RTOL * params.rate_scale()
         want = _margin_verdicts(np.array([r.margin for r in reports]), band)
