@@ -29,7 +29,7 @@ from .calib import (fit_kittel, fit_s11, load_field_points_csv,
 from .dynamics import run_sweep
 from .errors import (ConditioningError, ConfigError, DivergenceError,
                      FitError, InternalConsistencyError)
-from .model import TWO_PI
+from .model import TWO_PI, batch_rates
 from .phasemap import onset_monotonicity_flags, scan
 from .spectral import build_spectrogram
 from .stability import MARGIN_RTOL, VERDICTS, classify, phase_label, spectrum
@@ -98,12 +98,14 @@ def _fp_record(fp, params, tol: float) -> dict:
 
 def cmd_fixed_points(run: config.RunConfig, out_dir: str) -> int:
     params = run.system
-    if run.kind == "passive":
-        fps = passive_fixed_points(params, run.drive)
-    else:
-        fps = active_fixed_points(params)
+    cell = batch_rates(params)
+    sol = (passive_fixed_points(cell, run.drive.eta) if run.kind == "passive"
+           else active_fixed_points(cell))
+    if sol.errors:
+        raise sol.errors[0]
     tol = RESIDUAL_RTOL * params.rate_scale()
-    records = [_fp_record(fp, params, tol) for fp in fps]
+    records = [_fp_record(sol.take(i), params, tol)
+               for i in range(sol.cell.size)]
     counts = {v: sum(rec["classification"] == v for rec in records)
               for v in VERDICTS}
     phase = phase_label(*counts.values())

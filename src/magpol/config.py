@@ -302,10 +302,10 @@ def _parse_drive(blk: _Block, params: SystemParams) -> DriveSpec:
         raise ConfigError(f"{blk.path}: exactly one of n0, power_uw, "
                           f"eta_per_us is required, got "
                           f"{given if given else 'none'}")
-    if n0 is not None:
-        return blk.make(n0_to_drive_passive, n0, params)
     if power_uw is not None:
         return blk.make(eta_from_power, power_uw * 1e-6, params)
+    if n0 is not None:
+        eta = float(blk.make(n0_to_drive_passive, n0, params))
     return blk.make(DriveSpec, eta=eta)
 
 

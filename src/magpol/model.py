@@ -265,29 +265,32 @@ def batch_rates(params: SystemParams, **arrays) -> Rates:
     return Rates(**fields)
 
 
-def bare_cavity_photons(params: SystemParams,
-                        eta: float = 0.0) -> tuple[float, float]:
+def bare_cavity_photons(params: SystemParams | Rates, eta=0.0,
+                        errors: dict[int, Exception] | None = None):
     """Photons a drive ``eta`` holds in the bare (uncoupled) cavity.
 
     Returns (n0, denom) with denom = (kappa/2)^2 + delta_c^2 and
     n0 = eta^2 / denom, or n0 = 0 where denom is 0 (no steady state:
-    callers decide). Raises ConditioningError if either overflows.
+    callers decide), elementwise over a ``Rates`` of arrays and an
+    array ``eta``. Where either overflows it raises ConditioningError,
+    or, given ``errors``, maps the batch member's index to it.
     """
-    # Python floats: an overflowing square raises, where numpy scalars warn
-    kappa, delta_c = float(params.kappa), float(params.delta_c)
-    eta = float(eta)
-    denom = n0 = math.inf
-    try:
-        denom = (0.5 * kappa) ** 2 + delta_c ** 2
-        n0 = eta ** 2 / denom if denom > 0.0 else 0.0
-    except OverflowError:
-        pass
-    if not math.isfinite(n0):  # also where denom is not finite
-        raise ConditioningError(
-            f"bare cavity: {'eta^2 / ' if math.isfinite(denom) else ''}"
-            f"((kappa/2)^2 + delta_c^2) overflows (eta = {eta:.6e} /us, "
-            f"kappa = {kappa:.6e}, delta_c = {delta_c:.6e} rad/us)")
-    return n0, denom
+    kappa, delta_c, eta = np.broadcast_arrays(params.kappa, params.delta_c,
+                                              eta)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # float_power is libm's pow, as Python's float ** is: same bits
+        denom = np.float_power(0.5 * kappa, 2) + np.float_power(delta_c, 2)
+        n0 = np.where(denom > 0.0, np.float_power(eta, 2) / denom, 0.0)
+    for i in np.flatnonzero(~(np.isfinite(n0) & np.isfinite(denom))):
+        exc = ConditioningError(
+            f"bare cavity: {'eta^2 / ' if np.isfinite(denom.flat[i]) else ''}"
+            f"((kappa/2)^2 + delta_c^2) overflows (eta = {eta.flat[i]:.6e} "
+            f"/us, kappa = {kappa.flat[i]:.6e}, delta_c = "
+            f"{delta_c.flat[i]:.6e} rad/us)")
+        if errors is None:
+            raise exc
+        errors[int(i)] = exc
+    return n0[()], denom[()]
 
 
 def saturated_photons(params: SystemParams) -> float:

@@ -14,21 +14,20 @@ active one through ``n0_to_gain_active``) or the effective gain
 directly. n0 axes are sampled logarithmically, gain axes linearly,
 detuning always linearly.
 
-``solve_cells`` labels any set of points, on the grid or off it: an
-active set is solved as one batched array computation
-(``steady.solve_active``), a passive set point by point, and the fixed
-points of either are classified in one ``stability.classify`` call.
-``scan`` is the layout around it: it builds both axes once, cuts the
-grid into row-major ranges of at most ``BLOCK`` cells and hands each
-range's points to ``solve_cells``, in one process or spread over worker
-processes. Scans are deterministic: every cell's result depends only
-on that cell and is assembled by index, so it is identical for any
-worker count.
+``solve_cells`` labels any set of points, on the grid or off it: it
+builds their rates, solves them in one batched call
+(``steady.passive_fixed_points`` or ``steady.active_fixed_points``),
+classifies all their fixed points in one ``stability.classify`` call
+and counts. ``scan`` is the layout around it: it builds both axes
+once, cuts the grid into row-major ranges of at most ``BLOCK`` cells
+and hands each range's points to ``solve_cells``, in one process or
+spread over worker processes. Scans are deterministic: every cell's
+result depends only on that cell and is assembled by index, so it is
+identical for any worker count.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -36,12 +35,9 @@ from itertools import repeat
 
 import numpy as np
 
-from . import steady
-from .model import DriveSpec, SystemParams, bare_cavity_photons, batch_rates
+from .model import SystemParams, bare_cavity_photons, batch_rates
 from .stability import classify, phase_label
-# active_fixed_points is unused here but stays a module attribute:
-# perfbench/tracing.py rebinds the solver names it finds on phasemap.
-from .steady import active_fixed_points, passive_fixed_points  # noqa: F401
+from .steady import active_fixed_points, passive_fixed_points
 
 _VALID_SYSTEMS = ("passive", "active")
 _VALID_AXES = ("n0", "gain")
@@ -134,21 +130,25 @@ class PhaseDiagram:
             for i, n in zip(first, counts)))
 
 
-def n0_to_drive_passive(n0: float, params: SystemParams) -> DriveSpec:
-    """Drive that puts n0 photons in the bare (uncoupled) cavity.
+def n0_to_drive_passive(n0: float | np.ndarray,
+                        params: SystemParams) -> float | np.ndarray:
+    """Drive amplitude eta that puts n0 photons in the bare (uncoupled)
+    cavity (a number or an array).
 
     Inverts ``model.bare_cavity_photons`` (ConditioningError where its
-    denominator overflows). The drive is its amplitude alone, the one
-    number the steady-state problem sees; ``model.power_from_drive``
-    gives the input power behind it when the external port is set.
+    denominator overflows). eta is inf where n0 times the denominator
+    overflows, which the passive solve reports as a bare-cavity
+    overflow. ``model.power_from_drive`` gives the input power behind
+    eta when the external port is set.
     """
-    if n0 < 0:
-        raise ValueError(f"n0 must be >= 0, got {n0}")
+    if np.any(np.less(n0, 0)):
+        raise ValueError(f"n0 must be >= 0, got {np.min(n0)}")
     _, denom = bare_cavity_photons(params)
     if denom <= 0.0:
         raise ValueError("degenerate mapping: kappa and delta_c both zero, "
                          "so n0 sets no drive")
-    return DriveSpec(eta=math.sqrt(n0 * denom))
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.multiply(n0, denom))
 
 
 def n0_to_gain_active(n0: float | np.ndarray,
@@ -172,42 +172,27 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
     ``x`` is in ``grid.x_axis`` units and, like ``delta_m``, a 1-D
     array; the points need not lie on the grid, whose system, axis and
     base parameters they take. Returns the (4, K) stable, unstable,
-    marginal and total counts and {k: error text}. Active points are
-    solved in one ``steady.solve_active`` call (an n0 axis that does
-    not map to gain fails every point), passive points one by one
-    through ``passive_fixed_points``; either way the fixed points of
-    all K points are classified in one ``classify`` call.
+    marginal and total counts and {k: error text}. The points are
+    solved in one ``passive_fixed_points`` or ``active_fixed_points``
+    call and their fixed points classified in one ``classify`` call;
+    an x axis that does not map to a drive or a gain fails every point.
     """
-    failed: dict[int, Exception] = {}
-    if grid.system == "passive":
-        found = []  # (k, a0, m0, residual) of every fixed point
-        for k, (n0, dm) in enumerate(zip(x, delta_m)):
-            try:
-                params = grid.base.replace(delta_m=dm)
-                fps = passive_fixed_points(params,
-                                           n0_to_drive_passive(n0, params))
-                found += [(k, fp.a0, fp.m0, fp.residual) for fp in fps]
-            except Exception as exc:  # point errors must not abort a scan
-                failed[k] = exc
-        pts = np.array(found, dtype=[("cell", np.intp), ("a0", complex),
-                                     ("m0", complex), ("residual", float)])
-        zero = np.zeros(len(pts))  # passive omega and net gain
-        sol = steady.Solution("passive", pts["cell"], pts["a0"], pts["m0"],
-                              zero, zero, pts["residual"], {})
-        rates = batch_rates(grid.base, delta_m=delta_m[sol.cell])
-    else:
-        try:
-            gains = x if grid.x_axis == "gain" else n0_to_gain_active(
-                x, grid.base)
-        except ValueError as exc:
-            return np.zeros((4, len(x)), dtype=np.int64), dict.fromkeys(
-                range(len(x)), _error_text(exc))
-        cells = batch_rates(grid.base, delta_c=0.0, delta_m=delta_m,
-                            gain_eff=gains)
-        sol = steady.solve_active(cells)
-        rates = cells.take(sol.cell)
-        failed.update(sol.errors)
-    code, errors = classify(sol, rates)
+    base = grid.base
+    try:
+        if grid.system == "passive":
+            eta = n0_to_drive_passive(x, base)
+            cells = batch_rates(base, delta_m=delta_m)
+        else:
+            gains = x if grid.x_axis == "gain" else n0_to_gain_active(x, base)
+            cells = batch_rates(base, delta_c=0.0, delta_m=delta_m,
+                                gain_eff=gains)
+    except ValueError as exc:
+        return np.zeros((4, len(x)), dtype=np.int64), dict.fromkeys(
+            range(len(x)), _error_text(exc))
+    sol = (passive_fixed_points(cells, eta) if grid.system == "passive"
+           else active_fixed_points(cells))
+    failed = dict(sol.errors)
+    code, errors = classify(sol, cells.take(sol.cell))
     for i, exc in errors.items():
         failed.setdefault(int(sol.cell[i]), exc)
     ok = ~np.isin(sol.cell, list(failed))

@@ -28,8 +28,9 @@ filtered by the full residual: that branch is the degenerate polariton
 doublet). The photon-only and zero-amplitude states are not coupled
 solutions and are never returned.
 
-Both routes report a ``Solution``: ``solve_active`` one of arrays for
-a batch of cells, the one-cell solves a list of its rows.
+Each route is one batched call, ``passive_fixed_points(cells, eta)``
+or ``active_fixed_points(cells)``, on a map range or the one cell of
+``fixed-points``. Both return a ``Solution``.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, InternalConsistencyError
-from .model import DriveSpec, Rates, SystemParams, bare_cavity_photons, \
-    batch_rates, jacobian, saturated_photons, vector_field
+from .model import Rates, SystemParams, bare_cavity_photons, jacobian, \
+    saturated_photons, vector_field
 
 # A polynomial root counts as real when |Im| <= RTOL*|root| + ATOL
 # (in the nondimensional variable, which is O(1) by construction).
@@ -64,7 +65,8 @@ RESIDUAL_RTOL = 1e-8
 class Solution(NamedTuple):
     """Steady states of a batch of cells of one model ("passive" or
     "active" ``kind``), one entry per point; ``cell`` is its index in
-    the batch. One fixed point is a row: Python scalars, ``cell`` 0.
+    the batch. ``take(i)`` of one index is one fixed point, a row of
+    scalars.
 
     ``omega`` is the emission frequency offset of the rotating ansatz
     (always 0 for the passive model, where the frame is the drive).
@@ -84,11 +86,11 @@ class Solution(NamedTuple):
     errors: dict[int, Exception]
 
     @property
-    def n_a(self) -> float:
+    def n_a(self) -> float | np.ndarray:
         return abs(self.a0) ** 2
 
     @property
-    def n_m(self) -> float:
+    def n_m(self) -> float | np.ndarray:
         return abs(self.m0) ** 2
 
     def take(self, idx) -> "Solution":
@@ -97,9 +99,12 @@ class Solution(NamedTuple):
                         self.errors)
 
 
-def passive_cubic_coefficients(params: SystemParams,
-                               drive: DriveSpec) -> np.ndarray:
-    """Cubic in the magnon number, descending coefficients (length 4)."""
+def passive_cubic_coefficients(params: SystemParams | Rates,
+                               eta) -> np.ndarray:
+    """Cubic in the magnon number, descending coefficients (..., 4).
+
+    With a ``Rates`` of arrays or an array ``eta``, one row per member.
+    """
     kappa, gamma, g = params.kappa, params.gamma, params.g
     dc, dm = params.delta_c, params.delta_m
     kerr = params.kerr
@@ -107,12 +112,12 @@ def passive_cubic_coefficients(params: SystemParams,
     r1 = -dc * kerr
     i0 = 0.5 * kappa * dm + 0.5 * dc * gamma
     i1 = 0.5 * kappa * kerr
-    return np.array([
+    return np.stack(np.broadcast_arrays(
         r1 * r1 + i1 * i1,
         2.0 * (r0 * r1 + i0 * i1),
         r0 * r0 + i0 * i0,
-        -g * g * drive.eta ** 2,
-    ])
+        -g * g * np.float_power(eta, 2),
+    ), axis=-1)
 
 
 def active_quintic_coefficients(params: SystemParams | Rates) -> np.ndarray:
@@ -243,26 +248,36 @@ def _solve_rows(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
+class _Drive(NamedTuple):
+    """Drive amplitudes, one per row, in place of a scalar DriveSpec."""
+    eta: np.ndarray
+
+
 def _damped_newton4(x: np.ndarray, tol, rates: Rates,
-                    drive: DriveSpec | None) -> tuple[np.ndarray, np.ndarray]:
+                    eta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Refine roots of ``_polish_defect``, one row of x (M, 4) each.
 
-    ``rates`` and ``drive`` are at unit occupation; without a drive the
-    model is the active one. The only refinement of the unpolished
-    companion-matrix roots, which near double roots are only about
-    sqrt(eps) accurate: up to 8 damped Newton iterations on the full
-    steady-state system restore machine accuracy, and the residual left
-    is what admits a near-real candidate. Each row iterates on its own
-    (``tol`` and the ``rates`` arrays broadcast over the rows) until its
-    defect is below 1% of its tolerance, a step fails, or no damped
-    step improves it. Returns the best iterate of every row and its
-    max-norm defect; never raises.
+    ``rates`` and the drives ``eta`` (M,) are at unit occupation;
+    without ``eta`` the model is the active one. The only refinement
+    of the unpolished companion-matrix roots, which near double roots
+    are only about sqrt(eps) accurate: up to 8 damped Newton iterations
+    on the full steady-state system restore machine accuracy, and the
+    residual left is what admits a near-real candidate. Each row
+    iterates on its own (``tol`` and the ``rates`` arrays broadcast
+    over the rows) until its defect is below 1% of its tolerance, a
+    step fails, or no damped step improves it. Returns the best iterate
+    of every row and its max-norm defect; never raises.
     """
-    active = drive is None
+    active = eta is None
+
+    def rhs(rows):
+        return vector_field(rates.take(rows),
+                            None if active else _Drive(eta[rows]))
+
     x = np.array(x, dtype=float)
     tol = np.zeros(len(x)) + tol
     with np.errstate(all="ignore"):
-        fx = _polish_defect(x, vector_field(rates, drive), active)
+        fx = _polish_defect(x, rhs(slice(None)), active)
         res = np.max(np.abs(fx), axis=-1)
         live = np.arange(len(x))
         for _ in range(8):
@@ -280,8 +295,7 @@ def _damped_newton4(x: np.ndarray, tol, rates: Rates,
             for _ in range(5):
                 rows = live[pending]
                 xn = x[rows] + lam * step[pending]
-                fn = _polish_defect(
-                    xn, vector_field(rates.take(rows), drive), active)
+                fn = _polish_defect(xn, rhs(rows), active)
                 rn = np.max(np.abs(fn), axis=-1)
                 better = np.all(np.isfinite(fn), axis=-1) & (rn < res[rows])
                 took = rows[better]
@@ -296,82 +310,90 @@ def _damped_newton4(x: np.ndarray, tol, rates: Rates,
     return x, res
 
 
-def passive_fixed_points(params: SystemParams,
-                         drive: DriveSpec) -> list[Solution]:
-    """All steady states of the driven passive model, sorted by n_m.
+def _columns(*values) -> list[np.ndarray]:
+    """Broadcast ``values`` to one float array entry per batch member."""
+    return [np.array(v, dtype=float).ravel()
+            for v in np.broadcast_arrays(*values)]
 
-    Solves the magnon-number cubic in units of the bare-cavity photon
-    number n0 (``model.bare_cavity_photons``), then reconstructs and
-    polishes amplitudes root by root, divided by s = sqrt(n0), merging
-    coinciding points by ``_merge_duplicates`` at omega = 0. Raises
-    ConditioningError if n0 is 0 (undamped resonant cavity, or eta^2
-    underflows) or the scaled cubic overflows, and InternalConsistencyError
-    if a reconstructed point fails its residual check.
+
+def passive_fixed_points(cells: Rates, eta) -> Solution:
+    """Steady states of the driven passive model, cell by cell.
+
+    ``cells`` gives each batch member's rates and ``eta`` >= 0 its drive
+    amplitude (floats broadcast). Each cell's magnon-number cubic is
+    solved in units of its bare-cavity photon number n0
+    (``model.bare_cavity_photons``); amplitudes are reconstructed from
+    its real roots divided by s = sqrt(n0) and polished, with all
+    cells' companion roots and Newton polishes done as array operations
+    over the batch. The points form one ``Solution``, sorted by
+    (cell, n_m) and merged by ``_merge_duplicates`` at omega = 0. A
+    cell with eta = 0 has the origin as its one point. A cell's error
+    is the ConditioningError of an overflowing n0 or cubic, of n0 = 0
+    (undamped resonant cavity, or eta^2 underflows) or of a singular
+    magnon response, or the InternalConsistencyError of a point that
+    fails its residual check.
     """
-    kappa, gamma, g = params.kappa, params.gamma, params.g
-    dc, dm_det = params.delta_c, params.delta_m
-    n_ref, denom0 = bare_cavity_photons(params, drive.eta)
-    if drive.eta == 0.0:
-        return [Solution("passive", 0, 0j, 0j, 0.0, 0.0, 0.0, errors={})]
-    if n_ref == 0.0:
-        raise ConditioningError(
-            "driven cavity needs kappa > 0 or delta_c != 0" if denom0 == 0.0
-            else f"passive cubic: drive eta = {drive.eta:.6e} /us "
-                 f"underflows the bare-cavity photon number to 0")
-    n = np.float64(n_ref)  # scalar powers: Python's bits, inf if too large
-    # extreme rates overflow here; _real_roots reports them
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coeffs = passive_cubic_coefficients(params, drive) \
-            * np.array([n ** 3, n ** 2, n, 1.0])
-    x, optional, errors = _real_roots(coeffs, "passive cubic")
-    if errors:
-        raise errors[0]
-    keep = np.isfinite(x[0]) & (x[0] >= -1e-12)
-    roots, optional = x[0][keep].tolist(), optional[0][keep].tolist()
+    *rates, eta = _columns(*cells, eta)
+    c = Rates(*rates)
+    rate = c.rate_scale()
+    errors: dict[int, Exception] = {}
+    n_ref, denom = bare_cavity_photons(c, eta, errors)
+    valid = ~np.isin(np.arange(eta.size), list(errors))
+    origin = np.flatnonzero(valid & (eta == 0.0))
+    for i in np.flatnonzero(valid & (eta != 0.0) & (n_ref == 0.0)):
+        errors[int(i)] = ConditioningError(
+            "driven cavity needs kappa > 0 or delta_c != 0"
+            if denom[i] == 0.0 else
+            f"passive cubic: drive eta = {eta[i]:.6e} /us underflows the "
+            f"bare-cavity photon number to 0")
+    solve = np.flatnonzero(valid & (n_ref > 0.0))
+    # extreme rates overflow here; _real_roots reports those rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = passive_cubic_coefficients(c.take(solve), eta[solve]) \
+            * np.float_power(n_ref[solve, None], np.arange(3.0, -1.0, -1.0))
+    x, optional, failed = _real_roots(coeffs, "passive cubic")
+    errors.update((int(solve[i]), e) for i, e in failed.items())
 
+    row, slot = np.nonzero(np.isfinite(x) & (x >= -1e-12))
+    cell, optional = solve[row], optional[row, slot]
+    n_m1 = np.maximum(x[row, slot], 0.0)  # in units of n_ref
     # unit-occupation scaling for reconstruction and polish
-    s = math.sqrt(n_ref)
-    rates = batch_rates(params).rescale(s)
-    eta_s = drive.eta / s
-    rate = params.rate_scale()
-    tol = RESIDUAL_RTOL * rate
-
-    starts = []
-    for x1 in roots:
-        n_m1 = max(x1, 0.0)  # in units of n_ref
-        delta = dm_det + rates.kerr * n_m1
-        d_m = 0.5 * gamma + 1j * delta
-        if abs(d_m) == 0.0:
-            raise ConditioningError("magnon response singular (gamma = 0 "
-                                    "at zero effective detuning)")
-        a = eta_s / ((0.5 * kappa + 1j * dc) + g * g / d_m)
-        m = -1j * g * a / d_m
-        starts.append([a.real, a.imag, m.real, m.imag])
-    z, res = _damped_newton4(np.reshape(starts, (-1, 4)), tol, rates,
-                             DriveSpec(eta=eta_s))
-
-    out = []
-    for x1, opt, zk, rk in zip(roots, optional, z, res.tolist()):
-        if not rk <= tol:
-            if opt:
-                continue  # a near-real pair that is no fixed point
-            raise InternalConsistencyError(
-                f"passive root n_m={max(x1, 0.0) * n_ref:.6e} reconstructed "
-                f"with residual {rk:.3e} > {tol:.3e} rad/us")
-        out.append(Solution("passive", 0, complex(zk[0] + 1j * zk[1]) * s,
-                            complex(zk[2] + 1j * zk[3]) * s, 0.0, 0.0, rk,
-                            errors={}))
-
-    out.sort(key=lambda f: f.n_m)
-    zero = np.zeros(len(out))  # one cell, omega = 0
-    keep = _merge_duplicates(zero, zero, np.array([f.n_m for f in out]),
-                             zero + rate)
-    return [fp for fp, k in zip(out, keep) if k]
+    s = np.sqrt(n_ref[cell])
+    r = c.take(cell).rescale(s)
+    eta_s = eta[cell] / s
+    d_m = 0.5 * r.gamma + 1j * (r.delta_m + r.kerr * n_m1)
+    for i in np.flatnonzero(d_m == 0.0):
+        errors.setdefault(int(cell[i]), ConditioningError(
+            "magnon response singular (gamma = 0 at zero effective "
+            "detuning)"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = eta_s / ((0.5 * r.kappa + 1j * r.delta_c) + r.g * r.g / d_m)
+        m = -1j * r.g * a / d_m
+    start = np.stack([a.real, a.imag, m.real, m.imag], axis=-1)
+    tol = RESIDUAL_RTOL * rate[cell]
+    z, res = _damped_newton4(start, tol, r, eta_s)
+    ok = res <= tol
+    for i in np.flatnonzero(~ok & ~optional):
+        errors.setdefault(int(cell[i]), InternalConsistencyError(
+            f"passive root n_m={n_m1[i] * n_ref[cell[i]]:.6e} "
+            f"reconstructed with residual {res[i]:.3e} > {tol[i]:.3e} "
+            f"rad/us"))
+    keep = ok & ~np.isin(cell, list(errors))
+    # (Re a, Im a, Re m, Im m) of each point; the origins' rows stay 0
+    amp = np.zeros((origin.size + keep.sum(), 4))
+    amp[origin.size:] = z[keep] * s[keep, None]
+    a0, m0 = amp.view(complex).T
+    zero = np.zeros(len(amp))  # omega and net gain
+    sol = Solution("passive", np.r_[origin, cell[keep]], a0, m0, zero,
+                   zero, np.r_[zero[:origin.size], res[keep]], errors)
+    sol = sol.take(np.lexsort((sol.n_m, sol.cell)))
+    return sol.take(_merge_duplicates(sol.cell, sol.omega, sol.n_m,
+                                      rate[sol.cell]))
 
 
 def _coupled_points(c: Rates, rate: np.ndarray, n_sat: np.ndarray
                     ) -> Solution:
-    """Polynomial route of ``solve_active`` for cells with g > 0 and
+    """Polynomial route of ``active_fixed_points`` for cells with g > 0 and
     saturated photon numbers ``n_sat``. Candidates are rows of one table
     (cell, ``Rates``, start), the doublet's mirrors appended. Returns a
     ``Solution`` of the admitted points, unsorted and unmerged, and the
@@ -465,7 +487,7 @@ def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,
     return keep
 
 
-def solve_active(cells: Rates) -> Solution:
+def active_fixed_points(cells: Rates) -> Solution:
     """Coupled steady states of the gain-driven model, cell by cell.
 
     ``cells`` gives each batch member's rates (floats broadcast). The
@@ -479,9 +501,10 @@ def solve_active(cells: Rates) -> Solution:
     roots and Newton polishes done as array operations over the batch.
     The photon-only and coupled points form one ``Solution``, which is
     sorted by (cell, omega, n_m) and then merged by ``_merge_duplicates``.
+    The origin is never a point: a cell with none has it as its only
+    steady state.
     """
-    c = Rates(*(np.array(v, dtype=float).ravel()
-                for v in np.broadcast_arrays(*cells)))
+    c = Rates(*_columns(*cells))
     rate = c.rate_scale()
     errors: dict[int, Exception] = {}
     for i in np.flatnonzero(c.delta_c != 0.0):
@@ -518,23 +541,3 @@ def solve_active(cells: Rates) -> Solution:
     sol = sol.take(np.lexsort((sol.n_m, sol.omega, sol.cell)))
     return sol.take(_merge_duplicates(sol.cell, sol.omega, sol.n_m,
                                       rate[sol.cell]))
-
-
-def active_fixed_points(params: SystemParams) -> list[Solution]:
-    """Coupled steady states of the gain-driven model, sorted by omega.
-
-    Only solutions with magnon number > 0 are returned; the origin is
-    not counted, and for g > 0 a photon-only state is not a fixed point
-    at all (the coupling forces magnon content). An empty list
-    therefore means the origin is the only steady state. The single
-    exception is the uncoupled oscillator g == 0, whose photon-only
-    limit cycle a0 = sqrt(G_eff/gamma_sat) at omega = 0 is returned so
-    the decoupled device still reports its lasing state. This is
-    ``solve_active`` on one cell, as rows of its ``Solution``; its error
-    is raised.
-    """
-    sol = solve_active(batch_rates(params))
-    if sol.errors:
-        raise sol.errors[0]
-    return [Solution("active", 0, *row, errors={})
-            for row in zip(*(v.tolist() for v in sol[2:-1]))]

@@ -6,12 +6,16 @@ narrow-line pair with larger Kerr used by the sweep and bistability
 tests. Rates are rad/us throughout; **over replaces any field.
 
 ``stack`` and ``verdict_of`` put fixed-point rows into the shape
-``stability.classify`` takes and back.
+``stability.classify`` takes and back. ``passive_fixed_points`` and
+``active_fixed_points`` are one-cell calls of the batched solves of the
+same names in ``magpol.steady``: they raise the cell's error and return
+its fixed points as a list of rows.
 """
 
 import numpy as np
 
-from magpol.model import SystemParams, TWO_PI
+from magpol import steady
+from magpol.model import DriveSpec, SystemParams, TWO_PI, batch_rates
 from magpol.stability import VERDICTS, classify
 from magpol.steady import Solution
 
@@ -42,3 +46,23 @@ def verdict_of(row: Solution, params) -> str:
     if errors:
         raise errors[0]
     return VERDICTS[code[0]]
+
+
+def rows(sol: Solution) -> list[Solution]:
+    """The fixed points of a one-cell ``Solution`` as rows of Python
+    scalars, ``cell`` 0 and ``errors`` {}; raises the cell's error."""
+    if sol.errors:
+        raise sol.errors[0]
+    return [Solution(sol.kind, 0, *row, errors={})
+            for row in zip(*(v.tolist() for v in sol[2:-1]))]
+
+
+def passive_fixed_points(params: SystemParams,
+                         drive: DriveSpec) -> list[Solution]:
+    """One cell's passive steady states, sorted by n_m."""
+    return rows(steady.passive_fixed_points(batch_rates(params), drive.eta))
+
+
+def active_fixed_points(params: SystemParams) -> list[Solution]:
+    """One cell's coupled active steady states, sorted by omega."""
+    return rows(steady.active_fixed_points(batch_rates(params)))

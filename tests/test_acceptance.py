@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from _cases import broadline_params, narrowline_params, verdict_of
+from _cases import active_fixed_points, broadline_params, \
+    narrowline_params, passive_fixed_points, verdict_of
 from _digests import of_fixture, pinned
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.calib import ReflectionFit, fit_kittel, fit_s11, s11_model
@@ -23,7 +24,6 @@ from magpol.phasemap import GridSpec, scan
 from magpol.spectral import (build_spectrogram, fft_peak_offset,
                              phase_slope_offset)
 from magpol.stability import spectrum
-from magpol.steady import active_fixed_points, passive_fixed_points
 
 
 def _verdict(num, ok, detail):

@@ -637,6 +637,23 @@ def test_passive_drive_overflow_is_a_conditioning_error(tmp_path, capsys):
         assert msg.startswith("ConditioningError: passive cubic: ")
 
 
+def test_passive_map_drive_overflow_is_a_bare_cavity_error(tmp_path):
+    """An n0 whose drive amplitude overflows a float fails its cells
+    with the bare-cavity overflow, and no numpy warning is printed."""
+    doc = json.loads((ROOT / "configs" / "passive_detuned_map.json")
+                     .read_text())
+    doc["grid"].update(n0_min=1e300, n0_max=1e307)
+    out = tmp_path / "pd"
+    run = _run_cli("phase-diagram", "--config", _write_config(tmp_path, doc),
+                   "--resolution", "2x2", "--out", str(out))
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
+    side = json.loads((out / "phase_diagram.json").read_text())
+    for iy in range(2):
+        assert side["error_messages"][f"{iy},1"].startswith(
+            "ConditioningError: bare cavity: eta^2 / ((kappa/2)^2 + "
+            "delta_c^2) overflows (eta = inf /us")
+
+
 def _passive_system(**over):
     return dict(_grid_doc()["system"], **over)
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _cases import broadline_params, narrowline_params
+from _cases import active_fixed_points, broadline_params, narrowline_params
 from _oracles import integrate_reference
 from magpol.dynamics import (DIVERGENCE_CAP, LOW_CONFIDENCE, SweepProtocol,
                              TrajectorySegment, default_seed_state,
@@ -16,7 +16,6 @@ from magpol.model import (TWO_PI, DriveSpec, ModeState, SystemParams,
                           bare_cavity_photons, batch_rates,
                           saturated_photons, vector_field)
 from magpol.spectral import phase_slope_offset
-from magpol.steady import active_fixed_points
 
 
 def test_linear_decay_matches_analytic_solution():

@@ -1,7 +1,7 @@
 """Static checks on the package source, with the standard library only.
 
 - A module-level import must be used in its module, unless the name is
-  in ``__all__`` or its statement carries ``# noqa: F401``.
+  in ``__all__``.
 - A module-level ``_private`` function, class or assigned name must be
   referenced somewhere in the package.
 - Every name in the package's ``__all__`` must be bound in
@@ -79,7 +79,6 @@ def _referenced(tree) -> set[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
-    lines = path.read_text().splitlines()
     tree = _tree(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = _exported(tree)
@@ -88,9 +87,6 @@ def test_module_level_imports_are_used(path):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if any("# noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
             continue
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]

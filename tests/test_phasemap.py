@@ -5,16 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from _cases import broadline_params, narrowline_params, verdict_of
+from _cases import active_fixed_points, broadline_params, \
+    narrowline_params, rows, verdict_of
 from _oracles import active_fixed_points_newton
 from magpol import phasemap, steady
-from magpol.model import TWO_PI, SystemParams, eta_from_power, \
-    power_from_drive
+from magpol.model import TWO_PI, DriveSpec, SystemParams, batch_rates, \
+    eta_from_power, power_from_drive
 from magpol.phasemap import (GridSpec, PhaseDiagram, bistable_onset,
                              n0_to_drive_passive, n0_to_gain_active,
                              onset_monotonicity_flags, scan)
 from magpol.stability import VERDICTS, classify, spectrum
-from magpol.steady import active_fixed_points, passive_fixed_points
 
 
 def test_n0_mapping_inverts_the_bare_occupation():
@@ -22,9 +22,9 @@ def test_n0_mapping_inverts_the_bare_occupation():
     rng = np.random.default_rng(41)
     for _ in range(15):
         n0 = 10.0 ** rng.uniform(6, 15)
-        drive = n0_to_drive_passive(n0, p)
+        eta = n0_to_drive_passive(n0, p)
         denom = (0.5 * p.kappa) ** 2 + p.delta_c ** 2
-        assert drive.eta ** 2 / denom == pytest.approx(n0, rel=1e-12)
+        assert eta ** 2 / denom == pytest.approx(n0, rel=1e-12)
 
 
 def test_n0_quadruples_when_detuning_is_removed():
@@ -44,14 +44,13 @@ def test_n0_power_round_trip():
     p = broadline_params(kappa_ext=TWO_PI * 0.75, omega_d=TWO_PI * 3.0e3)
     for n0 in (1e9, 3.7e11, 1e15):
         back = eta_from_power(
-            power_from_drive(n0_to_drive_passive(n0, p), p), p)
+            power_from_drive(DriveSpec(n0_to_drive_passive(n0, p)), p), p)
         denom = (0.5 * p.kappa) ** 2 + p.delta_c ** 2
         assert back.eta ** 2 / denom == pytest.approx(n0, rel=1e-12)
 
 
 def test_n0_mapping_without_a_port_skips_power():
-    drive = n0_to_drive_passive(1e12, broadline_params())
-    assert drive.eta > 0
+    assert n0_to_drive_passive(1e12, broadline_params()) > 0
 
 
 def test_degenerate_mapping_errors():
@@ -301,11 +300,12 @@ def _point_params(grid, x, delta_m):
 
 def _enumerate_point(grid, x, delta_m):
     """(stable, unstable, marginal, total, error text) of one point from
-    one-point ``passive_fixed_points`` or ``active_fixed_points`` and
-    ``classify`` calls."""
+    one-cell ``steady.passive_fixed_points`` or ``active_fixed_points``
+    and one-point ``classify`` calls."""
     try:
         p = _point_params(grid, x, delta_m)
-        fps = (passive_fixed_points(p, n0_to_drive_passive(x, p))
+        fps = (rows(steady.passive_fixed_points(
+                   batch_rates(p), n0_to_drive_passive(x, p)))
                if grid.system == "passive" else active_fixed_points(p))
         verdicts = [verdict_of(fp, p) for fp in fps]
     except Exception as exc:
@@ -441,8 +441,8 @@ PASSIVE_GRIDS = {
 @pytest.mark.parametrize("name", sorted(PASSIVE_GRIDS))
 def test_batched_passive_scan_matches_per_cell_enumeration(name,
                                                            monkeypatch):
-    """The passive twin: cells solved one by one and classified once
-    per range give the counts and error texts of one-point calls."""
+    """The passive twin: a range solved and classified in one call each
+    gives the counts and error texts of one-cell calls."""
     monkeypatch.setattr(phasemap, "BLOCK", 7)
     diagram = _assert_scan_matches_cells(PASSIVE_GRIDS[name]())
     messages = set(diagram.error_messages.values())
@@ -467,17 +467,21 @@ def test_non_finite_passive_point_fails_only_its_cell(monkeypatch):
     clean = scan(grid)
     iy, ix = np.argwhere(clean.stable == 2)[0]
     target = iy * grid.x_count + ix
-    solve, calls, spoilt = phasemap.passive_fixed_points, [], []
+    solve, done, spoilt = phasemap.passive_fixed_points, [0], []
 
-    def one_point_spoilt(params, drive):
-        fps = solve(params, drive)
-        if len(calls) == target:
-            fps[1] = fps[1]._replace(m0=complex(np.nan))
-            spoilt.append((fps[1], params))
-        calls.append(None)
-        return fps
+    def range_spoilt(cells, eta):
+        sol = solve(cells, eta)
+        k = target - done[0]  # the target's index in this range
+        done[0] += len(eta)
+        if 0 <= k < len(eta):
+            i = np.flatnonzero(sol.cell == k)[1]
+            m0 = sol.m0.copy()
+            m0[i] = complex(np.nan)
+            sol = sol._replace(m0=m0)
+            spoilt.append((sol.take([i]), cells.take([k])))
+        return sol
 
-    monkeypatch.setattr(phasemap, "passive_fixed_points", one_point_spoilt)
+    monkeypatch.setattr(phasemap, "passive_fixed_points", range_spoilt)
     diagram = scan(grid)
     (row, params), = spoilt
     _, errors = classify(row, params)
@@ -495,11 +499,11 @@ def test_non_finite_passive_point_fails_only_its_cell(monkeypatch):
 
 @pytest.mark.parametrize("name", ["active", "passive"])
 def test_scan_classifies_once_per_range(name, monkeypatch):
-    """Both systems classify a range's points in one ``classify`` call;
-    passive cells are still solved one ``passive_fixed_points`` call
-    each."""
+    """Both systems solve a range's cells in one call of their solver,
+    and classify its points in one ``classify`` call."""
     monkeypatch.setattr(phasemap, "BLOCK", 7)
-    calls = {"classify": 0, "passive_fixed_points": 0}
+    calls = dict.fromkeys(
+        ("classify", "passive_fixed_points", "active_fixed_points"), 0)
     for fn in calls:
         def counted(*args, fn=fn, call=getattr(phasemap, fn)):
             calls[fn] += 1
@@ -509,8 +513,10 @@ def test_scan_classifies_once_per_range(name, monkeypatch):
     scan(grid)
     n = grid.x_count * grid.delta_m_count
     assert n > 4 * 7  # so every range holds BLOCK cells but the last
-    assert calls == {"classify": -(-n // 7),
-                     "passive_fixed_points": n if name == "passive" else 0}
+    ranges = -(-n // 7)
+    other = "active" if name == "passive" else "passive"
+    assert calls == {"classify": ranges, f"{name}_fixed_points": ranges,
+                     f"{other}_fixed_points": 0}
 
 
 def _saturation_overflow_grid(g):

@@ -6,16 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _cases import broadline_params, narrowline_params, stack, verdict_of
+from _cases import active_fixed_points, broadline_params, \
+    narrowline_params, passive_fixed_points, stack, verdict_of
 from _oracles import doubled_jacobian, jacobian_fd
-from magpol import config, stability
+from magpol import config, stability, steady
 from magpol.dynamics import integrate_segment
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams, \
     batch_rates, jacobian
 from magpol.phasemap import BLOCK, n0_to_drive_passive, n0_to_gain_active, \
     solve_cells
-from magpol.steady import Solution, active_fixed_points, \
-    passive_fixed_points, solve_active
+from magpol.steady import Solution
 from magpol.stability import MARGIN_RTOL, VERDICTS, classify, spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,7 +102,8 @@ def test_classify_isolates_a_failed_row():
     in a clean batch. Its eigenvalue report fails as well."""
     cases = []
     p = broadline_params(delta_c=TWO_PI * 80.0, delta_m=TWO_PI * (-85.0))
-    cases.append((p, passive_fixed_points(p, n0_to_drive_passive(8e14, p))))
+    cases.append((p, passive_fixed_points(
+        p, DriveSpec(n0_to_drive_passive(8e14, p)))))
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
     cases.append((p, active_fixed_points(p)))
     for p, fps in cases:
@@ -139,7 +140,8 @@ def test_classify_of_a_row_is_its_row_of_a_batch():
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
     cases.append((p, active_fixed_points(p)))
     p = broadline_params(delta_c=TWO_PI * 80.0, delta_m=TWO_PI * (-85.0))
-    cases.append((p, passive_fixed_points(p, n0_to_drive_passive(8e14, p))))
+    cases.append((p, passive_fixed_points(
+        p, DriveSpec(n0_to_drive_passive(8e14, p)))))
     for p, fps in cases:
         batch, errors = classify(stack(fps), p)
         assert not errors and batch.shape == (len(fps),)
@@ -166,7 +168,7 @@ def test_gain_map_verdicts_match_the_doubled_basis():
         cells = batch_rates(grid.base, delta_c=0.0,
                             delta_m=grid.delta_m_values()[iy],
                             gain_eff=grid.x_values()[ix])
-        sol = solve_active(cells)
+        sol = steady.active_fixed_points(cells)
         assert not sol.errors
         rates = cells.take(sol.cell)
         band = MARGIN_RTOL * rates.rate_scale()
@@ -266,7 +268,7 @@ def test_eigenvalues_satisfy_their_matrix():
 
 def test_middle_branch_is_a_saddle():
     p = broadline_params(delta_c=TWO_PI * 80.0, delta_m=TWO_PI * (-85.0))
-    drive = n0_to_drive_passive(8e14, p)
+    drive = DriveSpec(n0_to_drive_passive(8e14, p))
     fps = passive_fixed_points(p, drive)
     assert len(fps) == 3
     assert [verdict_of(fp, p) for fp in fps] == [
@@ -473,8 +475,8 @@ def test_knife_edge_fold_points_of_the_passive_map():
         params = grid.base.replace(delta_m=dm)
 
         def points(n0):
-            return passive_fixed_points(params,
-                                        n0_to_drive_passive(n0, params))
+            return passive_fixed_points(
+                params, DriveSpec(n0_to_drive_passive(n0, params)))
 
         three = len(points(n0_hi)) == 3
         ends = _bisect(lambda n0: (len(points(n0)) == 3) - 0.5,

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from _cases import broadline_params, narrowline_params
+from _cases import active_fixed_points, broadline_params, \
+    narrowline_params, passive_fixed_points
 from _oracles import active_fixed_points_newton, complex_field, \
     passive_fixed_points_newton
 from magpol.errors import ConditioningError, InternalConsistencyError
@@ -17,8 +18,7 @@ from magpol.model import TWO_PI, DriveSpec, Rates, SystemParams, \
     bare_cavity_photons, batch_rates, vector_field
 from magpol.phasemap import n0_to_drive_passive
 from magpol.steady import Solution, _polish_defect, _polish_jacobian, \
-    _real_roots, active_fixed_points, passive_cubic_coefficients, \
-    passive_fixed_points, solve_active
+    _real_roots, passive_cubic_coefficients
 
 # Frozen three-solution set of the narrow-line gain system at
 # gain/2pi = 15.45 MHz, delta_m/2pi = -46.4 MHz (sorted by omega).
@@ -59,7 +59,7 @@ def test_linear_response_when_kerr_vanishes():
 
 def test_passive_bistable_cell_frozen():
     p = passive_cell_params()
-    drive = n0_to_drive_passive(8e14, p)
+    drive = DriveSpec(n0_to_drive_passive(8e14, p))
     assert drive.eta == pytest.approx(PASSIVE_CELL_ETA, rel=1e-12)
     fps = passive_fixed_points(p, drive)
     assert len(fps) == 3
@@ -79,8 +79,8 @@ def _defect(fp, params, drive=None):
 
 def test_residual_small_on_returned_roots_and_large_on_perturbed():
     p = passive_cell_params()
-    fps = passive_fixed_points(p, n0_to_drive_passive(8e14, p))
-    drive = n0_to_drive_passive(8e14, p)
+    fps = passive_fixed_points(p, DriveSpec(n0_to_drive_passive(8e14, p)))
+    drive = DriveSpec(n0_to_drive_passive(8e14, p))
     for fp in fps:
         assert _defect(fp, p, drive) < 1e-8
     bent = fps[1]._replace(m0=fps[1].m0 * math.sqrt(1.01))
@@ -104,7 +104,7 @@ def test_passive_saddle_node_reports_its_double_root_once():
     for _ in range(200):
         p = broadline_params(delta_c=TWO_PI * rng.uniform(20, 120),
                              delta_m=TWO_PI * rng.uniform(-100, 0))
-        a3, a2, a1, _ = passive_cubic_coefficients(p, DriveSpec(eta=0.0))
+        a3, a2, a1, _ = passive_cubic_coefficients(p, 0.0)
         for n in np.roots([3.0 * a3, 2.0 * a2, a1]):
             if n.imag != 0.0 or n.real <= 0.0:
                 continue
@@ -335,7 +335,7 @@ def test_real_roots_reports_a_leading_coefficient_too_small_to_divide_by():
     assert x[2].tolist() == pytest.approx([-1e300, 1.0])
 
 
-def test_solve_active_batch_matches_one_cell_calls():
+def test_active_batch_matches_one_cell_calls():
     # one batch mixing quintic and cubic (kerr = 0) cells, uncoupled
     # (g = 0), sub-threshold and unsaturated (error) cells
     rng = np.random.default_rng(76)
@@ -352,7 +352,7 @@ def test_solve_active_batch_matches_one_cell_calls():
             gamma_sat=0.0 if k % 15 == 7 else gamma_sat))
     batch = Rates(*(np.array([getattr(p, f) for p in cells])
                     for f in Rates._fields))
-    sol = solve_active(batch)
+    sol = steady.active_fixed_points(batch)
     solved = set(sol.cell.tolist())
     assert solved & set(range(1, 60, 4))    # cubic cells with points
     assert solved & set(range(3, 60, 10))   # uncoupled cells
@@ -373,8 +373,9 @@ def test_solve_active_batch_matches_one_cell_calls():
 
 def test_solution_take_subsets_a_batch_result():
     p = narrowline_params(delta_m=TWO_PI * (-46.4))
-    sol = solve_active(batch_rates(p, g=np.array([p.g, 0.0, p.g, p.g]),
-                                   delta_c=np.array([0.0, 0.0, 1.0, 0.0])))
+    sol = steady.active_fixed_points(batch_rates(
+        p, g=np.array([p.g, 0.0, p.g, p.g]),
+        delta_c=np.array([0.0, 0.0, 1.0, 0.0])))
     assert sol.cell.tolist() == [0, 0, 0, 1, 3, 3, 3]
     assert list(sol.errors) == [2]
     for idx in (np.array([4, 0, 3]), sol.cell == 3, slice(1, 3)):
@@ -398,9 +399,12 @@ def test_extreme_rates_end_in_points_or_errors_and_warn_about_nothing():
     rates from about 1e-100 to 1e250 rad/us: half spread over the whole
     range, half within 20 decades of a common scale. Each ends in points
     or a ConditioningError, or in the InternalConsistencyError of a few
-    failed polishes, and none emits a RuntimeWarning."""
+    failed polishes, and none emits a RuntimeWarning. Solved again as
+    one batch per model, every cell gets the points of its one-cell
+    solve to the bit, or its error in type and text."""
     rng = np.random.default_rng(2026)
     outcomes = collections.Counter()
+    draws = {"passive": [], "active": []}  # (params, eta, one-cell solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in range(2000):
@@ -408,21 +412,42 @@ def test_extreme_rates_end_in_points_or_errors_and_warn_about_nothing():
                 else (rng.uniform(-100, 250), 20.0)
             rate = functools.partial(_extreme_rate, rng, center, spread)
             if k % 2:
-                route = "active"
-                solve = functools.partial(active_fixed_points, SystemParams(
+                route, eta = "active", None
+                p = SystemParams(
                     gamma=rate(), g=rate(), kerr=rate(True),
-                    delta_m=rate(True), gain=rate(), gamma_sat=rate()))
+                    delta_m=rate(True), gain=rate(), gamma_sat=rate())
+                sol = steady.active_fixed_points(batch_rates(p))
             else:
                 route = "passive"
-                solve = functools.partial(passive_fixed_points, SystemParams(
+                p = SystemParams(
                     kappa=rate(), gamma=rate(), g=rate(), kerr=rate(True),
-                    delta_c=rate(True), delta_m=rate(True)),
-                    DriveSpec(eta=rate()))
-            try:
-                solve()
-                outcomes[route, "points"] += 1
-            except (ConditioningError, InternalConsistencyError) as exc:
+                    delta_c=rate(True), delta_m=rate(True))
+                eta = DriveSpec(eta=rate()).eta
+                sol = steady.passive_fixed_points(batch_rates(p), eta)
+            for exc in sol.errors.values():
+                assert isinstance(exc, (ConditioningError,
+                                        InternalConsistencyError)), exc
                 outcomes[route, type(exc).__name__] += 1
+            outcomes[route, "points"] += not sol.errors
+            draws[route].append((p, eta, sol))
+
+        for route, cells in draws.items():
+            batch = Rates(*(np.array([getattr(p, f) for p, _, _ in cells])
+                            for f in Rates._fields))
+            sol = steady.active_fixed_points(batch) if route == "active" \
+                else steady.passive_fixed_points(
+                    batch, [eta for _, eta, _ in cells])
+            assert len(sol.errors) == sum(bool(one.errors)
+                                          for _, _, one in cells)
+            for k, (_, _, one) in enumerate(cells):
+                if one.errors:
+                    assert (type(sol.errors[k]), str(sol.errors[k])) == \
+                        (type(one.errors[0]), str(one.errors[0]))
+                    continue
+                mine = sol.take(sol.cell == k)
+                for name in Solution._fields[2:-1]:
+                    assert getattr(mine, name).tobytes() == \
+                        getattr(one, name).tobytes(), (route, k, name)
     for route in ("passive", "active"):
         assert outcomes[route, "points"] >= 100, outcomes
         assert outcomes[route, "ConditioningError"] >= 100, outcomes
@@ -440,7 +465,7 @@ def _assert_row(fp, kind):
 def test_active_rows_are_the_one_cell_entries():
     for p in (narrowline_params(delta_m=TWO_PI * (-46.4)),
               narrowline_params(g=0.0)):
-        sol = solve_active(batch_rates(p))
+        sol = steady.active_fixed_points(batch_rates(p))
         fps = active_fixed_points(p)
         assert len(fps) == sol.cell.size and fps
         for i, fp in enumerate(fps):
@@ -461,7 +486,7 @@ def test_passive_rows_are_the_polished_roots(monkeypatch):
     newton = steady._damped_newton4
     monkeypatch.setattr(steady, "_damped_newton4", spy)
     p = passive_cell_params()
-    drive = n0_to_drive_passive(8e14, p)
+    drive = DriveSpec(n0_to_drive_passive(8e14, p))
     fps = passive_fixed_points(p, drive)
     (z, res), = polished
     s = math.sqrt(bare_cavity_photons(p, drive.eta)[0])
