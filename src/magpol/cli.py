@@ -62,9 +62,9 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _fp_record(fp, params, tol: float) -> dict:
+def _fp_record(fp, verdict: str, params, tol: float) -> dict:
     """JSON record of one fixed point of ``params``: its ``classify``
-    verdict and its ``spectrum`` report; ``tol`` is its residual
+    ``verdict`` and its ``spectrum`` report; ``tol`` is its residual
     tolerance.
 
     The residual is written as a multiple of 1e-3 * tol: the polish
@@ -72,10 +72,6 @@ def _fp_record(fp, params, tol: float) -> dict:
     otherwise change the artifact whenever the arithmetic is reordered.
     """
     quantum = 1e-3 * tol
-    code, errors = classify(fp, params)
-    if errors:
-        raise errors[0]
-    verdict = VERDICTS[code[0]]
     report = spectrum(fp, params)
     return {
         "kind": fp.kind,
@@ -103,9 +99,12 @@ def cmd_fixed_points(run: config.RunConfig, out_dir: str) -> int:
            else active_fixed_points(cell))
     if sol.errors:
         raise sol.errors[0]
+    code, errors = classify(sol, params)
+    if errors:
+        raise next(iter(errors.values()))
     tol = RESIDUAL_RTOL * params.rate_scale()
-    records = [_fp_record(sol.take(i), params, tol)
-               for i in range(sol.cell.size)]
+    records = [_fp_record(sol.take(i), VERDICTS[k], params, tol)
+               for i, k in enumerate(code.tolist())]
     counts = {v: sum(rec["classification"] == v for rec in records)
               for v in VERDICTS}
     phase = phase_label(*counts.values())

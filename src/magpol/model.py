@@ -48,7 +48,8 @@ eta -> eta/s``. This module owns that scale: ``Rates.rescale`` is the
 one rescaling of the rates (callers divide state and drive by s),
 ``bare_cavity_photons`` the one bare-cavity photon number
 eta^2 / ((kappa/2)^2 + delta_c^2), the n_ref of the passive model, and
-``saturated_photons`` the n_ref G_eff / gamma_sat of the active one.
+``saturated_photons`` the n_ref G_eff / gamma_sat of the active one,
+both elementwise, raising or recording a ConditioningError on overflow.
 """
 
 from __future__ import annotations
@@ -293,23 +294,29 @@ def bare_cavity_photons(params: SystemParams | Rates, eta=0.0,
     return n0[()], denom[()]
 
 
-def saturated_photons(params: SystemParams) -> float:
+def saturated_photons(params: SystemParams | Rates,
+                      errors: dict[int, Exception] | None = None):
     """Photons at which saturation cancels the gain: G_eff / gamma_sat.
 
-    The n_ref of the active model; negative below threshold, and 0
-    where gamma_sat is 0 (no saturation: callers decide). Raises
-    ConditioningError if the ratio overflows.
+    The n_ref of the active model, elementwise over a ``Rates`` of
+    arrays; negative below threshold, and 0 where gamma_sat is 0 (no
+    saturation: callers decide). Where the ratio overflows it raises
+    ConditioningError, or, given ``errors``, maps the batch member's
+    index to it.
     """
-    # Python floats: an overflowing ratio is inf, where numpy scalars warn
-    gain_eff, gamma_sat = float(params.gain_eff), float(params.gamma_sat)
-    if gamma_sat <= 0.0:
-        return 0.0
-    n_sat = gain_eff / gamma_sat
-    if not math.isfinite(n_sat):
-        raise ConditioningError(
+    gain_eff, gamma_sat = np.broadcast_arrays(params.gain_eff,
+                                              params.gamma_sat)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n_sat = np.where(gamma_sat > 0.0, gain_eff / gamma_sat, 0.0)
+    for i in np.flatnonzero(~np.isfinite(n_sat)):
+        exc = ConditioningError(
             f"saturated cavity: G_eff / gamma_sat overflows (G_eff = "
-            f"{gain_eff:.6e}, gamma_sat = {gamma_sat:.6e} rad/us)")
-    return n_sat
+            f"{gain_eff.flat[i]:.6e}, gamma_sat = {gamma_sat.flat[i]:.6e} "
+            f"rad/us)")
+        if errors is None:
+            raise exc
+        errors[int(i)] = exc
+    return n_sat[()]
 
 
 def vector_field(params: SystemParams | Rates,

@@ -15,7 +15,7 @@ spectrum.
 
 A verdict needs no eigenvalues. ``classify``, the one classification
 call, takes a whole ``Solution``: every point of a map range at once,
-or one row of the ``fixed-points`` command. It builds the
+or every point of the one cell of ``fixed-points``. It builds the
 characteristic polynomial det(lambda I - J) of each matrix from sums
 of principal minors; an oscillating active point divides out its
 neutral root lambda = 0, which leaves a cubic, and every other point

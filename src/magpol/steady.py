@@ -30,7 +30,9 @@ solutions and are never returned.
 
 Each route is one batched call, ``passive_fixed_points(cells, eta)``
 or ``active_fixed_points(cells)``, on a map range or the one cell of
-``fixed-points``. Both return a ``Solution``.
+``fixed-points``. Both return a ``Solution``. Past their candidates'
+starts, the routes share one polish-and-admit step (``_polish``) and
+one finish step (``_finish``: extra rows, sort, ``_merge_duplicates``).
 """
 
 from __future__ import annotations
@@ -316,6 +318,40 @@ def _columns(*values) -> list[np.ndarray]:
             for v in np.broadcast_arrays(*values)]
 
 
+def _polish(start: np.ndarray, r: Rates, eta: np.ndarray | None,
+            cell: np.ndarray, rate: np.ndarray, required: np.ndarray,
+            root: str, value: np.ndarray, errors: dict[int, Exception]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``_damped_newton4`` call polishes the candidates ``start``
+    (M, 4) of either route (``eta`` None: active) to ``RESIDUAL_RTOL *
+    rate[cell]``; a ``required`` one that misses it fails its cell with
+    an InternalConsistencyError naming ``root=value``. Returns the rows,
+    residuals and mask of rows within tolerance in cells without error.
+    """
+    tol = RESIDUAL_RTOL * rate[cell]
+    z, res = _damped_newton4(start, tol, r, eta)
+    ok = res <= tol
+    for i in np.flatnonzero(~ok & required):
+        errors.setdefault(int(cell[i]), InternalConsistencyError(
+            f"{root}={value[i]:.6e} reconstructed with residual "
+            f"{res[i]:.3e} > {tol[i]:.3e} rad/us"))
+    return z, res, ok & ~np.isin(cell, list(errors))
+
+
+def _finish(pts: Solution, extra: np.ndarray, extra_a0: np.ndarray,
+            rate: np.ndarray) -> Solution:
+    """The one ``Solution`` of a batch: rows of the cells ``extra`` that
+    set only ``a0`` (the passive origin, the active photon-only limit
+    cycle), then the points ``pts``, sorted by (cell, omega, n_m) and
+    merged by ``_merge_duplicates``."""
+    zero = np.zeros(extra.size)
+    sol = Solution(pts.kind, *(np.r_[x, y] for x, y in zip(
+        (extra, extra_a0, zero, zero, zero, zero), pts[1:-1])), pts.errors)
+    sol = sol.take(np.lexsort((sol.n_m, sol.omega, sol.cell)))
+    return sol.take(_merge_duplicates(sol.cell, sol.omega, sol.n_m,
+                                      rate[sol.cell]))
+
+
 def passive_fixed_points(cells: Rates, eta) -> Solution:
     """Steady states of the driven passive model, cell by cell.
 
@@ -323,15 +359,12 @@ def passive_fixed_points(cells: Rates, eta) -> Solution:
     amplitude (floats broadcast). Each cell's magnon-number cubic is
     solved in units of its bare-cavity photon number n0
     (``model.bare_cavity_photons``); amplitudes are reconstructed from
-    its real roots divided by s = sqrt(n0) and polished, with all
-    cells' companion roots and Newton polishes done as array operations
-    over the batch. The points form one ``Solution``, sorted by
-    (cell, n_m) and merged by ``_merge_duplicates`` at omega = 0. A
-    cell with eta = 0 has the origin as its one point. A cell's error
-    is the ConditioningError of an overflowing n0 or cubic, of n0 = 0
-    (undamped resonant cavity, or eta^2 underflows) or of a singular
-    magnon response, or the InternalConsistencyError of a point that
-    fails its residual check.
+    its real roots divided by s = sqrt(n0), and ``_polish`` and
+    ``_finish`` make them one ``Solution``, with eta = 0 giving the
+    origin. A cell's error is the ConditioningError of an overflowing
+    n0 or cubic, of n0 = 0 (undamped resonant cavity, or eta^2
+    underflows) or of a singular magnon response, or the
+    InternalConsistencyError of a point that fails its residual check.
     """
     *rates, eta = _columns(*cells, eta)
     c = Rates(*rates)
@@ -366,94 +399,19 @@ def passive_fixed_points(cells: Rates, eta) -> Solution:
         errors.setdefault(int(cell[i]), ConditioningError(
             "magnon response singular (gamma = 0 at zero effective "
             "detuning)"))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a = eta_s / ((0.5 * r.kappa + 1j * r.delta_c) + r.g * r.g / d_m)
         m = -1j * r.g * a / d_m
+        n_m = n_m1 * n_ref[cell]
     start = np.stack([a.real, a.imag, m.real, m.imag], axis=-1)
-    tol = RESIDUAL_RTOL * rate[cell]
-    z, res = _damped_newton4(start, tol, r, eta_s)
-    ok = res <= tol
-    for i in np.flatnonzero(~ok & ~optional):
-        errors.setdefault(int(cell[i]), InternalConsistencyError(
-            f"passive root n_m={n_m1[i] * n_ref[cell[i]]:.6e} "
-            f"reconstructed with residual {res[i]:.3e} > {tol[i]:.3e} "
-            f"rad/us"))
-    keep = ok & ~np.isin(cell, list(errors))
-    # (Re a, Im a, Re m, Im m) of each point; the origins' rows stay 0
-    amp = np.zeros((origin.size + keep.sum(), 4))
-    amp[origin.size:] = z[keep] * s[keep, None]
-    a0, m0 = amp.view(complex).T
-    zero = np.zeros(len(amp))  # omega and net gain
-    sol = Solution("passive", np.r_[origin, cell[keep]], a0, m0, zero,
-                   zero, np.r_[zero[:origin.size], res[keep]], errors)
-    sol = sol.take(np.lexsort((sol.n_m, sol.cell)))
-    return sol.take(_merge_duplicates(sol.cell, sol.omega, sol.n_m,
-                                      rate[sol.cell]))
-
-
-def _coupled_points(c: Rates, rate: np.ndarray, n_sat: np.ndarray
-                    ) -> Solution:
-    """Polynomial route of ``active_fixed_points`` for cells with g > 0 and
-    saturated photon numbers ``n_sat``. Candidates are rows of one table
-    (cell, ``Rates``, start), the doublet's mirrors appended. Returns a
-    ``Solution`` of the admitted points, unsorted and unmerged, and the
-    cells' errors, all indexed into ``c``.
-    """
-    # extreme rates overflow here; _real_roots reports those rows
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a_hi = np.minimum(c.gain_eff, 2.0 * c.g * c.g / c.gamma)
-        coeffs = active_quintic_coefficients(c) \
-            * a_hi[:, None] ** np.arange(5, -1, -1, dtype=float)
-    x, optional, errors = _real_roots(coeffs, "active quintic")
-
-    cell, slot = np.nonzero(np.isfinite(x))
-    x, optional = x[cell, slot], optional[cell, slot]
-    r = c.take(cell)
-    # extreme finite rates overflow here; the masks and residuals drop them
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a_val = np.minimum(x, 1.0) * a_hi[cell]
-        n_m1 = 2.0 * a_val * (r.gain_eff - a_val) / (r.gain_eff * r.gamma)
-        keep = (x > 1e-14) & (x <= 1.0 + 1e-9) & (n_m1 > 0.0)
-        cell, optional, a_val, n_m1 = (
-            v[keep] for v in (cell, optional, a_val, n_m1))
-        # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
-        # saturation is G_eff, so the photon amplitude p is O(1)
-        s = np.sqrt(n_sat[cell])
-        r = r.take(keep)._replace(delta_c=0.0).rescale(s)
-        p = np.sqrt((r.gain_eff - a_val) / r.gain_eff)
-        u = r.delta_m + r.kerr * n_m1
-        q = 2.0 * r.g * r.g * a_val / r.gamma - a_val * a_val
-        regular = np.abs(2.0 * a_val - r.gamma) > 1e-6 * rate[cell]
-        w_ratio = 2.0 * a_val * u / (2.0 * a_val - r.gamma)
-        # near the polariton doublet the ratio above is 0/0; take the
-        # frequency from the gain constraint instead, appending the
-        # mirror -w and letting the residual filter decide
-        w_gain = np.sqrt(np.maximum(q, 0.0))
-        doublet = ~regular & (w_gain > 0.0)
-        rep = np.r_[np.arange(cell.size), np.flatnonzero(doublet)]
-        w = np.r_[np.where(regular, w_ratio, w_gain), -w_gain[doublet]]
-        cell, a_val, p, s = (v[rep] for v in (cell, a_val, p, s))
-        optional = (optional | doublet)[rep]
-        r = r.take(rep)
-        start = np.stack([p, w, w * p / r.g, -a_val * p / r.g], axis=-1)
-
-    tol = RESIDUAL_RTOL * rate[cell]
-    z, res = _damped_newton4(start, tol, r, None)
-    ok = res <= tol
-    for i in np.flatnonzero(~ok & ~optional):
-        errors.setdefault(int(cell[i]), InternalConsistencyError(
-            f"active root A={a_val[i]:.6e} reconstructed with residual "
-            f"{res[i]:.3e} > {tol[i]:.3e} rad/us"))
-    p1, w1, mr1, mi1 = z.T
-    flip = np.where(p1 < 0.0, -1.0, 1.0)  # phase gauge: a0 real positive
-    p1, mr1, mi1 = p1 * flip, mr1 * flip, mi1 * flip
-    keep = (ok & (p1 * p1 > 1e-14) & (mr1 * mr1 + mi1 * mi1 > 1e-14)
-            & ~np.isin(cell, list(errors)))
-    m0 = np.empty(cell.size, dtype=complex)
-    m0.real, m0.imag = mr1 * s, mi1 * s
-    return Solution("active", cell, p1 * s + 0j, m0, w1,
-                    r.gain_eff - r.gamma_sat * p1 * p1, res,
-                    errors).take(keep)
+    z, res, keep = _polish(start, r, eta_s, cell, rate, ~optional,
+                           "passive root n_m", n_m, errors)
+    # (Re a, Im a, Re m, Im m) of each point
+    a0, m0 = (z[keep] * s[keep, None]).view(complex).T
+    zero = np.zeros(a0.size)  # omega and net gain
+    return _finish(Solution("passive", cell[keep], a0, m0, zero, zero,
+                            res[keep], errors),
+                   origin, np.zeros(origin.size), rate)
 
 
 def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,
@@ -496,13 +454,12 @@ def active_fixed_points(cells: Rates) -> Solution:
     must be > 0 (else ValueError); G_eff/gamma_sat must not overflow
     (else ``model.saturated_photons``' ConditioningError); g == 0 gives
     the uncoupled oscillator's photon-only limit cycle
-    a0 = sqrt(G_eff/gamma_sat) at omega = 0; every other cell is solved
-    through the quintic (``_coupled_points``), with all cells' companion
-    roots and Newton polishes done as array operations over the batch.
-    The photon-only and coupled points form one ``Solution``, which is
-    sorted by (cell, omega, n_m) and then merged by ``_merge_duplicates``.
-    The origin is never a point: a cell with none has it as its only
-    steady state.
+    a0 = sqrt(G_eff/gamma_sat) at omega = 0. Every other cell is solved
+    through the quintic, its candidates rows of one table (cell,
+    ``Rates``, start) with the doublet's mirrors appended; ``_polish``
+    and ``_finish`` make them and the photon-only points one
+    ``Solution``. The origin is never a point: a cell with none has it
+    as its only steady state.
     """
     c = Rates(*_columns(*cells))
     rate = c.rate_scale()
@@ -517,27 +474,63 @@ def active_fixed_points(cells: Rates) -> Solution:
         errors[int(i)] = ValueError(
             "active model needs gamma_sat > 0 to saturate")
     lasing &= c.gamma_sat > 0.0
-    # G_eff / gamma_sat once per cell; where it overflows, the error of
-    # model.saturated_photons
-    with np.errstate(over="ignore"):
-        n_sat = c.gain_eff / np.where(lasing, c.gamma_sat, 1.0)
-    for i in np.flatnonzero(lasing & ~np.isfinite(n_sat)):
-        try:
-            saturated_photons(c.take(i))
-        except ConditioningError as exc:
-            errors[int(i)] = exc
+    # the other cells' gamma_sat is 0: no ratio, no error
+    n_sat = saturated_photons(
+        c._replace(gamma_sat=np.where(lasing, c.gamma_sat, 0.0)), errors)
     lasing &= np.isfinite(n_sat)
-
     photon = np.flatnonzero(lasing & (c.g == 0.0))
-    coupled = np.flatnonzero(lasing & (c.g != 0.0))
-    pts = _coupled_points(c.take(coupled), rate[coupled], n_sat[coupled])
-    errors.update((int(coupled[i]), e) for i, e in pts.errors.items())
-    zero = np.zeros(photon.size)
-    sol = Solution("active", np.r_[photon, coupled[pts.cell]],
-                   np.r_[np.sqrt(n_sat[photon]) + 0j, pts.a0],
-                   np.r_[zero + 0j, pts.m0], np.r_[zero, pts.omega],
-                   np.r_[zero, pts.net_gain], np.r_[zero, pts.residual],
-                   errors)
-    sol = sol.take(np.lexsort((sol.n_m, sol.omega, sol.cell)))
-    return sol.take(_merge_duplicates(sol.cell, sol.omega, sol.n_m,
-                                      rate[sol.cell]))
+    solve = np.flatnonzero(lasing & (c.g != 0.0))
+
+    r = c.take(solve)
+    # extreme rates overflow here; _real_roots reports those rows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a_hi = np.minimum(r.gain_eff, 2.0 * r.g * r.g / r.gamma)
+        coeffs = active_quintic_coefficients(r) \
+            * a_hi[:, None] ** np.arange(5, -1, -1, dtype=float)
+    x, optional, failed = _real_roots(coeffs, "active quintic")
+    errors.update((int(solve[i]), e) for i, e in failed.items())
+
+    row, slot = np.nonzero(np.isfinite(x))
+    x, optional, cell = x[row, slot], optional[row, slot], solve[row]
+    r = c.take(cell)
+    # extreme finite rates overflow here; the masks and residuals drop them
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a_val = np.minimum(x, 1.0) * a_hi[row]
+        n_m1 = 2.0 * a_val * (r.gain_eff - a_val) / (r.gain_eff * r.gamma)
+        keep = (x > 1e-14) & (x <= 1.0 + 1e-9) & (n_m1 > 0.0)
+        cell, optional, a_val, n_m1 = (
+            v[keep] for v in (cell, optional, a_val, n_m1))
+        # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
+        # saturation is G_eff, so the photon amplitude p is O(1)
+        s = np.sqrt(n_sat[cell])
+        # a scalar delta_c, which vector_field checks against 0
+        r = r.take(keep)._replace(delta_c=0.0).rescale(s)
+        p = np.sqrt((r.gain_eff - a_val) / r.gain_eff)
+        u = r.delta_m + r.kerr * n_m1
+        q = 2.0 * r.g * r.g * a_val / r.gamma - a_val * a_val
+        regular = np.abs(2.0 * a_val - r.gamma) > 1e-6 * rate[cell]
+        w_ratio = 2.0 * a_val * u / (2.0 * a_val - r.gamma)
+        # near the polariton doublet the ratio above is 0/0; take the
+        # frequency from the gain constraint instead, appending the
+        # mirror -w and letting the residual filter decide
+        w_gain = np.sqrt(np.maximum(q, 0.0))
+        doublet = ~regular & (w_gain > 0.0)
+        rep = np.r_[np.arange(cell.size), np.flatnonzero(doublet)]
+        w = np.r_[np.where(regular, w_ratio, w_gain), -w_gain[doublet]]
+        cell, a_val, p, s = (v[rep] for v in (cell, a_val, p, s))
+        optional = (optional | doublet)[rep]
+        r = r.take(rep)
+        start = np.stack([p, w, w * p / r.g, -a_val * p / r.g], axis=-1)
+
+    z, res, keep = _polish(start, r, None, cell, rate, ~optional,
+                           "active root A", a_val, errors)
+    p1, w1, mr1, mi1 = z.T
+    flip = np.where(p1 < 0.0, -1.0, 1.0)  # phase gauge: a0 real positive
+    p1, mr1, mi1 = p1 * flip, mr1 * flip, mi1 * flip
+    keep &= (p1 * p1 > 1e-14) & (mr1 * mr1 + mi1 * mi1 > 1e-14)
+    m0 = np.empty(cell.size, dtype=complex)
+    m0.real, m0.imag = mr1 * s, mi1 * s
+    return _finish(Solution("active", cell, p1 * s + 0j, m0, w1,
+                            r.gain_eff - r.gamma_sat * p1 * p1, res,
+                            errors).take(keep),
+                   photon, np.sqrt(n_sat[photon]), rate)

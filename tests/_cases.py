@@ -5,6 +5,9 @@ by the map tests (kerr per magnon of order 2pi x 10 nHz) and a
 narrow-line pair with larger Kerr used by the sweep and bistability
 tests. Rates are rad/us throughout; **over replaces any field.
 
+``ACCEPTANCE_GRIDS`` are the four full-size maps of the acceptance
+fixtures, by fixture name.
+
 ``stack`` and ``verdict_of`` put fixed-point rows into the shape
 ``stability.classify`` takes and back. ``passive_fixed_points`` and
 ``active_fixed_points`` are one-cell calls of the batched solves of the
@@ -16,6 +19,7 @@ import numpy as np
 
 from magpol import steady
 from magpol.model import DriveSpec, SystemParams, TWO_PI, batch_rates
+from magpol.phasemap import GridSpec
 from magpol.stability import VERDICTS, classify
 from magpol.steady import Solution
 
@@ -32,6 +36,29 @@ def narrowline_params(**over) -> SystemParams:
               gamma_sat=TWO_PI * 0.8e-12, gain=TWO_PI * 15.45)
     kw.update(over)
     return SystemParams(**kw)
+
+
+def _passive_grid(**base_over) -> GridSpec:
+    return GridSpec(system="passive", x_axis="n0", x_min=1e9, x_max=1e15,
+                    x_count=201, delta_m_min=-TWO_PI * 100.0,
+                    delta_m_max=TWO_PI * 100.0, delta_m_count=201,
+                    base=broadline_params(**base_over))
+
+
+ACCEPTANCE_GRIDS = {
+    "zero_detuning_map": _passive_grid(),
+    "detuned_map": _passive_grid(delta_c=TWO_PI * 80.0),
+    "active_photon_map": GridSpec(
+        system="active", x_axis="n0", x_min=1e9, x_max=1e15, x_count=201,
+        delta_m_min=-TWO_PI * 100.0, delta_m_max=TWO_PI * 100.0,
+        delta_m_count=201,
+        base=broadline_params(gamma_sat=TWO_PI * 2.0e-12, gain=0.0)),
+    "gain_map": GridSpec(
+        system="active", x_axis="gain", x_min=TWO_PI * 10.0,
+        x_max=TWO_PI * 22.0, x_count=151, delta_m_min=-TWO_PI * 70.0,
+        delta_m_max=-TWO_PI * 25.0, delta_m_count=151,
+        base=narrowline_params(gain=0.0)),
+}
 
 
 def stack(rows) -> Solution:

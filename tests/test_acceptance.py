@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from _cases import active_fixed_points, broadline_params, \
-    narrowline_params, passive_fixed_points, verdict_of
+from _cases import ACCEPTANCE_GRIDS, active_fixed_points, \
+    broadline_params, narrowline_params, passive_fixed_points, verdict_of
 from _digests import of_fixture, pinned
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.calib import ReflectionFit, fit_kittel, fit_s11, s11_model
 from magpol.dynamics import (SweepProtocol, default_seed_state,
                              integrate_segment, run_sweep)
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams
-from magpol.phasemap import GridSpec, scan
+from magpol.phasemap import scan
 from magpol.spectral import (build_spectrogram, fft_peak_offset,
                              phase_slope_offset)
 from magpol.stability import spectrum
@@ -31,30 +31,13 @@ def _verdict(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _passive_grid(**base_over):
-    return GridSpec(system="passive", x_axis="n0", x_min=1e9, x_max=1e15,
-                    x_count=201, delta_m_min=-TWO_PI * 100.0,
-                    delta_m_max=TWO_PI * 100.0, delta_m_count=201,
-                    base=broadline_params(**base_over))
-
-
 UP_SWEEP = tuple(TWO_PI * d for d in np.linspace(-75.0, 20.0, 191))
 
 # What each module fixture computes, by fixture name; its digest is
 # pinned in digests.json (see _digests).
 FIXTURES = {
-    "zero_detuning_map": lambda: scan(_passive_grid()),
-    "detuned_map": lambda: scan(_passive_grid(delta_c=TWO_PI * 80.0)),
-    "active_photon_map": lambda: scan(GridSpec(
-        system="active", x_axis="n0", x_min=1e9, x_max=1e15, x_count=201,
-        delta_m_min=-TWO_PI * 100.0, delta_m_max=TWO_PI * 100.0,
-        delta_m_count=201,
-        base=broadline_params(gamma_sat=TWO_PI * 2.0e-12, gain=0.0))),
-    "gain_map": lambda: scan(GridSpec(
-        system="active", x_axis="gain", x_min=TWO_PI * 10.0,
-        x_max=TWO_PI * 22.0, x_count=151, delta_m_min=-TWO_PI * 70.0,
-        delta_m_max=-TWO_PI * 25.0, delta_m_count=151,
-        base=narrowline_params(gain=0.0))),
+    **{name: (lambda grid=grid: scan(grid))
+       for name, grid in ACCEPTANCE_GRIDS.items()},
     "low_gain_sweep": lambda: run_sweep(
         SweepProtocol(detunings=UP_SWEEP),
         narrowline_params(gain=TWO_PI * 15.45)),

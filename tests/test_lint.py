@@ -8,7 +8,10 @@
   ``__init__.py``.
 - A text-mode ``open`` names its encoding.
 - ``json.dump`` is called in one function only, so manifests and
-  artifacts are written alike.
+  artifacts are written alike. Likewise the steady-state solves call
+  the Newton polish ``_damped_newton4``, construct
+  ``InternalConsistencyError`` and call ``_merge_duplicates`` in one
+  function each, shared by both routes.
 - The test oracles (``tests/_oracles.py``) may take from the package
   only the parameter containers and the equations, so they stay
   independent of the solvers they check.
@@ -135,19 +138,17 @@ def test_text_files_are_opened_as_utf8():
     assert not bare, f"open() without encoding=: {bare}"
 
 
-def _json_dump_callers(path) -> list[str]:
-    """``module:function`` of each ``json.dump`` call in ``path``;
-    a call outside any function is ``module:<module>``."""
+def _callers(path, callee: str) -> list[str]:
+    """``module:function`` of each call of ``callee``, as the source
+    spells the called name (``json.dump``), in ``path``; a call outside
+    any function is ``module:<module>``."""
     callers = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
         if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "dump"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "json"):
+                and ast.unparse(node.func) == callee):
             callers.append(f"{path.name}:{owner}")
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -156,11 +157,25 @@ def _json_dump_callers(path) -> list[str]:
     return callers
 
 
+def _assert_one_caller(callee: str):
+    callers = [c for path in MODULES for c in _callers(path, callee)]
+    assert len(set(callers)) == 1, f"{callee} called in {callers}"
+
+
 def test_one_json_writer():
     """Every JSON file, manifest or artifact, gets its bytes from one
     function."""
-    callers = [c for path in MODULES for c in _json_dump_callers(path)]
-    assert len(set(callers)) == 1, f"json.dump called in {callers}"
+    _assert_one_caller("json.dump")
+
+
+@pytest.mark.parametrize("callee", ["_damped_newton4",
+                                    "InternalConsistencyError",
+                                    "_merge_duplicates"])
+def test_one_polish_and_one_merge_for_both_steady_routes(callee):
+    """The passive and active solves polish their candidates, fail a
+    cell whose required root does not polish, and merge duplicate
+    points in one function each, so each rule is written once."""
+    _assert_one_caller(callee)
 
 
 def test_oracles_import_only_the_equations():

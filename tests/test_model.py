@@ -241,3 +241,32 @@ def test_saturated_photons():
         with pytest.raises(ConditioningError, match="G_eff / gamma_sat "
                                                     "overflows"):
             saturated_photons(p.replace(**over))
+
+
+def test_saturated_photons_of_a_batch():
+    """Elementwise over a ``Rates`` of arrays: an overflowing member is
+    recorded with the text a one-point call raises, the others get
+    their one-point values, and numpy warns about nothing. A one-point
+    value has the type of ``bare_cavity_photons``' n0. (That the RK4
+    loop still steps in Python floats is checked in test_dynamics: the
+    runaway of the numpy-scalar dt test takes its scale from here.)"""
+    p = narrowline_params()
+    points = [p, p.replace(gain=1e20, gamma_sat=1e-305),
+              p.replace(gain=-p.gain), p.replace(gamma_sat=0.0)]
+    batch = batch_rates(p, gain_eff=np.array([q.gain_eff for q in points]),
+                        gamma_sat=np.array([q.gamma_sat for q in points]))
+    errors = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n_sat = saturated_photons(batch, errors)
+    assert list(errors) == [1]
+    assert str(errors[1]) == (
+        "saturated cavity: G_eff / gamma_sat overflows (G_eff = "
+        "1.000000e+20, gamma_sat = 1.000000e-305 rad/us)")
+    with pytest.raises(ConditioningError) as one:
+        saturated_photons(points[1])
+    assert str(one.value) == str(errors[1])
+    assert np.isfinite(n_sat[[0, 2, 3]]).all()
+    for k in (0, 2, 3):
+        assert n_sat[k] == saturated_photons(points[k])
+    assert type(saturated_photons(p)) is type(bare_cavity_photons(p, 1.0)[0])
