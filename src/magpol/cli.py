@@ -177,8 +177,22 @@ def cmd_phase_diagram(run: config.RunConfig, out_dir: str,
 
 
 def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
+    # Each step's window becomes its spectrogram column as the step
+    # ends, so the sweep holds no windows. Columns are normalized one
+    # at a time, as a call on all the windows would normalize them.
+    spec = run.spectrogram
+    freqs, columns = None, []
+
+    def to_column(window) -> None:
+        nonlocal freqs
+        if spec is not None:
+            freqs, mags = build_spectrogram(
+                [window.a], run.protocol.dt, f_min=spec["f_min_mhz"],
+                f_max=spec["f_max_mhz"])
+            columns.append(mags)
+
     result = run_sweep(run.protocol, run.system, drive=run.drive,
-                       initial_state=run.initial_state)
+                       initial_state=run.initial_state, on_window=to_column)
     rows_path = os.path.join(out_dir, "sweep.csv")
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -199,17 +213,14 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
             ])
 
     n_done = len(result.segments)
-    if run.spectrogram is not None and n_done:
-        freqs, mags = build_spectrogram(
-            [seg.a for seg in result.segments], run.protocol.dt,
-            f_min=run.spectrogram["f_min_mhz"],
-            f_max=run.spectrogram["f_max_mhz"])
-        _write_matrix_csv(os.path.join(out_dir, "spectrogram.csv"), mags)
+    if columns:
+        _write_matrix_csv(os.path.join(out_dir, "spectrogram.csv"),
+                          np.hstack(columns))
         _write_json(os.path.join(out_dir, "spectrogram_axes.json"), {
             "freqs_mhz": [float(f) for f in freqs],
             "detunings_mhz_over_2pi": [
                 _mhz(d) for d in run.protocol.detunings[:n_done]],
-            "floor": run.spectrogram["floor"],
+            "floor": spec["floor"],
             "t_drop_us": run.protocol.t_drop,
             "rows_are": "frequency",
         })

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import array
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,9 +276,11 @@ class SweepProtocol:
 @dataclass
 class SweepResult:
     """Outcome of ``run_sweep``: the ``protocol`` run and, per step,
-    its ``segments`` (up to the first divergence; each holds only the
-    step's analysis window, as copies of ``a`` and ``m`` and the step's
-    time grid, ``k0`` being the window's first step index) and fits.
+    its ``segments`` (one per completed step, up to the first
+    divergence; each holds copies of ``a`` and ``m`` over the tail of
+    the step's time grid, ``k0`` being its first step index: the
+    step's analysis window, or only its last sample where ``run_sweep``
+    handed the window to a consumer) and fits.
 
     ``omegas`` holds the fitted emission offsets (rad/us) per step,
     NaN where the window had no power to fit and from the first
@@ -313,11 +316,19 @@ def default_seed_state(params: SystemParams,
 
 def run_sweep(protocol: SweepProtocol, params: SystemParams,
               drive: DriveSpec | None = None,
-              initial_state: ModeState | None = None) -> SweepResult:
+              initial_state: ModeState | None = None,
+              on_window: Callable[[TrajectorySegment], None] | None = None
+              ) -> SweepResult:
     """Run a stepped detuning sweep and fit each step's emission offset.
 
-    Each step keeps a copy of its analysis window's amplitudes only,
-    and fits the phase on it with times relative to the step start.
+    Each step fits the phase on its analysis window, with times
+    relative to the step start, and keeps one segment that ends at its
+    final state. Without ``on_window`` that segment is a copy of the
+    whole window. With it, ``on_window(window)`` receives each
+    completed step's window as soon as the step ends, as views into
+    the step's trajectory (a consumer that keeps them keeps the whole
+    step; reduce or copy instead), and the step keeps a copy of the
+    window's last sample only, so a sweep holds no windows.
     The first step is offset by ``protocol.omega_initial`` (zero by
     default: no prior oscillation). A DivergenceError inside a step is
     recorded on the result (``diverged_at``, ``error``) rather than
@@ -353,14 +364,19 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
             result.error = (f"step {k} (detuning {d_nom:.6g} rad/us, "
                             f"effective {d_eff:.6g}): {exc}")
             break
-        seg = TrajectorySegment(a=seg.a[-window:].copy(),
-                                m=seg.m[-window:].copy(), t0=seg.t0,
-                                dt=seg.dt, k0=seg.a.size - window)
-        result.segments.append(seg)
+        k0 = seg.a.size - window
+        win = TrajectorySegment(a=seg.a[k0:], m=seg.m[k0:], t0=seg.t0,
+                                dt=seg.dt, k0=k0)
+        if on_window is not None:
+            on_window(win)
+            k0 = seg.a.size - 1
+        result.segments.append(TrajectorySegment(
+            a=seg.a[k0:].copy(), m=seg.m[k0:].copy(), t0=seg.t0, dt=seg.dt,
+            k0=k0))
         result.detunings_effective[k] = d_eff
-        state = seg.final_state()
+        state = win.final_state()
         try:
-            omega, conf = phase_slope_offset(seg.times - seg_state.t, seg.a,
+            omega, conf = phase_slope_offset(win.times - seg_state.t, win.a,
                                              protocol.fit_fraction)
         except FitError:  # no power in the window, nothing to fit
             result.low_confidence[k] = True

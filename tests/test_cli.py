@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from _digests import of_files, pinned
 from magpol import config, dynamics, phasemap
 from magpol.cli import _write_json, _write_matrix_csv, main
-from magpol.spectral import spectrum_freqs
+from magpol.spectral import build_spectrogram, spectrum_freqs
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -391,6 +392,54 @@ def test_sweep_spectrogram_axis_is_the_validated_axis(tmp_path):
     freqs = freqs[(freqs >= -80.0) & (freqs <= 80.0)]
     axes = json.loads((out / "spectrogram_axes.json").read_text())
     assert axes["freqs_mhz"] == [float(f) for f in freqs]
+
+
+def test_sweep_spectrogram_is_one_call_on_the_kept_windows(tmp_path):
+    """The CLI turns each step's window into its column as the step
+    ends; the matrix is byte-equal to one ``build_spectrogram`` call on
+    the windows that ``run_sweep`` keeps without a consumer."""
+    doc = _sweep_doc()
+    doc["spectrogram"] = {"f_min_mhz": -80.0, "f_max_mhz": 80.0}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    run = config.parse_run(doc, "sweep")
+    res = dynamics.run_sweep(run.protocol, run.system, drive=run.drive,
+                             initial_state=run.initial_state)
+    _, mags = build_spectrogram([seg.a for seg in res.segments],
+                                run.protocol.dt, f_min=-80.0, f_max=80.0)
+    _write_matrix_csv(str(tmp_path / "one_call.csv"), mags)
+    assert ((out / "spectrogram.csv").read_bytes()
+            == (tmp_path / "one_call.csv").read_bytes())
+
+
+@pytest.mark.parametrize("spectrogram", [True, False],
+                         ids=["with_spectrogram", "without_spectrogram"])
+def test_sweep_peak_memory_grows_less_than_a_window_per_step(tmp_path,
+                                                             spectrogram):
+    """A sweep holds no step's window: each added step raises the peak
+    traced memory of a ``sweep`` run by less than one photon window."""
+    doc = _sweep_doc(t_total_us=2.0, t_drop_us=1.0)
+    if spectrogram:
+        doc["spectrogram"] = {"f_min_mhz": -80.0, "f_max_mhz": 80.0}
+    window_bytes = 16 * config.parse_run(
+        doc, "sweep").protocol.window_samples()
+
+    def peak(steps: int) -> int:
+        doc["sweep"]["steps"] = steps
+        cfg = _write_config(tmp_path, doc, f"steps{steps}.json")
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", cfg,
+                         "--out", str(tmp_path / f"out{steps}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # warm-up: lazy imports and caches
+    growth = (peak(24) - peak(8)) / 16
+    assert growth < window_bytes, (
+        f"peak grew {growth:.0f} bytes per step; a window is {window_bytes}")
 
 
 def test_sweep_spectrogram_with_uneven_step_windows(tmp_path):

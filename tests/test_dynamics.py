@@ -434,6 +434,41 @@ def test_segments_derive_their_times_and_hold_only_amplitudes():
         assert start == full[-1]
 
 
+def test_window_consumer_sees_every_window_and_the_sweep_holds_none():
+    """With ``on_window`` each completed step's window goes to the
+    consumer, in order, bit-equal to the window the default call keeps;
+    the fits are the same bits, and the result keeps one one-sample
+    segment per step that ends at the same final state."""
+    det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, 4))
+    proto = SweepProtocol(detunings=det, t_total=1.0, t_drop=0.3, dt=1e-3)
+    kept = run_sweep(proto, narrowline_params())
+    windows = []
+    streamed = run_sweep(proto, narrowline_params(), on_window=windows.append)
+    assert len(windows) == len(kept.segments) == len(streamed.segments) == 4
+    for win, seg, tail in zip(windows, kept.segments, streamed.segments):
+        for name in ("a", "m", "times"):
+            assert np.array_equal(getattr(win, name), getattr(seg, name))
+        assert win.k0 == seg.k0 and win.t0 == seg.t0 and win.dt == seg.dt
+        assert tail.a.size == tail.m.size == 1
+        assert tail.k0 == seg.k0 + seg.a.size - 1
+        assert tail.final_state() == seg.final_state()
+    for name in ("omegas", "confidences", "detunings_effective",
+                 "low_confidence"):
+        assert np.array_equal(getattr(streamed, name), getattr(kept, name),
+                              equal_nan=name != "low_confidence")
+
+
+def test_window_consumer_is_not_called_for_a_diverged_step():
+    p = SystemParams(gamma=TWO_PI * 10.0, g=0.0, gain=TWO_PI * 100.0,
+                     gamma_sat=0.0)
+    proto = SweepProtocol(detunings=(0.0, TWO_PI), t_total=2.0, t_drop=0.5)
+    windows = []
+    res = run_sweep(proto, p, initial_state=ModeState(a=1.0 + 0j, m=0j),
+                    on_window=windows.append)
+    assert res.diverged_at == 0
+    assert windows == [] and res.segments == []
+
+
 def test_single_step_uncoupled_oscillator_has_zero_offset():
     p = narrowline_params(g=0.0)
     proto = SweepProtocol(detunings=(0.0,), t_total=2.0, t_drop=0.5)
