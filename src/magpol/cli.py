@@ -185,14 +185,14 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
 
     def to_column(window) -> None:
         nonlocal freqs
-        if spec is not None:
-            freqs, mags = build_spectrogram(
-                [window.a], run.protocol.dt, f_min=spec["f_min_mhz"],
-                f_max=spec["f_max_mhz"])
-            columns.append(mags)
+        freqs, mags = build_spectrogram(
+            [window.a], run.protocol.dt, f_min=spec["f_min_mhz"],
+            f_max=spec["f_max_mhz"])
+        columns.append(mags)
 
     result = run_sweep(run.protocol, run.system, drive=run.drive,
-                       initial_state=run.initial_state, on_window=to_column)
+                       initial_state=run.initial_state,
+                       on_window=to_column if spec is not None else None)
     rows_path = os.path.join(out_dir, "sweep.csv")
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -14,7 +14,8 @@ keeps oscillating between steps: each step starts from the final
 state of the previous one, and the detuning actually experienced is
 the programmed value minus the emission offset measured on the
 previous step. Both memory channels can be disabled independently to
-recover a memoryless sweep.
+recover a memoryless sweep. A sweep keeps each step's last sample
+only; its analysis windows go to a caller's consumer as steps end.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ class TrajectorySegment:
 
     ``a`` and ``m`` are the complex photon and magnon amplitudes, in
     sqrt quanta: every step of ``integrate_segment``, initial sample
-    included, or a sweep step's analysis window. Their time grid is
-    stored, not their times: an integration started at ``t0`` with
-    step ``dt``, whose sample ``k0`` is the first one held. ``times``
-    computes the sample times from it, as the integrator's own
-    ``t0 + dt * k`` with the same bits.
+    included, a sweep step's analysis window or its last sample. Their
+    time grid is stored, not their times: an integration started at
+    ``t0`` with step ``dt``, whose sample ``k0`` is the first one held.
+    ``times`` computes the sample times from it, as the integrator's
+    own ``t0 + dt * k`` with the same bits.
     """
 
     a: np.ndarray
@@ -277,10 +278,10 @@ class SweepProtocol:
 class SweepResult:
     """Outcome of ``run_sweep``: the ``protocol`` run and, per step,
     its ``segments`` (one per completed step, up to the first
-    divergence; each holds copies of ``a`` and ``m`` over the tail of
-    the step's time grid, ``k0`` being its first step index: the
-    step's analysis window, or only its last sample where ``run_sweep``
-    handed the window to a consumer) and fits.
+    divergence; each holds a copy of the step's last sample of ``a``
+    and ``m`` only, ``k0`` being its step index, so that
+    ``final_state()`` is where the step ended) and fits. No window is
+    kept: a caller that wants them passes ``run_sweep`` a consumer.
 
     ``omegas`` holds the fitted emission offsets (rad/us) per step,
     NaN where the window had no power to fit and from the first
@@ -322,13 +323,12 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
     """Run a stepped detuning sweep and fit each step's emission offset.
 
     Each step fits the phase on its analysis window, with times
-    relative to the step start, and keeps one segment that ends at its
-    final state. Without ``on_window`` that segment is a copy of the
-    whole window. With it, ``on_window(window)`` receives each
-    completed step's window as soon as the step ends, as views into
-    the step's trajectory (a consumer that keeps them keeps the whole
-    step; reduce or copy instead), and the step keeps a copy of the
-    window's last sample only, so a sweep holds no windows.
+    relative to the step start, and keeps a copy of its last sample
+    only, as a one-sample segment that ends at its final state, so a
+    sweep holds no windows. ``on_window(window)``, if given, receives
+    each completed step's window as soon as the step ends, as views
+    into the step's trajectory (a consumer that keeps them keeps the
+    whole step; reduce or copy instead).
     The first step is offset by ``protocol.omega_initial`` (zero by
     default: no prior oscillation). A DivergenceError inside a step is
     recorded on the result (``diverged_at``, ``error``) rather than
@@ -369,12 +369,11 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
                                 dt=seg.dt, k0=k0)
         if on_window is not None:
             on_window(win)
-            k0 = seg.a.size - 1
         result.segments.append(TrajectorySegment(
-            a=seg.a[k0:].copy(), m=seg.m[k0:].copy(), t0=seg.t0, dt=seg.dt,
-            k0=k0))
+            a=seg.a[-1:].copy(), m=seg.m[-1:].copy(), t0=seg.t0, dt=seg.dt,
+            k0=seg.a.size - 1))
         result.detunings_effective[k] = d_eff
-        state = win.final_state()
+        state = result.segments[-1].final_state()
         try:
             omega, conf = phase_slope_offset(win.times - seg_state.t, win.a,
                                              protocol.fit_fraction)

@@ -122,7 +122,7 @@ def build_spectrogram(windows, dt: float, f_min: float | None = None,
 
     ``windows`` are amplitude arrays sampled every ``dt`` us, one per
     sweep step, each cut to the samples to analyse, as ``run_sweep``
-    keeps them or hands them to its ``on_window``. Returns (freqs,
+    hands them to its ``on_window``. Returns (freqs,
     magnitudes): the ``hann_fft`` axis cropped to [f_min, f_max] MHz,
     and ``magnitudes[i, j]`` the magnitude at ``freqs[i]`` of window j,
     each column normalized to unit maximum, as swept emission spectra

@@ -13,11 +13,18 @@ fixtures, by fixture name.
 ``active_fixed_points`` are one-cell calls of the batched solves of the
 same names in ``magpol.steady``: they raise the cell's error and return
 its fixed points as a list of rows.
+
+``sweep_windows`` runs ``dynamics.run_sweep`` with a consumer that
+copies every step's analysis window, since the result keeps none.
 """
+
+import dataclasses
 
 import numpy as np
 
 from magpol import steady
+from magpol.dynamics import SweepProtocol, SweepResult, TrajectorySegment, \
+    run_sweep
 from magpol.model import DriveSpec, SystemParams, TWO_PI, batch_rates
 from magpol.phasemap import GridSpec
 from magpol.stability import VERDICTS, classify
@@ -93,3 +100,17 @@ def passive_fixed_points(params: SystemParams,
 def active_fixed_points(params: SystemParams) -> list[Solution]:
     """One cell's coupled active steady states, sorted by omega."""
     return rows(steady.active_fixed_points(batch_rates(params)))
+
+
+def sweep_windows(protocol: SweepProtocol, params: SystemParams, **kw
+                  ) -> tuple[SweepResult, list[TrajectorySegment]]:
+    """``run_sweep(protocol, params, **kw)`` and a copy of each completed
+    step's analysis window (``a``, ``m``, ``t0``, ``dt`` and ``k0``), in
+    step order."""
+    windows = []
+
+    def keep(win: TrajectorySegment) -> None:
+        windows.append(dataclasses.replace(win, a=win.a.copy(),
+                                           m=win.m.copy()))
+
+    return run_sweep(protocol, params, on_window=keep, **kw), windows

@@ -2,10 +2,11 @@
 
 Two groups are pinned: ``fixtures``, what each module fixture of
 ``test_acceptance`` computes (a map's counts with its blank and error
-masks, a sweep's fitted frequencies and window amplitudes), and
-``shipped``, every file that ``test_cli``'s run of each shipped config
-writes. A change that moves one count, mask bit, sample or artifact
-byte fails the tests that compare against them.
+masks, a sweep's fitted frequencies and the amplitudes of the windows
+that ``_cases.sweep_windows`` collects), and ``shipped``, every file
+that ``test_cli``'s run of each shipped config writes. A change that
+moves one count, mask bit, sample or artifact byte fails the tests
+that compare against them.
 
 The digests pin floating-point bits, so they hold for one numpy build
 on one kind of CPU. When a change is meant to move a result, explain
@@ -33,12 +34,14 @@ def of_arrays(*arrays) -> str:
 
 
 def of_fixture(value) -> str:
-    """Digest of a ``PhaseDiagram``'s counts and masks, or of a
-    ``SweepResult``'s fitted frequencies and window amplitudes."""
+    """Digest of a ``PhaseDiagram``'s counts and masks, or of a sweep's
+    ``(result, windows)``: its fitted frequencies, then each window's
+    amplitudes ``a``."""
     if hasattr(value, "stable"):
         return of_arrays(value.stable, value.unstable, value.marginal,
                          value.blank, value.errors)
-    return of_arrays(value.omegas, *(seg.a for seg in value.segments))
+    result, windows = value
+    return of_arrays(result.omegas, *(win.a for win in windows))
 
 
 def of_files(folder) -> dict[str, str]:

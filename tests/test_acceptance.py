@@ -13,12 +13,13 @@ import pytest
 from scipy import ndimage
 
 from _cases import ACCEPTANCE_GRIDS, active_fixed_points, \
-    broadline_params, narrowline_params, passive_fixed_points, verdict_of
+    broadline_params, narrowline_params, passive_fixed_points, \
+    sweep_windows, verdict_of
 from _digests import of_fixture, pinned
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.calib import ReflectionFit, fit_kittel, fit_s11, s11_model
 from magpol.dynamics import (SweepProtocol, default_seed_state,
-                             integrate_segment, run_sweep)
+                             integrate_segment)
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams
 from magpol.phasemap import scan
 from magpol.spectral import (build_spectrogram, fft_peak_offset,
@@ -34,14 +35,15 @@ def _verdict(num, ok, detail):
 UP_SWEEP = tuple(TWO_PI * d for d in np.linspace(-75.0, 20.0, 191))
 
 # What each module fixture computes, by fixture name; its digest is
-# pinned in digests.json (see _digests).
+# pinned in digests.json (see _digests). A sweep fixture is its result
+# and its steps' windows.
 FIXTURES = {
     **{name: (lambda grid=grid: scan(grid))
        for name, grid in ACCEPTANCE_GRIDS.items()},
-    "low_gain_sweep": lambda: run_sweep(
+    "low_gain_sweep": lambda: sweep_windows(
         SweepProtocol(detunings=UP_SWEEP),
         narrowline_params(gain=TWO_PI * 15.45)),
-    "sideband_sweep": lambda: run_sweep(
+    "sideband_sweep": lambda: sweep_windows(
         SweepProtocol(detunings=UP_SWEEP),
         narrowline_params(gain=TWO_PI * 16.94)),
 }
@@ -199,7 +201,7 @@ def test_criterion_04_gain_map_phases_and_triple_point(gain_map):
 
 
 def test_criterion_05_low_gain_sweep_shift_and_switch(low_gain_sweep):
-    result, seconds = low_gain_sweep
+    (result, _), seconds = low_gain_sweep
     omegas = result.omegas / TWO_PI
     i_max = int(np.nanargmax(omegas))
     max_shift = float(omegas[i_max])
@@ -216,8 +218,8 @@ def test_criterion_05_low_gain_sweep_shift_and_switch(low_gain_sweep):
 
 
 def test_criterion_06_sidebands_near_the_switching_point(sideband_sweep):
-    result = sideband_sweep
-    freqs, mags = build_spectrogram([seg.a for seg in result.segments],
+    result, windows = sideband_sweep
+    freqs, mags = build_spectrogram([win.a for win in windows],
                                     result.protocol.dt,
                                     f_min=-80.0, f_max=80.0)
     best = None
@@ -368,11 +370,11 @@ def test_criterion_09_spectral_routes_and_step_halving(low_gain_sweep,
     off_grid = 0
     n_checked = 0
     worst_bins = 0.0
-    for result in (low_gain_sweep[0], sideband_sweep):
-        for k, seg in enumerate(result.segments):
+    for result, windows in (low_gain_sweep[0], sideband_sweep):
+        for k, win in enumerate(windows):
             if result.low_confidence[k]:
                 continue
-            w_fft, bin_w = fft_peak_offset(seg.a, seg.dt)
+            w_fft, bin_w = fft_peak_offset(win.a, win.dt)
             frac = abs(w_fft - result.omegas[k]) / bin_w
             worst_bins = max(worst_bins, frac)
             n_checked += 1
@@ -434,8 +436,8 @@ def test_qualitative_broadband_support():
     some sweep column has support wider than 50 MHz at -30 dB."""
     p = narrowline_params(gain=TWO_PI * 20.0)
     det = tuple(TWO_PI * d for d in np.linspace(-80.0, 40.0, 121))
-    result = run_sweep(SweepProtocol(detunings=det), p)
-    freqs, mags = build_spectrogram([seg.a for seg in result.segments],
+    result, windows = sweep_windows(SweepProtocol(detunings=det), p)
+    freqs, mags = build_spectrogram([win.a for win in windows],
                                     result.protocol.dt,
                                     f_min=-150.0, f_max=150.0)
     thresh = 10 ** (-30.0 / 20.0)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _cases import sweep_windows
 from _digests import of_files, pinned
 from magpol import config, dynamics, phasemap
 from magpol.cli import _write_json, _write_matrix_csv, main
@@ -397,16 +398,16 @@ def test_sweep_spectrogram_axis_is_the_validated_axis(tmp_path):
 def test_sweep_spectrogram_is_one_call_on_the_kept_windows(tmp_path):
     """The CLI turns each step's window into its column as the step
     ends; the matrix is byte-equal to one ``build_spectrogram`` call on
-    the windows that ``run_sweep`` keeps without a consumer."""
+    the windows that a consumer of ``run_sweep`` keeps copies of."""
     doc = _sweep_doc()
     doc["spectrogram"] = {"f_min_mhz": -80.0, "f_max_mhz": 80.0}
     out = tmp_path / "out"
     assert main(["sweep", "--config", _write_config(tmp_path, doc),
                  "--out", str(out)]) == 0
     run = config.parse_run(doc, "sweep")
-    res = dynamics.run_sweep(run.protocol, run.system, drive=run.drive,
-                             initial_state=run.initial_state)
-    _, mags = build_spectrogram([seg.a for seg in res.segments],
+    _, windows = sweep_windows(run.protocol, run.system, drive=run.drive,
+                               initial_state=run.initial_state)
+    _, mags = build_spectrogram([win.a for win in windows],
                                 run.protocol.dt, f_min=-80.0, f_max=80.0)
     _write_matrix_csv(str(tmp_path / "one_call.csv"), mags)
     assert ((out / "spectrogram.csv").read_bytes()

@@ -1,12 +1,14 @@
 """Integrator correctness and the memory-sweep protocol."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from _cases import active_fixed_points, broadline_params, narrowline_params
+from _cases import active_fixed_points, broadline_params, \
+    narrowline_params, sweep_windows
 from _oracles import integrate_reference
 from magpol.dynamics import (DIVERGENCE_CAP, LOW_CONFIDENCE, SweepProtocol,
                              TrajectorySegment, default_seed_state,
@@ -391,20 +393,23 @@ def test_protocol_validation():
 def test_every_step_keeps_one_window_and_fits_it():
     """Steps start at rounded times, so cutting each at its own start +
     t_drop kept 700 samples on some steps of this sweep and 701 on
-    others. Every step now keeps the protocol's window and fits it."""
+    others. Every step now hands the protocol's window to the consumer
+    and fits it, and keeps a copy of its last sample only."""
     det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, 4))
     proto = SweepProtocol(detunings=det, t_total=1.0, t_drop=0.3, dt=1e-3)
-    res = run_sweep(proto, narrowline_params())
+    res, windows = sweep_windows(proto, narrowline_params())
     assert proto.window_samples() == 701
-    starts = [0.0] + [seg.times[-1] for seg in res.segments[:-1]]
-    assert len(res.segments) == 4
-    for k, (seg, start) in enumerate(zip(res.segments, starts)):
-        for arr in (seg.times, seg.a, seg.m):
+    starts = [0.0] + [win.times[-1] for win in windows[:-1]]
+    assert len(windows) == len(res.segments) == 4
+    for k, (win, seg, start) in enumerate(zip(windows, res.segments,
+                                              starts)):
+        for arr in (win.times, win.a, win.m):
             assert arr.size == proto.window_samples()
-            assert arr.flags.owndata
-        assert seg.times[0] == pytest.approx(start + proto.t_drop,
+        for arr in (seg.a, seg.m):
+            assert arr.size == 1 and arr.flags.owndata
+        assert win.times[0] == pytest.approx(start + proto.t_drop,
                                              abs=0.5 * proto.dt)
-        omega, conf = phase_slope_offset(seg.times - start, seg.a)
+        omega, conf = phase_slope_offset(win.times - start, win.a)
         assert res.omegas[k] == omega and res.confidences[k] == conf
 
 
@@ -412,50 +417,85 @@ def test_segments_derive_their_times_and_hold_only_amplitudes():
     """A segment stores its time grid, not its times: ``times`` gives
     the integrator's ``t0 + dt * k`` bit for bit, for a segment that
     starts at t != 0 and for the windows of a sweep whose steps start
-    at rounded times, and a sweep window holds no array besides its
-    amplitudes."""
+    at rounded times. A sweep window holds no array besides its
+    amplitudes, and a kept step segment holds one sample of each."""
     st = ModeState(a=1.0 + 0j, m=0j, t=0.7)
     seg = integrate_segment(st, narrowline_params(), duration=0.1, dt=1e-3)
     assert np.array_equal(seg.times, st.t + 1e-3 * np.arange(101))
 
     det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, 4))
     proto = SweepProtocol(detunings=det, t_total=1.0, t_drop=0.3, dt=1e-3)
-    res = run_sweep(proto, narrowline_params())
+    res, windows = sweep_windows(proto, narrowline_params())
     window = proto.window_samples()
     start = 0.0
-    assert len(res.segments) == 4
-    for seg in res.segments:
+    assert len(windows) == len(res.segments) == 4
+    for win, seg in zip(windows, res.segments):
         full = start + proto.dt * np.arange(1001)
-        assert np.array_equal(seg.times, full[-window:])
-        held = {id(v): v.nbytes for v in vars(seg).values()
-                if isinstance(v, np.ndarray)}
-        assert sum(held.values()) == seg.a.nbytes + seg.m.nbytes
+        assert np.array_equal(win.times, full[-window:])
+        assert np.array_equal(seg.times, full[-1:])
+        for held, nbytes in ((win, win.a.nbytes + win.m.nbytes),
+                             (seg, 2 * 16)):
+            arrays = {id(v): v.nbytes for v in vars(held).values()
+                      if isinstance(v, np.ndarray)}
+            assert sum(arrays.values()) == nbytes
         start = seg.final_state().t
         assert start == full[-1]
 
 
 def test_window_consumer_sees_every_window_and_the_sweep_holds_none():
-    """With ``on_window`` each completed step's window goes to the
-    consumer, in order, bit-equal to the window the default call keeps;
-    the fits are the same bits, and the result keeps one one-sample
-    segment per step that ends at the same final state."""
+    """Each completed step's window goes to the consumer, in order,
+    bit-equal to the trailing window of an independent rerun of the
+    step: ``integrate_segment`` from the previous step's kept final
+    state at the step's effective detuning. The fits are those of the
+    reruns, and the result keeps one one-sample segment per step that
+    ends at the window's final state."""
     det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, 4))
     proto = SweepProtocol(detunings=det, t_total=1.0, t_drop=0.3, dt=1e-3)
-    kept = run_sweep(proto, narrowline_params())
-    windows = []
-    streamed = run_sweep(proto, narrowline_params(), on_window=windows.append)
-    assert len(windows) == len(kept.segments) == len(streamed.segments) == 4
-    for win, seg, tail in zip(windows, kept.segments, streamed.segments):
+    p = narrowline_params()
+    res, windows = sweep_windows(proto, p)
+    window = proto.window_samples()
+    assert len(windows) == len(res.segments) == 4
+    state = default_seed_state(p)
+    for k, (win, tail) in enumerate(zip(windows, res.segments)):
+        rerun = integrate_segment(
+            state, p.replace(delta_m=res.detunings_effective[k]),
+            proto.t_total, proto.dt)
+        k0 = rerun.a.size - window
         for name in ("a", "m", "times"):
-            assert np.array_equal(getattr(win, name), getattr(seg, name))
-        assert win.k0 == seg.k0 and win.t0 == seg.t0 and win.dt == seg.dt
+            assert np.array_equal(getattr(win, name),
+                                  getattr(rerun, name)[k0:])
+        assert win.k0 == k0 and win.t0 == rerun.t0 and win.dt == rerun.dt
+        omega, conf = phase_slope_offset(rerun.times[k0:] - state.t,
+                                         rerun.a[k0:], proto.fit_fraction)
+        assert res.omegas[k] == omega and res.confidences[k] == conf
         assert tail.a.size == tail.m.size == 1
-        assert tail.k0 == seg.k0 + seg.a.size - 1
-        assert tail.final_state() == seg.final_state()
-    for name in ("omegas", "confidences", "detunings_effective",
-                 "low_confidence"):
-        assert np.array_equal(getattr(streamed, name), getattr(kept, name),
-                              equal_nan=name != "low_confidence")
+        assert tail.k0 == win.k0 + win.a.size - 1
+        assert tail.final_state() == win.final_state()
+        state = tail.final_state()
+
+
+def test_sweep_peak_memory_grows_less_than_a_window_per_step():
+    """A library sweep holds no step's window either: each added step
+    raises the peak traced memory of ``run_sweep`` without a consumer
+    by less than one photon window."""
+    p = narrowline_params()
+
+    def peak(steps: int) -> int:
+        det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, steps))
+        proto = SweepProtocol(detunings=det, t_total=2.0, t_drop=1.0)
+        tracemalloc.start()
+        try:
+            assert len(run_sweep(proto, p).segments) == steps
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    window_bytes = 16 * SweepProtocol(detunings=(0.0,), t_total=2.0,
+                                      t_drop=1.0).window_samples()
+    peak(8)  # warm-up: lazy imports and caches
+    growth = (peak(24) - peak(8)) / 16
+    assert growth < window_bytes, (
+        f"peak grew {growth:.0f} bytes per step; a window is {window_bytes}")
 
 
 def test_window_consumer_is_not_called_for_a_diverged_step():
