@@ -241,11 +241,13 @@ class Rates(NamedTuple):
     gamma_sat: float | np.ndarray
 
     def rate_scale(self):
-        """Characteristic rate of each batch member for tolerances;
+        """Characteristic rate of each batch member for tolerances, with
+        no absolute floor (1 where every rate is 0, which has no scale);
         ``SystemParams.rate_scale`` is its one-point call."""
-        return functools.reduce(np.maximum, (
+        scale = functools.reduce(np.maximum, (
             self.kappa, self.gamma, 2.0 * self.g, np.abs(self.delta_c),
-            np.abs(self.delta_m), np.abs(self.gain_eff), 1e-9))
+            np.abs(self.delta_m), np.abs(self.gain_eff)))
+        return scale + (scale == 0.0)
 
     def take(self, idx) -> "Rates":
         """The rates of the batch members ``idx`` (floats pass through)."""

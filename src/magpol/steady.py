@@ -482,11 +482,13 @@ def active_fixed_points(cells: Rates) -> Solution:
     solve = np.flatnonzero(lasing & (c.g != 0.0))
 
     r = c.take(solve)
-    # extreme rates overflow here; _real_roots reports those rows
+    # extreme rates overflow here; _real_roots reports those rows. c_k a_hi^k
+    # is c_k mant^k times 2^(exp k): exact, and no power of a_hi can overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a_hi = np.minimum(r.gain_eff, 2.0 * r.g * r.g / r.gamma)
-        coeffs = active_quintic_coefficients(r) \
-            * a_hi[:, None] ** np.arange(5, -1, -1, dtype=float)
+        mant, exp = np.frexp(a_hi[:, None])
+        k = np.arange(5, -1, -1)
+        coeffs = np.ldexp(active_quintic_coefficients(r) * mant ** k, exp * k)
     x, optional, failed = _real_roots(coeffs, "active quintic")
     errors.update((int(solve[i]), e) for i, e in failed.items())
 

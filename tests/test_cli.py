@@ -790,6 +790,23 @@ def test_weak_passive_drive(tmp_path, capsys):
     assert len(_read_csv_rows(out / "sweep.csv")) == 3
 
 
+def test_all_zero_rates_give_a_marginal_origin(tmp_path):
+    """A passive system with every rate and the drive 0 has no rate
+    scale; its tolerances use 1, so the origin's residual quantum is
+    not 0 and the run writes one marginal point."""
+    system = {k: 0.0 for k in _passive_system()}
+    system["kind"] = "passive"
+    doc = {"format_version": 1, "system": system,
+           "drive": {"eta_per_us": 0.0}}
+    assert main(["fixed-points", "--config", _write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "fp")]) == 0
+    payload = json.loads((tmp_path / "fp" / "fixed_points.json").read_text())
+    assert payload["counts"] == {"stable": 0, "unstable": 0, "marginal": 1}
+    (rec,) = payload["fixed_points"]
+    assert rec["a0"] == rec["m0"] == [0.0, 0.0]
+    assert rec["residual_per_us"] == 0.0
+
+
 def test_huge_sweep_seed_is_a_conditioning_error(tmp_path, capsys):
     doc = _sweep_doc(steps=2, seed_state={"a_re": 1e200})
     _expect_one_error_line(
