@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "field, else current directory)")
         if name == "phase-diagram":
             p.add_argument("--threads", type=worker_count, default=1,
-                           help="worker processes that solve the grid's "
+                           help="worker threads that solve the grid's "
                                 "cell ranges (passive and active maps); "
                                 "at most one per usable CPU")
             p.add_argument("--resolution", default=None, metavar="NxM",

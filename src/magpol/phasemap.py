@@ -19,9 +19,11 @@ builds their rates, solves them in one batched call
 (``steady.passive_fixed_points`` or ``steady.active_fixed_points``),
 classifies all their fixed points in one ``stability.classify`` call
 and counts. ``scan`` is the layout around it: it builds both axes
-once, cuts the grid into row-major ranges of at most ``BLOCK`` cells
-and hands each range's points to ``solve_cells``, in one process or
-spread over worker processes. Scans are deterministic: every cell's
+once, cuts the grid into row-major ranges, with at most ``BLOCK``
+cells in flight in all, and hands each range's points to
+``solve_cells``, in the calling thread or spread over worker threads
+of the one process (the stacked LAPACK root solves, most of an active
+range's time, release the GIL). Scans are deterministic: every cell's
 result depends only on that cell and is assembled by index, so it is
 identical for any worker count.
 """
@@ -42,9 +44,11 @@ from .steady import active_fixed_points, passive_fixed_points
 _VALID_SYSTEMS = ("passive", "active")
 _VALID_AXES = ("n0", "gain")
 
-# Most cells a scan solves per range. An active range's stacked arrays
-# take about 3 kB per cell, so this bounds the scan's memory for any
-# grid size; larger ranges are no faster.
+# Most cells a scan has in flight at once, over all its worker threads:
+# a range holds at most BLOCK // workers of them. An active range's
+# stacked arrays take about 3 kB per cell, so this bounds the scan's
+# memory for any grid size and worker count; on one thread larger
+# ranges are no faster.
 BLOCK = 4096
 
 
@@ -215,11 +219,11 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     """Evaluate every cell of the grid; see the module docstring.
 
     ``workers`` is capped at the CPUs this process may run on: more
-    processes than CPUs only add start-up and scheduling. The cells
-    are cut into row-major ranges of at most ``BLOCK`` cells, about
-    four per worker, and more than one worker solves the ranges in a
-    process pool of at most one worker per range. Results do not
-    depend on the worker count.
+    threads than CPUs only add scheduling. The cells are cut into
+    row-major ranges of at most ``BLOCK // workers`` cells (at least
+    one), about four per worker, and more than one worker solves the
+    ranges in a thread pool of at most one thread per range. Results
+    do not depend on the worker count.
     """
     n = grid.x_count * grid.delta_m_count
     shape = (grid.delta_m_count, grid.x_count)
@@ -228,7 +232,7 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     counts = np.empty((4, n), dtype=np.int16)
     errors = np.zeros(shape, dtype=bool)
     workers = max(1, min(workers, _usable_cpus()))
-    size = min(BLOCK, -(-n // (4 * workers)))
+    size = min(max(1, BLOCK // workers), -(-n // (4 * workers)))
     los = range(0, n, size)
     workers = min(workers, len(los))
     # every cell's point, row-major; a range sends only its own slice
@@ -240,11 +244,11 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     with ExitStack() as stack:
         solve = map
         if workers > 1:
-            # imported here: a pool loads multiprocessing, which no
-            # other command needs at start-up
-            from concurrent.futures import ProcessPoolExecutor
+            # imported here: no other command needs concurrent.futures
+            # at start-up
+            from concurrent.futures import ThreadPoolExecutor
             solve = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers)).map
+                ThreadPoolExecutor(max_workers=workers)).map
         # each range's results are stored as they come, not held
         for lo, (block, errs) in zip(los, solve(solve_cells, *tasks)):
             counts[:, lo:lo + block.shape[1]] = block

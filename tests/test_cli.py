@@ -86,18 +86,32 @@ def _read_csv_rows(path):
         return list(csv.reader(fh))
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Start-up loads neither scipy (only fit-s11 needs it) nor a
-    process pool (only a multi-worker phase-diagram starts one)."""
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """Start-up loads neither scipy (only fit-s11 needs it) nor
+    concurrent.futures (only a multi-worker phase-diagram uses it), and
+    a multi-worker phase-diagram loads no process machinery: its
+    workers are threads."""
     import magpol
     src = Path(magpol.__file__).resolve().parents[1]
-    lazy = ("scipy", "multiprocessing", "concurrent.futures.process")
-    code = (f"import sys, magpol.cli; print(sorted(m for m in sys.modules "
-            f"for p in {lazy!r} if m == p or m.startswith(p + '.')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    root = src.parent
+    lazy = ("scipy", "multiprocessing", "concurrent.futures")
+    process = ("multiprocessing", "concurrent.futures.process")
+    argv = ["phase-diagram", "--config",
+            str(root / "configs" / "active_gain_map.json"), "--threads", "2",
+            "--resolution", "12x9", "--out", str(tmp_path)]
+
+    def loaded(names):
+        return (f"print(sorted(m for m in sys.modules for p in {names!r} "
+                f"if m == p or m.startswith(p + '.')))")
+
+    for code in (f"import sys, magpol.cli; {loaded(lazy)}",
+                 f"import sys, magpol.cli; "
+                 f"assert magpol.cli.main({argv!r}) == 0; {loaded(process)}"):
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        # the last line: a scan prints its summary first
+        assert out.stdout.splitlines()[-1] == "[]", out.stdout
 
 
 def test_version_flag():

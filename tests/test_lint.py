@@ -17,6 +17,8 @@
   independent of the solvers they check.
 - The RK4 step loop of ``dynamics.integrate_segment`` calls nothing
   outside its ``raise``: the equations are written into it.
+- No module imports ``multiprocessing`` or
+  ``concurrent.futures.process``: scans run on threads.
 """
 
 import ast
@@ -217,3 +219,30 @@ def test_integrator_step_loop_calls_nothing():
     for stmt in loops[0].body + loops[0].orelse:
         visit(stmt)
     assert not calls, f"calls in the step loop: {calls}"
+
+
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+def _imported_modules(node) -> list[str]:
+    """Modules an import statement loads, a ``from`` import's names
+    counted as submodules (``from concurrent.futures import process``),
+    and ``ProcessPoolExecutor`` as the module that defines it."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        names = ["process" if alias.name == "ProcessPoolExecutor"
+                 else alias.name for alias in node.names]
+        return [node.module] + [f"{node.module}.{n}" for n in names]
+    return []
+
+
+def test_no_process_machinery():
+    """A scan's workers are threads of the one process, so no module
+    loads the process pool or ``multiprocessing``."""
+    found = [f"{path.name}:{node.lineno} {name}" for path in MODULES
+             for node in ast.walk(_tree(path))
+             for name in _imported_modules(node)
+             if any(name == m or name.startswith(m + ".")
+                    for m in PROCESS_MODULES)]
+    assert not found, f"process machinery imported: {found}"

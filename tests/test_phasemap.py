@@ -1,6 +1,7 @@
 """Grid scans, drive mappings, and phase-count bookkeeping."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -125,11 +126,17 @@ WORKER_GRIDS = {
 
 
 @pytest.mark.parametrize("name", sorted(WORKER_GRIDS))
-def test_scan_deterministic_and_worker_invariant(name):
+def test_scan_deterministic_and_worker_invariant(name, monkeypatch):
+    """Any worker count gives the same scan, and worker threads, which
+    share the process's warning filters, warn about nothing, on the
+    error grid too."""
+    monkeypatch.setattr(phasemap, "_usable_cpus", lambda: 3)
     grid = WORKER_GRIDS[name]()
-    one = scan(grid, workers=1)
-    for workers in (1, 2, 3):
-        other = scan(grid, workers=workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = scan(grid, workers=1)
+        others = {w: scan(grid, workers=w) for w in (1, 2, 3)}
+    for workers, other in others.items():
         for field in ("stable", "unstable", "marginal", "blank", "errors"):
             assert np.array_equal(getattr(one, field),
                                   getattr(other, field)), (workers, field)
@@ -143,12 +150,14 @@ def test_scan_deterministic_and_worker_invariant(name):
 
 
 def test_pool_is_capped_at_cpus_and_ranges(monkeypatch):
-    """``workers`` never starts more processes than usable CPUs or cell
-    ranges, and the ranges are cut for the capped count. A stand-in
-    executor records its size and maps in this process."""
+    """``workers`` never starts more threads than usable CPUs or cell
+    ranges, the ranges are cut for the capped count, and no range holds
+    more than its share of ``BLOCK``, so the cells in flight stay within
+    ``BLOCK`` for any count. A stand-in executor records its size and
+    its ranges and maps in the calling thread."""
     import concurrent.futures
 
-    sizes = []
+    sizes, ranges = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -160,18 +169,27 @@ def test_pool_is_capped_at_cpus_and_ranges(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, grids, xs, delta_ms):
+            xs = list(xs)
+            ranges.extend(len(x) for x in xs)
+            return map(fn, grids, xs, delta_ms)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(phasemap, "BLOCK", 4)
     small, grid = active_gain_grid(n=2), active_gain_grid(n=9)
     one = scan(grid, workers=1)
     for cpus, workers, case, pool in ((2, 8, grid, 2), (64, 8, grid, 8),
                                       (64, 8, small, 4), (1, 8, grid, None)):
         monkeypatch.setattr(phasemap, "_usable_cpus", lambda: cpus)
         sizes.clear()
+        ranges.clear()
         other = scan(case, workers=workers)
         assert sizes == ([] if pool is None else [pool]), (cpus, workers)
+        if pool is not None:
+            cells = case.x_count * case.delta_m_count
+            assert sum(ranges) == cells, (cpus, workers)
+            assert max(ranges) <= max(1, phasemap.BLOCK // pool), \
+                (cpus, workers, max(ranges))
         if case is grid:
             for field in ("stable", "unstable", "marginal", "blank"):
                 assert np.array_equal(getattr(one, field),
