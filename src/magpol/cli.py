@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=worker_count, default=1,
                            help="worker threads that solve the grid's "
                                 "cell ranges (passive and active maps); "
-                                "at most one per usable CPU")
+                                "at most one per usable CPU and per range")
             p.add_argument("--resolution", default=None, metavar="NxM",
                            help="override grid size (x count x detuning "
                                 "count)")

@@ -288,7 +288,8 @@ class SweepResult:
     diverged step onward; ``confidences`` the phase-fit confidences
     (0 where never run); ``low_confidence`` flags steps whose fit fell
     below LOW_CONFIDENCE. ``detunings_effective`` are the detunings
-    actually applied, against the nominal ``protocol.detunings``.
+    actually applied, against the nominal ``protocol.detunings``, the
+    diverged step's included (NaN after it).
     ``diverged_at`` is the index of the step whose integration
     overflowed, or None; ``error`` carries its message.
     """
@@ -354,6 +355,7 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
     window = protocol.window_samples()
     for k, d_nom in enumerate(protocol.detunings):
         d_eff = d_nom - omega_prev if protocol.memory_detuning else d_nom
+        result.detunings_effective[k] = d_eff
         params_k = params.replace(delta_m=d_eff)
         seg_state = state if (k == 0 or protocol.memory_state) else seed
         try:
@@ -372,7 +374,6 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
         result.segments.append(TrajectorySegment(
             a=seg.a[-1:].copy(), m=seg.m[-1:].copy(), t0=seg.t0, dt=seg.dt,
             k0=seg.a.size - 1))
-        result.detunings_effective[k] = d_eff
         state = result.segments[-1].final_state()
         try:
             omega, conf = phase_slope_offset(win.times - seg_state.t, win.a,

@@ -357,7 +357,7 @@ def vector_field(params: SystemParams | Rates,
                     -hg * mi - w * mr - g * ar)
         return rhs
 
-    if dc != 0.0:
+    if np.any(dc != 0.0):
         raise ValueError(f"active model requires delta_c == 0, got {dc}")
     g_eff = params.gain_eff
     gsat = params.gamma_sat

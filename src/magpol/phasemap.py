@@ -21,8 +21,8 @@ classifies all their fixed points in one ``stability.classify`` call
 and counts. ``scan`` is the layout around it: it builds both axes
 once, cuts the grid into row-major ranges, with at most ``BLOCK``
 cells in flight in all, and hands each range's points to
-``solve_cells``, in the calling thread or spread over worker threads
-of the one process (the stacked LAPACK root solves, most of an active
+``solve_cells`` on worker threads of the one process, one thread for
+``workers=1`` (the stacked LAPACK root solves, most of an active
 range's time, release the GIL). Scans are deterministic: every cell's
 result depends only on that cell and is assembled by index, so it is
 identical for any worker count.
@@ -31,7 +31,6 @@ identical for any worker count.
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -188,8 +187,7 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
             cells = batch_rates(base, delta_m=delta_m)
         else:
             gains = x if grid.x_axis == "gain" else n0_to_gain_active(x, base)
-            cells = batch_rates(base, delta_c=0.0, delta_m=delta_m,
-                                gain_eff=gains)
+            cells = batch_rates(base, delta_m=delta_m, gain_eff=gains)
     except ValueError as exc:
         return np.zeros((4, len(x)), dtype=np.int64), dict.fromkeys(
             range(len(x)), _error_text(exc))
@@ -221,9 +219,9 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     ``workers`` is capped at the CPUs this process may run on: more
     threads than CPUs only add scheduling. The cells are cut into
     row-major ranges of at most ``BLOCK // workers`` cells (at least
-    one), about four per worker, and more than one worker solves the
-    ranges in a thread pool of at most one thread per range. Results
-    do not depend on the worker count.
+    one), about four per worker, and a pool of ``workers`` threads, at
+    most one per range, solves them. Results do not depend on the
+    worker count.
     """
     n = grid.x_count * grid.delta_m_count
     shape = (grid.delta_m_count, grid.x_count)
@@ -241,16 +239,12 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     tasks = (repeat(grid), (x[lo:lo + size] for lo in los),
              (delta_m[lo:lo + size] for lo in los))
     messages = {}
-    with ExitStack() as stack:
-        solve = map
-        if workers > 1:
-            # imported here: no other command needs concurrent.futures
-            # at start-up
-            from concurrent.futures import ThreadPoolExecutor
-            solve = stack.enter_context(
-                ThreadPoolExecutor(max_workers=workers)).map
+    # imported here: no other command needs concurrent.futures at
+    # start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         # each range's results are stored as they come, not held
-        for lo, (block, errs) in zip(los, solve(solve_cells, *tasks)):
+        for lo, (block, errs) in zip(los, pool.map(solve_cells, *tasks)):
             counts[:, lo:lo + block.shape[1]] = block
             messages.update((lo + k, msg) for k, msg in errs.items())
     ns, nu, nm, ntot = counts.reshape((4,) + shape)

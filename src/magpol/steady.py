@@ -505,8 +505,7 @@ def active_fixed_points(cells: Rates) -> Solution:
         # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
         # saturation is G_eff, so the photon amplitude p is O(1)
         s = np.sqrt(n_sat[cell])
-        # a scalar delta_c, which vector_field checks against 0
-        r = r.take(keep)._replace(delta_c=0.0).rescale(s)
+        r = r.take(keep).rescale(s)
         p = np.sqrt((r.gain_eff - a_val) / r.gain_eff)
         u = r.delta_m + r.kerr * n_m1
         q = 2.0 * r.g * r.g * a_val / r.gamma - a_val * a_val

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from magpol.calib import (ReflectionFit, detuning_from_field, fit_kittel,
                           fit_s11, load_field_points_csv, load_spectrum_csv,
@@ -66,7 +67,7 @@ def test_noiseless_round_trip_many_draws():
     assert worst < 1e-6
 
 
-def test_undercoupled_convention_on_swapped_truth():
+def test_undercoupled_convention_on_swapped_truth(monkeypatch):
     # magnitude data cannot distinguish kappa_a from gamma, so an
     # overcoupled truth comes back in the undercoupled convention
     truth = _truth(kappa_a=TWO_PI * 10.3e6, gamma=TWO_PI * 4.0e6)
@@ -74,6 +75,22 @@ def test_undercoupled_convention_on_swapped_truth():
     assert fit.kappa_a <= fit.gamma
     assert fit.kappa_a == pytest.approx(TWO_PI * 4.0e6, rel=1e-6)
     assert fit.gamma == pytest.approx(TWO_PI * 10.3e6, rel=1e-6)
+
+    # also when the solve lands on the overcoupled minimum, which fits
+    # the magnitudes exactly as well: a stand-in solve exchanges the
+    # two linewidths of the real one's result
+    solve = scipy.optimize.least_squares
+
+    def mirrored(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.x[[1, 2]] = sol.x[[2, 1]]
+        return sol
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", mirrored)
+    fit = fit_s11(_spectrum(_truth(kappa_a=TWO_PI * 3.0e6,
+                                   gamma=TWO_PI * 1.0e6)))
+    assert fit.kappa_a == pytest.approx(TWO_PI * 1.0e6, rel=1e-6)
+    assert fit.gamma == pytest.approx(TWO_PI * 3.0e6, rel=1e-6)
 
 
 def test_noisy_recovery_within_a_percent():

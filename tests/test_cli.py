@@ -18,6 +18,7 @@ from _cases import sweep_windows
 from _digests import of_files, pinned
 from magpol import config, dynamics, phasemap
 from magpol.cli import _write_json, _write_matrix_csv, main
+from magpol.errors import DivergenceError
 from magpol.spectral import build_spectrogram, spectrum_freqs
 
 TWO_PI = 2.0 * math.pi
@@ -88,9 +89,9 @@ def _read_csv_rows(path):
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """Start-up loads neither scipy (only fit-s11 needs it) nor
-    concurrent.futures (only a multi-worker phase-diagram uses it), and
-    a multi-worker phase-diagram loads no process machinery: its
-    workers are threads."""
+    concurrent.futures (only phase-diagram uses it, for its worker
+    threads), and a multi-worker phase-diagram loads no process
+    machinery: its workers are threads."""
     import magpol
     src = Path(magpol.__file__).resolve().parents[1]
     root = src.parent
@@ -268,6 +269,9 @@ def test_resolution_override(tmp_path):
 
     assert main(["phase-diagram", "--config", cfg, "--out", str(out),
                  "--resolution", "3by4"]) == 2
+    assert main(["phase-diagram", "--config",
+                 _write_config(tmp_path, _sweep_doc(), "sweep.json"),
+                 "--out", str(out), "--resolution", "3x4"]) == 2
 
 
 @pytest.mark.parametrize("config", ["active_gain_map", "passive_detuned_map"])
@@ -375,6 +379,53 @@ def test_memoryless_sweep_has_no_detuning_shift(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     for r in _read_csv_rows(out / "sweep.csv")[1:]:
         assert float(r[1]) == float(r[2])
+
+
+def test_one_step_sweep_writes_one_row(tmp_path):
+    cfg = _write_config(tmp_path, _sweep_doc(steps=1))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = _read_csv_rows(out / "sweep.csv")[1:]
+    assert row[0] == "0" and float(row[1]) == pytest.approx(-60.0)
+    assert float(row[1]) == float(row[2]) and row[6] == "false"
+
+
+def test_diverged_sweep_step_keeps_its_detuning(tmp_path, monkeypatch,
+                                                capsys):
+    """The step whose integration diverges is a row of its own: its
+    effective detuning is the one its error text gives, its fit stays
+    NaN, as do all of the steps after it, and the run exits 0."""
+    integrate = dynamics.integrate_segment
+    calls = []
+
+    def diverge_on_step_2(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise DivergenceError("stub overflow", step=5)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_segment", diverge_on_step_2)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write_config(tmp_path, _sweep_doc()),
+                 "--out", str(out)]) == 0
+    body = _read_csv_rows(out / "sweep.csv")[1:]
+    assert [r[6] for r in body] == ["false", "false", "true", "false"]
+    delta_eff = [float(r[2]) for r in body]
+    omega = [float(r[3]) for r in body]
+    assert all(map(math.isfinite, delta_eff[:3] + omega[:2]))
+    assert math.isnan(delta_eff[3]) and math.isnan(omega[2])
+    assert math.isnan(omega[3])
+    # the diverged step was re-centered by step 1's fit, as any other
+    assert delta_eff[2] == pytest.approx(float(body[2][1]) - omega[1],
+                                         rel=1e-12)
+    assert calls[2][1].delta_m == pytest.approx(TWO_PI * delta_eff[2],
+                                                rel=1e-12)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("2/4 steps integrated; ")
+    d_nom = TWO_PI * float(body[2][1])
+    assert lines[-1] == (
+        f"  diverged at step 2: step 2 (detuning {d_nom:.6g} rad/us, "
+        f"effective {calls[2][1].delta_m:.6g}): stub overflow")
 
 
 def test_sweep_spectrogram_artifacts(tmp_path):
@@ -802,6 +853,18 @@ def test_weak_passive_drive(tmp_path, capsys):
     assert main(["sweep", "--config", _write_config(tmp_path, doc),
                  "--out", str(out)]) == 0
     assert len(_read_csv_rows(out / "sweep.csv")) == 3
+
+
+def test_undamped_resonant_magnon_is_a_conditioning_error(tmp_path, capsys):
+    """With gamma = 0, no Kerr and delta_m = 0 the magnon's response to
+    the cavity is singular: fixed-points exits 1 and says so."""
+    system = {"kind": "passive", "kappa_mhz_over_2pi": 1.5,
+              "gamma_mhz_over_2pi": 0.0, "g_mhz_over_2pi": 30.0}
+    doc = {"format_version": 1, "system": system,
+           "drive": {"eta_per_us": 1e3}}
+    _expect_one_error_line(
+        ["fixed-points", "--config", _write_config(tmp_path, doc), "--out",
+         str(tmp_path / "fp")], 1, capsys, "magnon response singular")
 
 
 def test_all_zero_rates_give_a_marginal_origin(tmp_path):

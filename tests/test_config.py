@@ -123,6 +123,17 @@ REJECTIONS = {
                             "must be >= 2, got 1"),
     "number_lower_bound": (SWEEP, "sweep.t_drop_us", -1.0,
                            "$.sweep.t_drop_us", "must be >= 0.0, got -1.0"),
+    "active_delta_c": (SWEEP, "system.delta_c_mhz_over_2pi", 1.0,
+                       "$.system", "the active model is defined in the "
+                                   "oscillator frame, delta_c must be 0"),
+    "gamma_sat_zero": (SWEEP, "system.gamma_sat_uhz_over_2pi", 0.0,
+                       "$.system", "gamma_sat must be positive"),
+    "active_drive": (SWEEP, "drive", {"n0": 1e12}, "$.drive",
+                     "the active model has no external drive"),
+    "spectrogram_band_order": (SWEEP, "spectrogram",
+                               {"f_min_mhz": 10.0, "f_max_mhz": 10.0},
+                               "$.spectrogram",
+                               "f_min_mhz must be < f_max_mhz"),
     # library constructors: their ValueError at the block's path
     "kappa_ext": (PASSIVE_POINT, "system.kappa_ext_mhz_over_2pi", 2.0,
                   "$.system", "kappa_ext must lie in [0, kappa]"),

@@ -137,6 +137,20 @@ def test_rhs_gives_the_same_bits_on_floats_and_arrays():
             assert [float(c[k]) for c in got] == list(ref)
 
 
+def test_active_rhs_checks_every_delta_c_of_a_batch():
+    """The active frame is pinned to the gain center: a batch whose
+    delta_c are all 0 evaluates as the float rates do, and a nonzero
+    delta_c anywhere in it is rejected."""
+    p = narrowline_params(delta_m=TWO_PI * (-30.0))
+    x = (0.3, -0.2, 0.1, 0.4)
+    zero = batch_rates(p, delta_c=np.zeros(3))
+    assert vector_field(zero)(*x) == vector_field(p)(*x)
+    for dc in (1.0, np.array([0.0, 1.0, 0.0])):
+        with pytest.raises(ValueError,
+                           match="active model requires delta_c == 0"):
+            vector_field(batch_rates(p, delta_c=dc))
+
+
 def test_rescaled_rhs_is_original_over_s():
     """rhs at (a/s, m/s) with ``Rates.rescale(s)`` and drive eta/s equals
     1/s times the original rhs at (a, m); 40 draws, then one batch of

@@ -179,21 +179,29 @@ def test_pool_is_capped_at_cpus_and_ranges(monkeypatch):
     small, grid = active_gain_grid(n=2), active_gain_grid(n=9)
     one = scan(grid, workers=1)
     for cpus, workers, case, pool in ((2, 8, grid, 2), (64, 8, grid, 8),
-                                      (64, 8, small, 4), (1, 8, grid, None)):
+                                      (64, 8, small, 4), (1, 8, grid, 1)):
         monkeypatch.setattr(phasemap, "_usable_cpus", lambda: cpus)
         sizes.clear()
         ranges.clear()
         other = scan(case, workers=workers)
-        assert sizes == ([] if pool is None else [pool]), (cpus, workers)
-        if pool is not None:
-            cells = case.x_count * case.delta_m_count
-            assert sum(ranges) == cells, (cpus, workers)
-            assert max(ranges) <= max(1, phasemap.BLOCK // pool), \
-                (cpus, workers, max(ranges))
+        assert sizes == [pool], (cpus, workers)
+        cells = case.x_count * case.delta_m_count
+        assert sum(ranges) == cells, (cpus, workers)
+        assert max(ranges) <= max(1, phasemap.BLOCK // pool), \
+            (cpus, workers, max(ranges))
         if case is grid:
             for field in ("stable", "unstable", "marginal", "blank"):
                 assert np.array_equal(getattr(one, field),
                                       getattr(other, field)), (cpus, field)
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    """Where the platform has no affinity mask the CPU count stands in
+    for it, and 1 where that is unknown too."""
+    monkeypatch.delattr(phasemap.os, "sched_getaffinity", raising=False)
+    for count, usable in ((6, 6), (None, 1)):
+        monkeypatch.setattr(phasemap.os, "cpu_count", lambda: count)
+        assert phasemap._usable_cpus() == usable
 
 
 def test_kerr_detuning_mirror_symmetry():
@@ -206,14 +214,29 @@ def test_kerr_detuning_mirror_symmetry():
 
 
 def test_cell_errors_are_recorded_not_raised():
+    """No n0 maps to a drive of a cavity without loss or detuning, and
+    the active model is solved only in the gain center's frame: each
+    cell of either grid records its ValueError."""
     dead = SystemParams(kappa=0.0, gamma=TWO_PI * 10.0, g=TWO_PI * 5.0)
-    grid = GridSpec(system="passive", x_axis="n0", x_min=1e9, x_max=1e10,
-                    x_count=2, delta_m_min=-1.0, delta_m_max=1.0,
-                    delta_m_count=2, base=dead)
-    diagram = scan(grid)
-    assert diagram.errors.all()
-    assert diagram.error_messages[(0, 0)].startswith("ValueError")
-    assert diagram.phase_label(0, 0) == "error"
+    passive = GridSpec(system="passive", x_axis="n0", x_min=1e9,
+                       x_max=1e10, x_count=2, delta_m_min=-1.0,
+                       delta_m_max=1.0, delta_m_count=2, base=dead)
+    off_frame = GridSpec(system="active", x_axis="gain",
+                         x_min=TWO_PI * 10.0, x_max=TWO_PI * 22.0,
+                         x_count=2, delta_m_min=-TWO_PI * 70.0,
+                         delta_m_max=-TWO_PI * 25.0, delta_m_count=2,
+                         base=narrowline_params(gain=0.0, delta_c=1.0))
+    for grid, message in (
+            (passive, "ValueError: degenerate mapping"),
+            (off_frame, "ValueError: active model requires delta_c == 0, "
+                        "got 1.0")):
+        diagram = scan(grid)
+        assert diagram.errors.all()
+        assert sorted(diagram.error_messages) == [(0, 0), (0, 1), (1, 0),
+                                                  (1, 1)]
+        for msg in diagram.error_messages.values():
+            assert msg.startswith(message), msg
+        assert diagram.phase_label(0, 0) == "error"
 
 
 def test_phase_labels_and_summary():

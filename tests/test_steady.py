@@ -385,6 +385,42 @@ def test_solution_take_subsets_a_batch_result():
             assert np.array_equal(getattr(sub, name), getattr(sol, name)[idx])
 
 
+def test_undamped_active_cell_is_an_error():
+    """The active route needs magnon damping: a gamma = 0 cell records
+    a ValueError instead of points."""
+    sol = steady.active_fixed_points(batch_rates(
+        narrowline_params(delta_m=TWO_PI * (-46.4)),
+        gamma=np.array([TWO_PI * 10.3, 0.0])))
+    assert set(sol.cell.tolist()) == {0}
+    assert list(sol.errors) == [1]
+    assert isinstance(sol.errors[1], ValueError)
+    assert str(sol.errors[1]) == "active route requires gamma > 0"
+
+
+def test_singular_polish_row_keeps_its_start():
+    """A row whose polish Jacobian is exactly singular (every rate 0,
+    drive 1) fails the stacked solve, so the rows are solved one by
+    one: the singular row keeps its start and its defect 1, and the
+    others polish to the same bits as without it."""
+    cells = np.array([[1.0, 2.0, 1.5, 0.3, 0.5, -1.0, 0.0, 0.0],
+                      [0.0] * 8,
+                      [1.0, 2.0, 1.5, -0.3, 0.5, 0.7, 0.0, 0.0]])
+    start = np.full((3, 4), 0.1)
+    eta = np.ones(3)
+
+    def polish(rows):
+        return steady._damped_newton4(start[rows], 1e-12,
+                                      Rates(*cells[rows].T), eta[rows])
+
+    assert not _polish_jacobian(start[1], Rates(*cells[1]), False).any()
+    z, res = polish([0, 1, 2])
+    z_ref, res_ref = polish([0, 2])
+    assert np.array_equal(z[[0, 2]], z_ref)
+    assert np.array_equal(res[[0, 2]], res_ref)
+    assert np.all(res_ref < 1e-12)
+    assert np.array_equal(z[1], start[1]) and res[1] == 1.0
+
+
 def _extreme_rate(rng, center, spread, signed=False):
     """A rate of 10^(center +- spread) rad/us, of either sign when
     ``signed``, half of them numpy scalars as a map axis hands them over."""
