@@ -178,17 +178,15 @@ def cmd_phase_diagram(run: config.RunConfig, out_dir: str,
 
 def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
     # Each step's window becomes its spectrogram column as the step
-    # ends, so the sweep holds no windows. Columns are normalized one
-    # at a time, as a call on all the windows would normalize them.
+    # ends, so the sweep holds no windows.
     spec = run.spectrogram
     freqs, columns = None, []
 
     def to_column(window) -> None:
         nonlocal freqs
-        freqs, mags = build_spectrogram(
-            [window.a], run.protocol.dt, f_min=spec["f_min_mhz"],
-            f_max=spec["f_max_mhz"])
-        columns.append(mags)
+        freqs, column = build_spectrogram(
+            window.a, run.protocol.dt, spec["f_min_mhz"], spec["f_max_mhz"])
+        columns.append(column)
 
     result = run_sweep(run.protocol, run.system, drive=run.drive,
                        initial_state=run.initial_state,
@@ -215,7 +213,7 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
     n_done = len(result.segments)
     if columns:
         _write_matrix_csv(os.path.join(out_dir, "spectrogram.csv"),
-                          np.hstack(columns))
+                          np.column_stack(columns))
         _write_json(os.path.join(out_dir, "spectrogram_axes.json"), {
             "freqs_mhz": [float(f) for f in freqs],
             "detunings_mhz_over_2pi": [

@@ -125,12 +125,13 @@ class _Block:
         return v
 
     def angular(self, base: str, *, required: bool = False, default=None,
-                lo=None, lo_open: bool = False) -> float | None:
+                lo=None, lo_open: bool = False) -> float:
         """Read `{base}_{unit}_over_2pi` in any unit; returns rad/us.
 
         ``default`` and the bound ``lo`` are rad/us (``lo_open``
-        excludes ``lo``). A materialized default is written under the
-        mhz key.
+        excludes ``lo``); a key that is not ``required`` needs a
+        ``default``. A materialized default is written under the mhz
+        key.
         """
         hits = [u for u in _ANGULAR_UNITS
                 if f"{base}_{u}_over_2pi" in self.data]
@@ -144,8 +145,6 @@ class _Block:
                     f"{self.path}.{base}_mhz_over_2pi: missing required key "
                     f"(any of the unit suffixes "
                     f"{sorted(_ANGULAR_UNITS)} is accepted)")
-            if default is None:
-                return None
             self.data[f"{base}_mhz_over_2pi"] = default / TWO_PI
             self.seen.add(f"{base}_mhz_over_2pi")
             return default

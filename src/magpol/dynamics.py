@@ -90,7 +90,11 @@ def integrate_segment(state: ModeState, params: SystemParams,
     The step loop holds one fused restatement of ``model.vector_field``
     with no call per stage: each stage does its operations in its
     order, so every sample has the bits of an RK4 on vector_field (the
-    tests pin the two together). Only photon rows branch on the model.
+    tests pin the two together, signed zeros included). The passive
+    photon rows leave out vector_field's trailing ``+ 0.0``, the
+    imaginary part of the real drive: it only turns a -0.0 stage value
+    into 0.0, which no sample's bits depend on. Only photon rows branch
+    on the model.
     Raises DivergenceError if the rescaled squared amplitude of either
     mode exceeds DIVERGENCE_CAP, with ``step`` set to the offending
     step index; ConditioningError if the initial occupation, the
@@ -142,7 +146,7 @@ def integrate_segment(state: ModeState, params: SystemParams,
         w = dmg + kerr * nm
         if passive:
             k1ar = dc * ai - hk * ar + g * mi + eta
-            k1ai = nhk * ai - dc * ar - g * mr + 0.0
+            k1ai = nhk * ai - dc * ar - g * mr
         else:
             net = g_eff - gsat * na
             k1ar = net * ar + g * mi
@@ -156,7 +160,7 @@ def integrate_segment(state: ModeState, params: SystemParams,
         w = dmg + kerr * (xmr * xmr + xmi * xmi)
         if passive:
             k2ar = dc * xai - hk * xar + g * xmi + eta
-            k2ai = nhk * xai - dc * xar - g * xmr + 0.0
+            k2ai = nhk * xai - dc * xar - g * xmr
         else:
             net = g_eff - gsat * (xar * xar + xai * xai)
             k2ar = net * xar + g * xmi
@@ -170,7 +174,7 @@ def integrate_segment(state: ModeState, params: SystemParams,
         w = dmg + kerr * (xmr * xmr + xmi * xmi)
         if passive:
             k3ar = dc * xai - hk * xar + g * xmi + eta
-            k3ai = nhk * xai - dc * xar - g * xmr + 0.0
+            k3ai = nhk * xai - dc * xar - g * xmr
         else:
             net = g_eff - gsat * (xar * xar + xai * xai)
             k3ar = net * xar + g * xmi
@@ -184,7 +188,7 @@ def integrate_segment(state: ModeState, params: SystemParams,
         w = dmg + kerr * (xmr * xmr + xmi * xmi)
         if passive:
             k4ar = dc * xai - hk * xar + g * xmi + eta
-            k4ai = nhk * xai - dc * xar - g * xmr + 0.0
+            k4ai = nhk * xai - dc * xar - g * xmr
         else:
             net = g_eff - gsat * (xar * xar + xai * xai)
             k4ar = net * xar + g * xmi

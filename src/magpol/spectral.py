@@ -115,35 +115,22 @@ def fft_peak_offset(a: np.ndarray, dt: float) -> tuple[float, float]:
     return TWO_PI * float(freqs[i]), TWO_PI * bin_w
 
 
-def build_spectrogram(windows, dt: float, f_min: float | None = None,
-                      f_max: float | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Hann spectra of many equal-length windows as one matrix.
+def build_spectrogram(window: np.ndarray, dt: float, f_min: float,
+                      f_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """One spectrogram column: the Hann spectrum of one window.
 
-    ``windows`` are amplitude arrays sampled every ``dt`` us, one per
-    sweep step, each cut to the samples to analyse, as ``run_sweep``
-    hands them to its ``on_window``. Returns (freqs,
-    magnitudes): the ``hann_fft`` axis cropped to [f_min, f_max] MHz,
-    and ``magnitudes[i, j]`` the magnitude at ``freqs[i]`` of window j,
-    each column normalized to unit maximum, as swept emission spectra
-    are usually displayed.
-    The spectra are taken one window at a time, so no stack of
-    windows is ever held.
+    ``window`` holds amplitude samples spaced ``dt`` us, cut to the
+    samples to analyse, as ``run_sweep`` hands them to its
+    ``on_window``. Returns (freqs, column): the ``hann_fft`` axis
+    cropped to [f_min, f_max] MHz, and the magnitudes on it divided by
+    their maximum (by 1 when that is 0), as swept emission spectra are
+    usually displayed. A sweep's spectrogram stacks one column per
+    step.
     """
-    windows = list(windows)
-    if len(windows) == 0:
-        raise ValueError("no windows to stack")
-    n = len(windows[0])
-    if any(len(w) != n for w in windows):
-        raise ValueError("windows have mismatched sample counts")
-    freqs = spectrum_freqs(n, dt)
-    sel = ((freqs >= (-np.inf if f_min is None else f_min))
-           & (freqs <= (np.inf if f_max is None else f_max)))
+    freqs, mags = hann_fft(window, dt)
+    sel = (freqs >= f_min) & (freqs <= f_max)
     if not np.any(sel):
         raise ValueError("frequency crop leaves no bins")
-    mags = np.empty((np.count_nonzero(sel), len(windows)))
-    for j, w in enumerate(windows):
-        mags[:, j] = hann_fft(w, dt)[1][sel]
-    peak = mags.max(axis=0)
-    mags /= np.where(peak > 0, peak, 1.0)
-    return freqs[sel], mags
+    column = mags[sel]
+    peak = column.max()
+    return freqs[sel], column / (peak if peak > 0 else 1.0)

@@ -16,6 +16,8 @@ its fixed points as a list of rows.
 
 ``sweep_windows`` runs ``dynamics.run_sweep`` with a consumer that
 copies every step's analysis window, since the result keeps none.
+``spectrogram`` stacks the ``build_spectrogram`` columns of windows as
+``sweep`` does.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from magpol.dynamics import SweepProtocol, SweepResult, TrajectorySegment, \
     run_sweep
 from magpol.model import DriveSpec, SystemParams, TWO_PI, batch_rates
 from magpol.phasemap import GridSpec
+from magpol.spectral import build_spectrogram
 from magpol.stability import VERDICTS, classify
 from magpol.steady import Solution
 
@@ -114,3 +117,12 @@ def sweep_windows(protocol: SweepProtocol, params: SystemParams, **kw
                                            m=win.m.copy()))
 
     return run_sweep(protocol, params, on_window=keep, **kw), windows
+
+
+def spectrogram(windows, dt: float, f_min: float, f_max: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, matrix): the ``build_spectrogram`` column of each window,
+    sampled every ``dt`` us, stacked in order, as ``sweep`` writes
+    them."""
+    columns = [build_spectrogram(z, dt, f_min, f_max) for z in windows]
+    return columns[0][0], np.column_stack([col for _, col in columns])

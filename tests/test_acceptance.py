@@ -14,7 +14,7 @@ from scipy import ndimage
 
 from _cases import ACCEPTANCE_GRIDS, active_fixed_points, \
     broadline_params, narrowline_params, passive_fixed_points, \
-    sweep_windows, verdict_of
+    spectrogram, sweep_windows, verdict_of
 from _digests import of_fixture, pinned
 from _oracles import active_fixed_points_newton, passive_fixed_points_newton
 from magpol.calib import ReflectionFit, fit_kittel, fit_s11, s11_model
@@ -22,8 +22,7 @@ from magpol.dynamics import (SweepProtocol, default_seed_state,
                              integrate_segment)
 from magpol.model import TWO_PI, DriveSpec, ModeState, SystemParams
 from magpol.phasemap import scan
-from magpol.spectral import (build_spectrogram, fft_peak_offset,
-                             phase_slope_offset)
+from magpol.spectral import fft_peak_offset, phase_slope_offset
 from magpol.stability import spectrum
 
 
@@ -219,9 +218,8 @@ def test_criterion_05_low_gain_sweep_shift_and_switch(low_gain_sweep):
 
 def test_criterion_06_sidebands_near_the_switching_point(sideband_sweep):
     result, windows = sideband_sweep
-    freqs, mags = build_spectrogram([win.a for win in windows],
-                                    result.protocol.dt,
-                                    f_min=-80.0, f_max=80.0)
+    freqs, mags = spectrogram([win.a for win in windows],
+                              result.protocol.dt, -80.0, 80.0)
     best = None
     for j in range(mags.shape[1]):
         col = mags[:, j]
@@ -437,9 +435,8 @@ def test_qualitative_broadband_support():
     p = narrowline_params(gain=TWO_PI * 20.0)
     det = tuple(TWO_PI * d for d in np.linspace(-80.0, 40.0, 121))
     result, windows = sweep_windows(SweepProtocol(detunings=det), p)
-    freqs, mags = build_spectrogram([win.a for win in windows],
-                                    result.protocol.dt,
-                                    f_min=-150.0, f_max=150.0)
+    freqs, mags = spectrogram([win.a for win in windows],
+                              result.protocol.dt, -150.0, 150.0)
     thresh = 10 ** (-30.0 / 20.0)
     widths = np.zeros(mags.shape[1])
     for j in range(widths.size):

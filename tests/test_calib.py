@@ -179,6 +179,8 @@ def test_kittel_two_points_and_errors():
 
     with pytest.raises(FitError, match=">= 2 field points"):
         fit_kittel(_kittel_points(np.array([0.10])))
+    with pytest.raises(FitError, match=r"points must be \(N, 2\)"):
+        fit_kittel(_kittel_points(np.array([0.10, 0.12]))[:, :1])
     with pytest.raises(FitError, match="fields identical"):
         fit_kittel(_kittel_points(np.array([0.11, 0.11, 0.11])))
     down = _kittel_points(np.array([0.10, 0.12]))
@@ -231,6 +233,12 @@ def test_spectrum_csv_loader(tmp_path):
     p.write_text("freq_unit,Hz\n3.05e9,0.40\n3.06e9,0.95\n")
     arr = load_spectrum_csv(str(p))
     assert arr[0, 0] == pytest.approx(TWO_PI * 3.05e9, rel=1e-12)
+
+    # empty and blank lines are skipped, before the header too
+    p.write_text("\nfreq_unit,GHz\n3.00,0.98\n  \n\n3.05,0.40\n")
+    arr = load_spectrum_csv(str(p))
+    assert arr.shape == (2, 2)
+    assert arr[1, 1] == 0.40
 
 
 def test_field_csv_units_agree(tmp_path):

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _cases import sweep_windows
+from _cases import spectrogram, sweep_windows
 from _digests import of_files, pinned
 from magpol import config, dynamics, phasemap
 from magpol.cli import _write_json, _write_matrix_csv, main
 from magpol.errors import DivergenceError
-from magpol.spectral import build_spectrogram, spectrum_freqs
+from magpol.spectral import spectrum_freqs
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -460,10 +460,11 @@ def test_sweep_spectrogram_axis_is_the_validated_axis(tmp_path):
     assert axes["freqs_mhz"] == [float(f) for f in freqs]
 
 
-def test_sweep_spectrogram_is_one_call_on_the_kept_windows(tmp_path):
+def test_sweep_spectrogram_stacks_the_kept_windows_columns(tmp_path):
     """The CLI turns each step's window into its column as the step
-    ends; the matrix is byte-equal to one ``build_spectrogram`` call on
-    the windows that a consumer of ``run_sweep`` keeps copies of."""
+    ends; the matrix is byte-equal to the ``build_spectrogram`` columns
+    of the windows that a consumer of ``run_sweep`` keeps copies of,
+    stacked in step order."""
     doc = _sweep_doc()
     doc["spectrogram"] = {"f_min_mhz": -80.0, "f_max_mhz": 80.0}
     out = tmp_path / "out"
@@ -472,11 +473,11 @@ def test_sweep_spectrogram_is_one_call_on_the_kept_windows(tmp_path):
     run = config.parse_run(doc, "sweep")
     _, windows = sweep_windows(run.protocol, run.system, drive=run.drive,
                                initial_state=run.initial_state)
-    _, mags = build_spectrogram([win.a for win in windows],
-                                run.protocol.dt, f_min=-80.0, f_max=80.0)
-    _write_matrix_csv(str(tmp_path / "one_call.csv"), mags)
+    _, mags = spectrogram([win.a for win in windows], run.protocol.dt,
+                          -80.0, 80.0)
+    _write_matrix_csv(str(tmp_path / "kept.csv"), mags)
     assert ((out / "spectrogram.csv").read_bytes()
-            == (tmp_path / "one_call.csv").read_bytes())
+            == (tmp_path / "kept.csv").read_bytes())
 
 
 @pytest.mark.parametrize("spectrogram", [True, False],
@@ -485,7 +486,7 @@ def test_sweep_peak_memory_grows_less_than_a_window_per_step(tmp_path,
                                                              spectrogram):
     """A sweep holds no step's window: each added step raises the peak
     traced memory of a ``sweep`` run by less than one photon window."""
-    doc = _sweep_doc(t_total_us=2.0, t_drop_us=1.0)
+    doc = _sweep_doc(t_total_us=1.0, t_drop_us=0.5)
     if spectrogram:
         doc["spectrogram"] = {"f_min_mhz": -80.0, "f_max_mhz": 80.0}
     window_bytes = 16 * config.parse_run(
@@ -650,6 +651,10 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
     doc = _sweep_doc()
     doc["format_version"] = 99
     expect_2(doc, "sweep", "unsupported version 99")
+
+    doc = _sweep_doc()
+    del doc["format_version"]
+    expect_2(doc, "sweep", "$.format_version: missing required key")
 
     doc = _sweep_doc()
     doc["command"] = "fixed-points"
@@ -1114,6 +1119,17 @@ def test_malformed_input_file_is_one_error_line(tmp_path, case):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     if "_csv_" in case:
         assert "data.csv:6: non-finite value in " in out.stderr, out.stderr
+
+
+def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    """``--out`` must name a directory: an existing file at that path
+    ends the run with one ``i/o error:`` line and exit 1."""
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["sweep", "--config", _write_config(tmp_path, _sweep_doc()),
+                 "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
 
 
 def test_grid_memory_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):

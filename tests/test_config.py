@@ -165,6 +165,11 @@ def test_parse_run_rejections(case):
     assert fragment in str(info.value)
 
 
+def test_parse_run_rejects_an_unknown_command():
+    with pytest.raises(ValueError, match="unknown command 'sweep-all'"):
+        parse_run(SWEEP, "sweep-all")
+
+
 @pytest.mark.parametrize("base", [SWEEP, PASSIVE_POINT, N0_GRID, GAIN_GRID],
                          ids=["sweep", "passive_point", "n0_grid",
                               "gain_grid"])

@@ -1,5 +1,6 @@
 """Integrator correctness and the memory-sweep protocol."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -283,8 +284,9 @@ def test_fused_loop_matches_vector_field_bits():
     """The step loop's inline equations round exactly like
     ``vector_field``: every sample, signed zeros included, on seeded
     draws of both models (kerr of either sign, passive delta_c != 0,
-    an eta = 0 drive on signed-zero states), and a runaway diverges at
-    the same step with the same message."""
+    an eta = 0 drive on signed-zero states), on every signed-zero
+    passive state at eta = 0 with each sign of delta_c and delta_m, and
+    a runaway diverges at the same step with the same message."""
     rng = np.random.default_rng(1807)
 
     def kerr(n_ref):
@@ -317,6 +319,14 @@ def test_fused_loop_matches_vector_field_bits():
             st = ModeState(a=_signed_zero(rng), m=_signed_zero(rng))
             drive = DriveSpec(eta=0.0)
         cases.append((st, p, drive))
+    for ar, ai, mr, mi, dc, dm in itertools.product([-1.0, 1.0], repeat=6):
+        st = ModeState(a=complex(math.copysign(0.0, ar),
+                                 math.copysign(0.0, ai)),
+                       m=complex(math.copysign(0.0, mr),
+                                 math.copysign(0.0, mi)))
+        p = broadline_params(delta_c=dc * TWO_PI * 10.0,
+                             delta_m=dm * TWO_PI * 20.0)
+        cases.append((st, p, DriveSpec(eta=0.0)))
     assert all(p.delta_c != 0.0 for _, p, drive in cases if drive)
     assert {np.sign(p.kerr) for _, p, _ in cases} == {-1.0, 1.0}
 
@@ -383,6 +393,8 @@ def test_protocol_validation():
         SweepProtocol(detunings=(1.0,), dt=-1e-3)
     with pytest.raises(ValueError):
         SweepProtocol(detunings=(np.inf,))
+    with pytest.raises(ValueError, match="omega_initial must be finite"):
+        SweepProtocol(detunings=(1.0,), omega_initial=np.nan)
     with pytest.raises(ValueError):
         SweepProtocol(detunings=(1.0,), fit_fraction=0.0)
     with pytest.raises(ValueError):
@@ -482,7 +494,7 @@ def test_sweep_peak_memory_grows_less_than_a_window_per_step():
 
     def peak(steps: int) -> int:
         det = tuple(TWO_PI * d for d in np.linspace(-60.0, -50.0, steps))
-        proto = SweepProtocol(detunings=det, t_total=2.0, t_drop=1.0)
+        proto = SweepProtocol(detunings=det, t_total=1.0, t_drop=0.5)
         tracemalloc.start()
         try:
             assert len(run_sweep(proto, p).segments) == steps
@@ -490,8 +502,8 @@ def test_sweep_peak_memory_grows_less_than_a_window_per_step():
         finally:
             tracemalloc.stop()
 
-    window_bytes = 16 * SweepProtocol(detunings=(0.0,), t_total=2.0,
-                                      t_drop=1.0).window_samples()
+    window_bytes = 16 * SweepProtocol(detunings=(0.0,), t_total=1.0,
+                                      t_drop=0.5).window_samples()
     peak(8)  # warm-up: lazy imports and caches
     growth = (peak(24) - peak(8)) / 16
     assert growth < window_bytes, (

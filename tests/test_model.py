@@ -82,6 +82,12 @@ def test_params_validation():
         SystemParams(gamma=np.inf)
     with pytest.raises(ValueError):
         SystemParams(g=-2.0)
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        SystemParams(gamma=-1.0)
+    with pytest.raises(ValueError, match="gamma_sat must be >= 0"):
+        SystemParams(gamma_sat=-1.0)
+    with pytest.raises(ValueError, match="omega_d must be >= 0"):
+        SystemParams(omega_d=-1.0)
     with pytest.raises(ValueError):
         SystemParams(kappa=1.0, kappa_ext=2.0)
     with pytest.raises(ValueError):
@@ -109,6 +115,10 @@ def test_power_conversion_edge_cases():
         eta_from_power(-1e-6, p)
     with pytest.raises(ValueError):
         eta_from_power(1e-6, broadline_params())  # no port configured
+    with pytest.raises(ValueError, match="kappa_ext must be > 0"):
+        eta_from_power(1e-6, p.replace(kappa_ext=0.0))
+    with pytest.raises(ValueError, match="must be > 0 to assign a power"):
+        power_from_drive(DriveSpec(eta=1.0), broadline_params())
 
 
 def test_power_round_trip():

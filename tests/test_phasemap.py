@@ -62,6 +62,8 @@ def test_degenerate_mapping_errors():
         n0_to_drive_passive(-1.0, broadline_params())
     with pytest.raises(ValueError, match="degenerate"):
         n0_to_gain_active(1e12, broadline_params(gamma_sat=0.0))
+    with pytest.raises(ValueError, match="n0 must be >= 0"):
+        n0_to_gain_active(np.array([1e12, -1.0]), narrowline_params())
 
 
 def test_gain_mapping_spot_values():
@@ -91,6 +93,8 @@ def test_grid_validation():
         GridSpec(**{**good, "delta_m_min": TWO_PI * 60})
     with pytest.raises(ValueError):
         GridSpec(**{**good, "system": "hybrid"})
+    with pytest.raises(ValueError, match="x_axis must be one of"):
+        GridSpec(**{**good, "x_axis": "power"})
 
 
 def test_axis_sampling():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _cases import spectrogram
 from magpol import spectral
 from magpol.errors import FitError
 from magpol.model import TWO_PI
@@ -51,6 +52,11 @@ def test_window_validation():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="fit_fraction"):
             phase_slope_offset(TIMES, _tone(TIMES, 5.0), fit_fraction=bad)
+    # all the power on one sample leaves no spread of times to fit
+    spike = np.zeros(TIMES.size, complex)
+    spike[-1] = 1.0
+    with pytest.raises(ValueError, match="degenerate time axis"):
+        phase_slope_offset(TIMES, spike)
 
 
 def test_two_tone_confidence_collapses():
@@ -139,7 +145,7 @@ def _windows(tones_mhz, n=1000):
 
 def test_spectrogram_ridge_tracks_the_tone():
     tones = np.linspace(-20.0, 20.0, 9)
-    freqs, mags = build_spectrogram(_windows(tones), DT)
+    freqs, mags = spectrogram(_windows(tones), DT, -500.0, 500.0)
     assert mags.shape == (freqs.size, 9)
     np.testing.assert_array_equal(freqs, spectrum_freqs(1000, DT))
     bin_w = freqs[1] - freqs[0]
@@ -150,25 +156,22 @@ def test_spectrogram_ridge_tracks_the_tone():
 
 
 def test_spectrogram_columns_are_cropped_normalized_spectra():
-    tones = [5.0, 10.0, 15.0]
-    windows = _windows(tones)
-    freqs, mags = build_spectrogram(windows, DT, f_min=-30.0, f_max=30.0)
+    """Each column is its window's cropped ``hann_fft`` magnitudes over
+    their maximum; a window with no power keeps its zeros."""
+    windows = _windows([5.0, 10.0, 15.0]) + [np.zeros(1000, complex)]
+    freqs, mags = spectrogram(windows, DT, -30.0, 30.0)
     axis = spectrum_freqs(1000, DT)
     keep = (axis >= -30.0) & (axis <= 30.0)
     np.testing.assert_array_equal(freqs, axis[keep])
-    for j, z in enumerate(windows):
+    for j, z in enumerate(windows[:3]):
         col = hann_fft(z, DT)[1][keep]
         np.testing.assert_array_equal(mags[:, j], col / col.max())
+    np.testing.assert_array_equal(mags[:, 3], np.zeros(keep.sum()))
 
 
 def test_spectrogram_input_validation():
-    with pytest.raises(ValueError, match="no windows"):
-        build_spectrogram([], DT)
-    ragged = _windows([5.0]) + _windows([10.0], n=500)
-    with pytest.raises(ValueError, match="mismatched sample counts"):
-        build_spectrogram(ragged, DT)
     with pytest.raises(ValueError, match="crop leaves no bins"):
-        build_spectrogram(_windows([5.0, 10.0]), DT, f_min=1e4, f_max=2e4)
+        build_spectrogram(_windows([5.0])[0], DT, f_min=1e4, f_max=2e4)
 
 
 def test_hann_window_is_built_once_per_length_and_read_only():
