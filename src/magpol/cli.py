@@ -188,7 +188,8 @@ def cmd_sweep(run: config.RunConfig, out_dir: str) -> int:
             window.a, run.protocol.dt, spec["f_min_mhz"], spec["f_max_mhz"])
         columns.append(column)
 
-    result = run_sweep(run.protocol, run.system, drive=run.drive,
+    result = run_sweep(run.protocol, run.system,
+                       None if run.drive is None else run.drive.eta,
                        initial_state=run.initial_state,
                        on_window=to_column if spec is not None else None)
     rows_path = os.path.join(out_dir, "sweep.csv")

@@ -366,7 +366,8 @@ def _parse_sweep(blk: _Block, params: SystemParams,
                                 default=SweepProtocol.omega_initial)
 
     seed_blk = blk.block("seed_state", create=True)
-    default_seed = default_seed_state(params, drive)
+    default_seed = default_seed_state(params,
+                                      None if drive is None else drive.eta)
     a_re = seed_blk.number("a_re", default=default_seed.a.real)
     a_im = seed_blk.number("a_im", default=default_seed.a.imag)
     m_re = seed_blk.number("m_re", default=default_seed.m.real)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DivergenceError, FitError
-from .model import DriveSpec, ModeState, SystemParams, bare_cavity_photons, \
+from .model import ModeState, Rates, SystemParams, bare_cavity_photons, \
     batch_rates, saturated_photons
 from .spectral import phase_slope_offset
 
@@ -70,23 +70,26 @@ class TrajectorySegment:
                                  * (self.k0 + self.a.size - 1)))
 
 
-def _natural_scale(params: SystemParams, drive: DriveSpec | None) -> float:
-    """Squared-amplitude scale of the saturated/driven state, <= 0 where
+def _natural_scale(params: SystemParams | Rates, eta: float | None) -> float:
+    """Squared-amplitude scale of the driven state (drive amplitude
+    ``eta``) or, with ``eta`` None, of the saturated one; <= 0 where
     there is none (callers take at least 1). Raises ConditioningError
     where it overflows."""
-    if drive is not None:
-        return bare_cavity_photons(params, drive.eta)[0]
+    if eta is not None:
+        return bare_cavity_photons(params, eta)[0]
     return saturated_photons(params)
 
 
-def integrate_segment(state: ModeState, params: SystemParams,
+def integrate_segment(state: ModeState, params: SystemParams | Rates,
                       duration: float, dt: float,
-                      drive: DriveSpec | None = None) -> TrajectorySegment:
+                      eta: float | None = None) -> TrajectorySegment:
     """Fixed-step RK4 integration over ``duration`` (us).
 
-    With ``drive`` the passive driven equations are integrated;
-    without it the active (gain plus saturation) equations are, which
-    requires ``delta_c == 0`` like the rest of the active machinery.
+    ``params`` holds the rates, as a ``SystemParams`` or a scalar
+    ``Rates``. With a drive amplitude ``eta`` the passive driven
+    equations are integrated; with ``None`` the active (gain plus
+    saturation) equations are, which requires ``delta_c == 0`` like
+    the rest of the active machinery.
     The step loop holds one fused restatement of ``model.vector_field``
     with no call per stage: each stage does its operations in its
     order, so every sample has the bits of an RK4 on vector_field (the
@@ -119,17 +122,17 @@ def integrate_segment(state: ModeState, params: SystemParams,
     except OverflowError:
         raise ConditioningError(
             f"photon or magnon number of {state!r} overflows") from None
-    s = math.sqrt(max(_natural_scale(params, drive), n_state, 1.0))
+    s = math.sqrt(max(_natural_scale(params, eta), n_state, 1.0))
 
     # Python floats throughout: a numpy scalar (a fitted detuning, say)
     # would make every operation of the loop a numpy scalar operation,
     # several times slower, with the same bits.
     kappa, gamma, g, kerr, dc, dmg, g_eff, gsat = map(
         float, batch_rates(params).rescale(s))
-    passive = drive is not None
+    passive = eta is not None
     if not passive and dc != 0.0:
         raise ValueError(f"active model requires delta_c == 0, got {dc}")
-    eta = float(drive.eta / s) if passive else 0.0
+    eta = float(eta / s) if passive else 0.0
     hk, hg = 0.5 * kappa, 0.5 * gamma
     # vector_field's leading -hk * ai and -hg * mi are (-hk) * ai, (-hg) * mi
     nhk, nhg = -hk, -hg
@@ -308,24 +311,29 @@ class SweepResult:
     error: str | None = None
 
 
-def default_seed_state(params: SystemParams,
-                       drive: DriveSpec | None = None) -> ModeState:
+def default_seed_state(params: SystemParams | Rates,
+                       eta: float | None = None) -> ModeState:
     """Small reproducible kick used when no initial state is given.
 
-    The active equations have the origin as an exact fixed point, so
-    an exactly zero seed would never leave it; seed the photon mode at
-    1e-3 of the saturated amplitude instead.
+    The active equations (``eta`` None) have the origin as an exact
+    fixed point, so an exactly zero seed would never leave it; seed the
+    photon mode at 1e-3 of the saturated amplitude instead, or of the
+    driven one under a drive amplitude ``eta``.
     """
-    amp = 1e-3 * math.sqrt(max(_natural_scale(params, drive), 1.0))
+    amp = 1e-3 * math.sqrt(max(_natural_scale(params, eta), 1.0))
     return ModeState(a=amp + 0.0j, m=0.0j, t=0.0)
 
 
 def run_sweep(protocol: SweepProtocol, params: SystemParams,
-              drive: DriveSpec | None = None,
+              eta: float | None = None,
               initial_state: ModeState | None = None,
               on_window: Callable[[TrajectorySegment], None] | None = None
               ) -> SweepResult:
     """Run a stepped detuning sweep and fit each step's emission offset.
+
+    ``eta`` is the passive model's drive amplitude, ``None`` for the
+    active model. The rates are taken from ``params`` once, as one
+    ``Rates``, and each step integrates them at its own detuning.
 
     Each step fits the phase on its analysis window, with times
     relative to the step start, and keeps a copy of its last sample
@@ -352,19 +360,19 @@ def run_sweep(protocol: SweepProtocol, params: SystemParams,
         confidences=np.zeros(n_seg),
         low_confidence=np.zeros(n_seg, dtype=bool),
     )
+    rates = batch_rates(params)
     seed = initial_state if initial_state is not None \
-        else default_seed_state(params, drive)
+        else default_seed_state(rates, eta)
     state = seed
     omega_prev = protocol.omega_initial
     window = protocol.window_samples()
     for k, d_nom in enumerate(protocol.detunings):
         d_eff = d_nom - omega_prev if protocol.memory_detuning else d_nom
         result.detunings_effective[k] = d_eff
-        params_k = params.replace(delta_m=d_eff)
         seg_state = state if (k == 0 or protocol.memory_state) else seed
         try:
-            seg = integrate_segment(seg_state, params_k, protocol.t_total,
-                                    protocol.dt, drive)
+            seg = integrate_segment(seg_state, rates._replace(delta_m=d_eff),
+                                    protocol.t_total, protocol.dt, eta)
         except DivergenceError as exc:
             result.diverged_at = k
             result.error = (f"step {k} (detuning {d_nom:.6g} rad/us, "

@@ -261,7 +261,7 @@ class Rates(NamedTuple):
                              gamma_sat=self.gamma_sat * s * s)
 
 
-def batch_rates(params: SystemParams, **arrays) -> Rates:
+def batch_rates(params: SystemParams | Rates, **arrays) -> Rates:
     """``params``' rates with some replaced by per-member arrays."""
     fields = {name: getattr(params, name) for name in Rates._fields}
     fields.update(arrays)
@@ -321,14 +321,14 @@ def saturated_photons(params: SystemParams | Rates,
     return n_sat[()]
 
 
-def vector_field(params: SystemParams | Rates,
-                 drive: DriveSpec | None = None):
+def vector_field(params: SystemParams | Rates, eta=None):
     """Right-hand side ``rhs(ar, ai, mr, mi) -> (dar, dai, dmr, dmi)``.
 
     The arguments are the real and imaginary parts of a and m, and the
     results those of da/dt and dm/dt, at fixed parameters, as floats or
-    broadcasting arrays. With ``drive`` the passive driven model,
-    without it the active model, whose frame is pinned to the gain
+    broadcasting arrays. With a drive amplitude ``eta`` (a float, or an
+    array with one per batch member) the passive driven model; with
+    ``None`` the active model, whose frame is pinned to the gain
     center, so a nonzero ``delta_c`` is rejected rather than silently
     ignored. The rates are bound as closure locals.
 
@@ -346,9 +346,7 @@ def vector_field(params: SystemParams | Rates,
     kerr = params.kerr
     dc = params.delta_c
     dmg = params.delta_m
-    if drive is not None:
-        eta = drive.eta
-
+    if eta is not None:
         def rhs(ar, ai, mr, mi):
             w = dmg + kerr * (mr * mr + mi * mi)
             return (dc * ai - hk * ar + g * mi + eta,

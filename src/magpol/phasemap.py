@@ -56,9 +56,10 @@ class GridSpec:
     """Scan layout: x axis, detuning axis, and the shared base parameters.
 
     ``base`` carries every rate that does not vary across the grid;
-    ``delta_m`` and (depending on the axis) ``gain`` in it are
-    overridden cell by cell. Detunings and gain are rad/us as usual;
-    ``n0`` bounds are photon numbers.
+    ``delta_m`` in it is overridden cell by cell, and so is, on an
+    active grid, the net gain G_eff (either axis sets it), so an active
+    ``base`` needs ``gain_absorbed`` true. Detunings and gain are
+    rad/us as usual; ``n0`` bounds are photon numbers.
     """
 
     system: str
@@ -78,6 +79,9 @@ class GridSpec:
             raise ValueError(f"x_axis must be one of {_VALID_AXES}")
         if self.system == "passive" and self.x_axis == "gain":
             raise ValueError("passive scans take an n0 axis, not gain")
+        if self.system == "active" and not self.base.gain_absorbed:
+            raise ValueError("active scans set G_eff cell by cell, so they "
+                             "need gain_absorbed true")
         if self.x_count < 2 or self.delta_m_count < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if not self.x_min < self.x_max:

@@ -20,8 +20,6 @@ used by the test suite.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import FitError
@@ -77,15 +75,6 @@ def spectrum_freqs(n: int, dt: float) -> np.ndarray:
     return -np.fft.fftshift(np.fft.fftfreq(n, d=dt))[::-1]
 
 
-@functools.lru_cache(maxsize=4)
-def _hann(n: int) -> np.ndarray:
-    """``np.hanning(n)``, built once per length and read-only, since a
-    sweep takes a spectrum of every step's equal-length window."""
-    window = np.hanning(n)
-    window.flags.writeable = False
-    return window
-
-
 def hann_fft(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed magnitude spectrum of all the given samples.
 
@@ -98,7 +87,7 @@ def hann_fft(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(a)
     if z.size < 8:
         raise ValueError(f"FFT needs >= 8 samples, got {z.size}")
-    spec = np.fft.fftshift(np.fft.fft(_hann(z.size) * z))
+    spec = np.fft.fftshift(np.fft.fft(np.hanning(z.size) * z))
     return spectrum_freqs(z.size, dt), np.abs(spec)[::-1]
 
 

@@ -250,11 +250,6 @@ def _solve_rows(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-class _Drive(NamedTuple):
-    """Drive amplitudes, one per row, in place of a scalar DriveSpec."""
-    eta: np.ndarray
-
-
 def _damped_newton4(x: np.ndarray, tol, rates: Rates,
                     eta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Refine roots of ``_polish_defect``, one row of x (M, 4) each.
@@ -273,8 +268,7 @@ def _damped_newton4(x: np.ndarray, tol, rates: Rates,
     active = eta is None
 
     def rhs(rows):
-        return vector_field(rates.take(rows),
-                            None if active else _Drive(eta[rows]))
+        return vector_field(rates.take(rows), None if active else eta[rows])
 
     x = np.array(x, dtype=float)
     tol = np.zeros(len(x)) + tol

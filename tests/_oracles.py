@@ -182,7 +182,7 @@ def complex_field(params: SystemParams, drive: DriveSpec | None = None):
     """The model right-hand side as ``f(a, m) -> (da/dt, dm/dt)`` on
     complex amplitudes (scalars or arrays), wrapped around the
     real-component ``vector_field``."""
-    rhs = vector_field(params, drive)
+    rhs = vector_field(params, None if drive is None else drive.eta)
 
     def f(a, m):
         dar, dai, dmr, dmi = rhs(np.real(a), np.imag(a), np.real(m),

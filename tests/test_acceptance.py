@@ -309,7 +309,8 @@ def test_criterion_07_classification_agrees_with_dynamics():
                                                   abs(m - fp.m0)))
             d0 = dev(st.a, st.m)
             try:
-                seg = integrate_segment(st, p, 2.0, 1e-3, drive=drive)
+                seg = integrate_segment(
+                    st, p, 2.0, 1e-3, None if drive is None else drive.eta)
             except Exception:
                 continue
             d1 = dev(seg.a[-1], seg.m[-1])

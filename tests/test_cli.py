@@ -19,6 +19,7 @@ from _digests import of_files, pinned
 from magpol import config, dynamics, phasemap
 from magpol.cli import _write_json, _write_matrix_csv, main
 from magpol.errors import DivergenceError
+from magpol.model import Rates
 from magpol.spectral import spectrum_freqs
 
 TWO_PI = 2.0 * math.pi
@@ -471,7 +472,7 @@ def test_sweep_spectrogram_stacks_the_kept_windows_columns(tmp_path):
     assert main(["sweep", "--config", _write_config(tmp_path, doc),
                  "--out", str(out)]) == 0
     run = config.parse_run(doc, "sweep")
-    _, windows = sweep_windows(run.protocol, run.system, drive=run.drive,
+    _, windows = sweep_windows(run.protocol, run.system,
                                initial_state=run.initial_state)
     _, mags = spectrogram([win.a for win in windows], run.protocol.dt,
                           -80.0, 80.0)
@@ -594,12 +595,12 @@ def test_sweep_step_memory_cannot_hold_exits_1(tmp_path, capsys, monkeypatch,
                                                spectrogram):
     # 8e15 RK4 steps per step: the spectrogram's FFT axis cannot be
     # allocated at parse time, nor the integrator's samples before its
-    # first step. The integrator reads its rates after allocating and
-    # before the first step, and nothing else in a sweep reads them.
+    # first step. The integrator rescales its rates after allocating and
+    # before the first step, and nothing else in a sweep rescales them.
     def no_step(*args, **kwargs):
         raise AssertionError("integration started")
 
-    monkeypatch.setattr(dynamics, "batch_rates", no_step)
+    monkeypatch.setattr(Rates, "rescale", no_step)
     doc = json.loads((ROOT / "configs" / "sweep_sidebands.json").read_text())
     doc["sweep"].update(steps=2, dt_us=1e-15)
     if not spectrogram:

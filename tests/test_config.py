@@ -130,6 +130,12 @@ REJECTIONS = {
                        "$.system", "gamma_sat must be positive"),
     "active_drive": (SWEEP, "drive", {"n0": 1e12}, "$.drive",
                      "the active model has no external drive"),
+    # either axis sets G_eff itself, so no kappa/2 would be subtracted
+    "active_grid_gain_absorbed": (GAIN_GRID, "system",
+                                  dict(GAIN_GRID["system"],
+                                       gain_absorbed=False,
+                                       kappa_mhz_over_2pi=8.0),
+                                  "$.grid", "need gain_absorbed true"),
     "spectrogram_band_order": (SWEEP, "spectrogram",
                                {"f_min_mhz": 10.0, "f_max_mhz": 10.0},
                                "$.spectrogram",

@@ -29,7 +29,7 @@ def test_linear_decay_matches_analytic_solution():
                          delta_c=TWO_PI * 5.0, delta_m=TWO_PI * (-4.0))
     a0, m0 = 2.0 - 1.0j, -0.5 + 0.25j
     seg = integrate_segment(ModeState(a=a0, m=m0), p, duration=1.0, dt=1e-3,
-                            drive=DriveSpec(eta=0.0))
+                            eta=0.0)
     ra = seg.a / (a0 * np.exp(-(0.5 * p.kappa + 1j * p.delta_c) * seg.times))
     rm = seg.m / (m0 * np.exp(-(0.5 * p.gamma + 1j * p.delta_m) * seg.times))
     assert np.max(np.abs(ra - 1.0)) < 1e-6
@@ -41,16 +41,17 @@ def test_matches_reference_integrator():
     for _ in range(6):
         if rng.random() < 0.5:
             p = narrowline_params(delta_m=TWO_PI * rng.uniform(-60, 0))
-            drive = None
+            eta = None
         else:
             p = broadline_params(delta_c=TWO_PI * rng.uniform(-40, 40),
                                  delta_m=TWO_PI * rng.uniform(-60, 60))
-            drive = DriveSpec(eta=10.0 ** rng.uniform(4, 6))
+            eta = 10.0 ** rng.uniform(4, 6)
         amp = 10.0 ** rng.uniform(2, 5)
         st = ModeState(a=amp * complex(rng.normal(), rng.normal()),
                        m=amp * complex(rng.normal(), rng.normal()))
-        seg = integrate_segment(st, p, duration=0.05, dt=1e-3, drive=drive)
-        a_ref, m_ref = integrate_reference(p, st.a, st.m, 0.05, 1e-3, drive)
+        seg = integrate_segment(st, p, duration=0.05, dt=1e-3, eta=eta)
+        a_ref, m_ref = integrate_reference(
+            p, st.a, st.m, 0.05, 1e-3, None if eta is None else DriveSpec(eta))
         scale = max(abs(a_ref), abs(m_ref))
         assert abs(seg.a[-1] - a_ref) < 1e-10 * scale
         assert abs(seg.m[-1] - m_ref) < 1e-10 * scale
@@ -106,7 +107,7 @@ def test_undriven_total_occupation_decays():
     period = math.pi / p.g
     dt = period / 50.0
     seg = integrate_segment(st, p, duration=20.0 * period, dt=dt,
-                            drive=DriveSpec(eta=0.0))
+                            eta=0.0)
     n_tot = np.abs(seg.a) ** 2 + np.abs(seg.m) ** 2
     at_periods = n_tot[::50]
     assert at_periods.size == 21
@@ -162,16 +163,16 @@ def test_runaway_gain_raises_divergence_error():
     assert "step" in str(err.value)
 
 
-def _complex_rk4(state, params, duration, dt, drive=None):
+def _complex_rk4(state, params, duration, dt, eta=None):
     """``integrate_segment`` as it was written on complex amplitudes:
     the complex rhs and stage order, at the same scale s."""
-    natural = saturated_photons(params) if drive is None \
-        else bare_cavity_photons(params, drive.eta)[0]
+    natural = saturated_photons(params) if eta is None \
+        else bare_cavity_photons(params, eta)[0]
     s = math.sqrt(max(natural, state.n_a, state.n_m, 1.0))
     r = batch_rates(params).rescale(s)
     hk, hg, g, kerr = 0.5 * r.kappa, 0.5 * r.gamma, r.g, r.kerr
     dc, dmg, g_eff, gsat = r.delta_c, r.delta_m, r.gain_eff, r.gamma_sat
-    eta = None if drive is None else drive.eta / s
+    eta = None if eta is None else eta / s
 
     def rhs(a, m):
         if eta is None:
@@ -218,15 +219,15 @@ def test_integrate_segment_matches_complex_rk4_bits():
     cases = [
         (default_seed_state(active), active, 8.0, None),
         (ModeState(a=3e4 - 2e4j, m=-1e4 + 5e3j, t=1.25), passive, 2.0,
-         DriveSpec(eta=2.0e6)),
+         2.0e6),
         # the zero state; the first sample keeps the signs of its zeros
         (ModeState(a=complex(-0.0, -0.0), m=complex(-0.0, -0.0)), passive,
-         1.0, DriveSpec(eta=0.0)),
+         1.0, 0.0),
     ]
-    for state, p, duration, drive in cases:
-        seg = integrate_segment(state, p, duration, 1e-3, drive)
+    for state, p, duration, eta in cases:
+        seg = integrate_segment(state, p, duration, 1e-3, eta)
         for got, ref in zip((seg.a, seg.m),
-                            _complex_rk4(state, p, duration, 1e-3, drive)):
+                            _complex_rk4(state, p, duration, 1e-3, eta)):
             assert np.array_equal(got, ref)
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(got)),
@@ -243,14 +244,14 @@ def test_integrate_segment_matches_complex_rk4_bits():
     assert str(err.value) == str(ref.value)
 
 
-def _vector_field_rk4(state, params, duration, dt, drive=None):
+def _vector_field_rk4(state, params, duration, dt, eta=None):
     """RK4 stated on ``model.vector_field``, one call per stage, at the
     scale, overflow guard and sample layout of ``integrate_segment``."""
-    natural = saturated_photons(params) if drive is None \
-        else bare_cavity_photons(params, drive.eta)[0]
+    natural = saturated_photons(params) if eta is None \
+        else bare_cavity_photons(params, eta)[0]
     s = math.sqrt(max(natural, state.n_a, state.n_m, 1.0))
-    rhs = vector_field(batch_rates(params).rescale(s), None if drive is None
-                       else DriveSpec(eta=drive.eta / s))
+    rhs = vector_field(batch_rates(params).rescale(s),
+                       None if eta is None else eta / s)
     n = int(round(duration / dt))
     out = np.empty((n + 1, 4))
     a, m = state.a / s, state.m / s
@@ -311,14 +312,14 @@ def test_fused_loop_matches_vector_field_bits():
     for i in range(24):
         p = broadline_params(delta_c=TWO_PI * rng.uniform(-40, 40),
                              delta_m=TWO_PI * rng.uniform(-60, 60))
-        drive = DriveSpec(eta=10.0 ** rng.uniform(4, 6))
-        n0 = bare_cavity_photons(p, drive.eta)[0]
+        eta = 10.0 ** rng.uniform(4, 6)
+        n0 = bare_cavity_photons(p, eta)[0]
         p = p.replace(kerr=kerr(n0))
         st = draw_state(n0)
         if i % 4 == 0:
             st = ModeState(a=_signed_zero(rng), m=_signed_zero(rng))
-            drive = DriveSpec(eta=0.0)
-        cases.append((st, p, drive))
+            eta = 0.0
+        cases.append((st, p, eta))
     for ar, ai, mr, mi, dc, dm in itertools.product([-1.0, 1.0], repeat=6):
         st = ModeState(a=complex(math.copysign(0.0, ar),
                                  math.copysign(0.0, ai)),
@@ -326,15 +327,15 @@ def test_fused_loop_matches_vector_field_bits():
                                  math.copysign(0.0, mi)))
         p = broadline_params(delta_c=dc * TWO_PI * 10.0,
                              delta_m=dm * TWO_PI * 20.0)
-        cases.append((st, p, DriveSpec(eta=0.0)))
-    assert all(p.delta_c != 0.0 for _, p, drive in cases if drive)
+        cases.append((st, p, 0.0))
+    assert all(p.delta_c != 0.0 for _, p, eta in cases if eta is not None)
     assert {np.sign(p.kerr) for _, p, _ in cases} == {-1.0, 1.0}
 
-    for st, p, drive in cases:
+    for st, p, eta in cases:
         dt = float(rng.choice([5e-4, 1e-3, 2e-3]))
-        seg = integrate_segment(st, p, 300 * dt, dt, drive)
+        seg = integrate_segment(st, p, 300 * dt, dt, eta)
         for got, ref in zip((seg.a, seg.m),
-                            _vector_field_rk4(st, p, 300 * dt, dt, drive)):
+                            _vector_field_rk4(st, p, 300 * dt, dt, eta)):
             assert np.array_equal(got, ref)
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(got)),

@@ -17,6 +17,8 @@
   independent of the solvers they check.
 - The RK4 step loop of ``dynamics.integrate_segment`` calls nothing
   outside its ``raise``: the equations are written into it.
+- Only ``model``, ``config`` and ``__init__`` name ``DriveSpec``: every
+  solver takes the drive as its amplitude ``eta``.
 - No module imports ``multiprocessing`` or
   ``concurrent.futures.process``: scans run on threads.
 """
@@ -219,6 +221,21 @@ def test_integrator_step_loop_calls_nothing():
     for stmt in loops[0].body + loops[0].orelse:
         visit(stmt)
     assert not calls, f"calls in the step loop: {calls}"
+
+
+DRIVE_MODULES = {"__init__.py", "config.py", "model.py"}
+
+
+def test_drive_spec_stays_at_the_boundary():
+    """``DriveSpec`` is the validated drive of a config and the type of
+    the power conversions; the solvers take its amplitude ``eta`` (a
+    float, an array, or None for the active model), so no other module
+    names it."""
+    naming = {path.name for path in MODULES
+              if "DriveSpec" in _referenced(_tree(path)) | _bound(_tree(path))}
+    assert "model.py" in naming
+    assert naming <= DRIVE_MODULES, \
+        f"DriveSpec named in {sorted(naming - DRIVE_MODULES)}"
 
 
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures.process")

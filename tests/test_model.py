@@ -132,16 +132,17 @@ def test_power_round_trip():
 
 def test_rhs_gives_the_same_bits_on_floats_and_arrays():
     """The integrator calls the rhs on floats, the Newton polish on
-    arrays; both must see the same equations to the last bit."""
+    arrays, with one drive amplitude per state; both must see the same
+    equations to the last bit."""
     rng = np.random.default_rng(75)
     x = 10.0 ** rng.uniform(-3, 3, size=(4, 32)) * rng.normal(size=(4, 32))
-    for p, drive in ((broadline_params(delta_c=TWO_PI * 3.0,
-                                       delta_m=TWO_PI * (-7.0)),
-                      DriveSpec(eta=2.5)),
-                     (narrowline_params(delta_m=TWO_PI * (-30.0)), None)):
-        rhs = vector_field(p, drive)
-        got = rhs(*x)
+    etas = 2.5 * 10.0 ** rng.uniform(-3, 3, size=32)
+    for p, eta in ((broadline_params(delta_c=TWO_PI * 3.0,
+                                     delta_m=TWO_PI * (-7.0)), etas),
+                   (narrowline_params(delta_m=TWO_PI * (-30.0)), None)):
+        got = vector_field(p, eta)(*x)
         for k in range(x.shape[1]):
+            rhs = vector_field(p, None if eta is None else float(eta[k]))
             ref = rhs(*(float(v) for v in x[:, k]))
             assert all(type(r) is float for r in ref)
             assert [float(c[k]) for c in got] == list(ref)

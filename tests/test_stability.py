@@ -281,7 +281,7 @@ def test_middle_branch_is_a_saddle():
     fp = fps[1]
     kick = 1e-3
     state = ModeState(a=fp.a0 * (1 + kick), m=fp.m0 * (1 + kick))
-    seg = integrate_segment(state, p, duration=2.0, dt=1e-3, drive=drive)
+    seg = integrate_segment(state, p, duration=2.0, dt=1e-3, eta=drive.eta)
     dev0 = abs(seg.a[0] - fp.a0) ** 2 + abs(seg.m[0] - fp.m0) ** 2
     dev1 = abs(seg.a[-1] - fp.a0) ** 2 + abs(seg.m[-1] - fp.m0) ** 2
     assert dev1 > 100.0 * dev0

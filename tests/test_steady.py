@@ -565,8 +565,7 @@ def _polish_jacobian_error(fp, p, drive=None):
     in unit-occupation scaling."""
     s = math.sqrt(max(fp.n_a, fp.n_m, 1.0))
     sp = batch_rates(p).rescale(s)
-    rhs = vector_field(sp, None if drive is None
-                       else DriveSpec(eta=drive.eta / s))
+    rhs = vector_field(sp, None if drive is None else drive.eta / s)
     a, m = fp.a0 / s, fp.m0 / s
     active = fp.kind == "active"
     if active:
