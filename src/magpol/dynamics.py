@@ -101,9 +101,9 @@ def integrate_segment(state: ModeState, params: SystemParams | Rates,
     Raises DivergenceError if the rescaled squared amplitude of either
     mode exceeds DIVERGENCE_CAP, with ``step`` set to the offending
     step index; ConditioningError if the initial occupation, the
-    bare-cavity or the saturated photon number overflows; MemoryError,
-    before any step, if the samples of ``duration / dt`` steps do not
-    fit in memory.
+    bare-cavity or the saturated photon number overflows, ValueError if
+    the drive or a cavity rate is NaN; MemoryError, before any step, if
+    the samples of ``duration / dt`` steps do not fit in memory.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")

@@ -276,7 +276,8 @@ def bare_cavity_photons(params: SystemParams | Rates, eta=0.0,
     n0 = eta^2 / denom, or n0 = 0 where denom is 0 (no steady state:
     callers decide), elementwise over a ``Rates`` of arrays and an
     array ``eta``. Where either overflows it raises ConditioningError,
-    or, given ``errors``, maps the batch member's index to it.
+    and where eta, kappa or delta_c is NaN a ValueError, or, given
+    ``errors``, maps the batch member's index to it.
     """
     kappa, delta_c, eta = np.broadcast_arrays(params.kappa, params.delta_c,
                                               eta)
@@ -284,12 +285,16 @@ def bare_cavity_photons(params: SystemParams | Rates, eta=0.0,
         # float_power is libm's pow, as Python's float ** is: same bits
         denom = np.float_power(0.5 * kappa, 2) + np.float_power(delta_c, 2)
         n0 = np.where(denom > 0.0, np.float_power(eta, 2) / denom, 0.0)
+    nan = np.isnan(eta) | np.isnan(kappa) | np.isnan(delta_c)
     for i in np.flatnonzero(~(np.isfinite(n0) & np.isfinite(denom))):
-        exc = ConditioningError(
-            f"bare cavity: {'eta^2 / ' if np.isfinite(denom.flat[i]) else ''}"
-            f"((kappa/2)^2 + delta_c^2) overflows (eta = {eta.flat[i]:.6e} "
-            f"/us, kappa = {kappa.flat[i]:.6e}, delta_c = "
-            f"{delta_c.flat[i]:.6e} rad/us)")
+        values = (f"(eta = {eta.flat[i]:.6e} /us, kappa = "
+                  f"{kappa.flat[i]:.6e}, delta_c = {delta_c.flat[i]:.6e} "
+                  f"rad/us)")
+        exc = ValueError(f"bare cavity: NaN drive or rate {values}") \
+            if nan.flat[i] else ConditioningError(
+                f"bare cavity: "
+                f"{'eta^2 / ' if np.isfinite(denom.flat[i]) else ''}"
+                f"((kappa/2)^2 + delta_c^2) overflows {values}")
         if errors is None:
             raise exc
         errors[int(i)] = exc

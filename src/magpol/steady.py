@@ -1,8 +1,13 @@
 """Closed-form steady states of the passive and active models.
 
 Both routes reduce the coupled steady-state conditions to a single real
-polynomial, solve it by companion-matrix eigenvalues, and reconstruct
-the mode amplitudes from each admissible real root.
+polynomial, find its real roots in [0, 1] by one rule, the derivative
+cascade of ``_real_roots``, and reconstruct the mode amplitudes from
+each admissible root. Each route is one batched call on a map range or
+the one cell of ``fixed-points`` and returns a ``Solution``. Past their
+candidates' starts, the routes share one polish-and-admit step
+(``_polish``) and one finish step (``_finish``: extra rows, sort,
+``_merge_duplicates``).
 
 Passive route. Eliminating the photon amplitude from the driven
 steady state gives one real condition on the magnon number n::
@@ -10,7 +15,9 @@ steady state gives one real condition on the magnon number n::
     n * |(kappa/2 + i delta_c)(gamma/2 + i delta(n)) + g^2|^2 = g^2 eta^2,
     delta(n) = delta_m + kerr * n
 
-which is a cubic in n (see ``passive_cubic_coefficients``).
+which is a cubic in n (see ``passive_cubic_coefficients``), solved for
+x = n / n0, n0 the bare-cavity photon number: its roots in [0, 1], and
+x = 1 / y for the roots y in (0, 1] of the reversed cubic.
 
 Active route. With the rotating ansatz a = a0 exp(-i w t),
 m = m0 exp(-i w t), a0 real > 0, the steady state is governed by the
@@ -21,18 +28,13 @@ net gain A = G_eff - gamma_sat * |a0|^2 through::
     w * (2 A - gamma) = 2 A * (delta_m + kerr * n_m)
 
 Eliminating w yields a quintic in A (``active_quintic_coefficients``).
-Admissible roots satisfy 0 < A < G_eff and A <= 2 g^2 / gamma; each
-gives a coupled fixed point with w recovered from the third relation,
-or, when 2A - gamma vanishes, from the first one (both signs kept and
-filtered by the full residual: that branch is the degenerate polariton
-doublet). The photon-only and zero-amplitude states are not coupled
-solutions and are never returned.
-
-Each route is one batched call, ``passive_fixed_points(cells, eta)``
-or ``active_fixed_points(cells)``, on a map range or the one cell of
-``fixed-points``. Both return a ``Solution``. Past their candidates'
-starts, the routes share one polish-and-admit step (``_polish``) and
-one finish step (``_finish``: extra rows, sort, ``_merge_duplicates``).
+Admissible roots satisfy 0 < A < G_eff and A <= 2 g^2 / gamma, so it is
+solved for x = A / min(G_eff, 2 g^2 / gamma). Each gives a coupled
+fixed point with w recovered from the third relation, or, when
+2A - gamma vanishes, from the first one (both signs kept and filtered
+by the full residual: that branch is the degenerate polariton doublet).
+The photon-only and zero-amplitude states are not coupled solutions and
+are never returned.
 """
 
 from __future__ import annotations
@@ -45,19 +47,6 @@ import numpy as np
 from .errors import ConditioningError, InternalConsistencyError
 from .model import Rates, SystemParams, bare_cavity_photons, jacobian, \
     saturated_photons, vector_field
-
-# A polynomial root counts as real when |Im| <= RTOL*|root| + ATOL
-# (in the nondimensional variable, which is O(1) by construction).
-REAL_ROOT_RTOL = 1e-7
-REAL_ROOT_ATOL = 1e-10
-
-# Companion-matrix eigenvalues split a double root into a conjugate
-# pair about sqrt(eps) apart, and ill-conditioned ones by up to ~1e3
-# sqrt(eps) (Edelman & Murakami, Math. Comp. 64, 1995). Such near-real
-# pairs, |Im| <= NEAR_REAL_RTOL * max(|root|, 1), are polished as
-# optional candidates: only the residual check of the reconstructed
-# fixed point admits them.
-NEAR_REAL_RTOL = 1e3 * math.sqrt(np.finfo(float).eps)
 
 # Reconstructed fixed points must satisfy the steady equations to this
 # fraction of the characteristic rate, in unit-occupation scaling.
@@ -143,66 +132,100 @@ def active_quintic_coefficients(params: SystemParams | Rates) -> np.ndarray:
     ), axis=-1)
 
 
-def _real_roots(coeffs: np.ndarray, what: str
-                ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Real roots of a batch of polynomials in a nondimensional variable.
+def _horner(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Values and slopes of rows of descending coefficients c (N, k+1)
+    at points x >= 0 (N, P) by Horner's rule, and Higham's a-priori
+    bound 2k eps sum |c_j| x^(k-j) on the values' rounding errors
+    (Accuracy and Stability of Numerical Algorithms, 2002, 5.1)."""
+    k, ac = c.shape[1] - 1, np.abs(c)
+    v, dv = c[:, :1] * x + c[:, 1:2], c[:, :1] + 0.0 * x
+    e = ac[:, :1] * x + ac[:, 1:2]
+    for j in range(2, k + 1):
+        dv *= x
+        dv += v
+        v *= x
+        v += c[:, j:j + 1]
+        e *= x
+        e += ac[:, j:j + 1]
+    return v, dv, 2.0 * k * np.finfo(float).eps * e
 
-    ``coeffs`` holds one row of descending coefficients per polynomial.
-    Each row is normalized to unit maximum, and its roots are the
-    eigenvalues of the companion matrix ``np.roots`` builds (exact
-    leading and trailing zeros trimmed, each trailing zero a root at
-    0), solved for all rows of one degree in a single stacked call.
-    Real roots and the real parts of near-real pairs are returned
-    unrefined (``_damped_newton4`` on the full system is the one
-    polish) and unmerged, so a double root comes back twice.
 
-    Returns (x, optional, errors): ``x`` (N, degree) holds each row's
-    roots in ascending order with NaN where there is none; ``optional``
-    marks the roots that came from near-real pairs; ``errors`` maps the
-    rows with non-finite coefficients, or with a leading coefficient
-    whose reciprocal overflows, to a ConditioningError.
-    """
+def _bracketed(c: np.ndarray, a: np.ndarray, b: np.ndarray, va: np.ndarray,
+               vb: np.ndarray) -> np.ndarray:
+    """The root of each row's polynomial c (M, k+1) on a piece [a, b] of
+    [0, 1] where it is monotone and its values va, vb differ in sign.
+    The start is the zero of the parabola through both ends, flat at the
+    one of smaller |v| if that is a root of c' (0 < a or b < 1), else of
+    the line. Newton steps, bisecting where one would leave the bracket,
+    end when the value is within ``_horner``'s bound, the bracket is a
+    few ulps wide or the step stalls."""
+    u = va / (va - vb)
+    from_a = (a > 0.0) & ((np.abs(va) <= np.abs(vb)) | (b == 1.0))
+    x = a + (b - a) * np.where(from_a, np.sqrt(u), np.where(
+        b < 1.0, 1.0 - np.sqrt(1.0 - u), u))
+    if c.shape[1] == 2:  # the false-position point is a line's root
+        return x
+    sa, width = np.sign(va), 4.0 * (c.shape[1] - 1) * np.finfo(float).eps
+    root, at = np.empty(x.size), np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while at.size:
+            f, df, bound = (v[:, 0] for v in _horner(c, x[:, None]))
+            low = f * sa > 0.0
+            a, b = np.where(low, x, a), np.where(low, b, x)
+            step = x - f / df
+            step = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+            done = (np.abs(f) <= bound) | (b - a <= width * b) | (step == x)
+            x = np.where(done, x, step)
+            if 2 * np.count_nonzero(done) >= at.size:  # compact the rest
+                root[at[done]] = x[done]
+                at, c, x, a, b, sa = (v[~done] for v in (at, c, x, a, b, sa))
+    return root
+
+
+def _real_roots(coeffs: np.ndarray, what: str) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Real roots in [0, 1] of rows of descending coefficients by the
+    derivative cascade (Yuksel, Proc. ACM Comput. Graph. Interact. Tech.
+    5(3), 2022): the roots of p', by the same rule one degree down, cut
+    [0, 1] into pieces where p is monotone, and a piece where p changes
+    sign holds one root (``_bracketed``). A sign counts only beyond
+    ``_horner``'s bound; an undecided one at a root of p', or at 0 or 1,
+    is one (double) root. Returns (row, x, index, errors), a root per
+    entry by row and ascending x, ``index`` +1 where p rises through it,
+    -1 where it falls, 0 if undecided; ``errors`` maps each row with
+    non-finite coefficients to a ConditioningError (nothing on [0, 1]
+    can overflow)."""
     c = np.array(coeffs, dtype=float, ndmin=2)
-    n, d = c.shape[0], c.shape[1] - 1
+    d = c.shape[1] - 1
     finite = np.isfinite(c).all(axis=1)
-    cmax = np.abs(c).max(axis=1)
-    solve = finite & (cmax > 0.0)
-    c /= np.where(solve, cmax, 1.0)[:, None]
-    c[~solve] = 0.0
-    nonzero = c != 0.0
-    first = nonzero.argmax(axis=1)
-    last = d - nonzero[:, ::-1].argmax(axis=1)
-    # the companion divides by the leading coefficient (the largest is 1)
-    with np.errstate(divide="ignore", over="ignore"):
-        finite &= ~solve | np.isfinite(1.0 / c[np.arange(n), first])
-    solve &= finite
-    errors: dict[int, Exception] = {
-        int(i): ConditioningError(f"{what}: non-finite polynomial "
-                                  f"coefficients")
+    errors: dict[int, Exception] = {int(i): ConditioningError(
+        f"{what}: non-finite polynomial coefficients")
         for i in np.flatnonzero(~finite)}
-
-    roots = np.full((n, d), np.nan, dtype=complex)
-    for lo, hi in sorted(set(zip(first[solve].tolist(),
-                                 last[solve].tolist()))):
-        rows = np.flatnonzero(solve & (first == lo) & (last == hi))
-        k = hi - lo
-        if k:
-            p = c[rows, lo:hi + 1]
-            comp = np.zeros((rows.size, k, k))
-            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-            comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-            roots[rows, :k] = np.linalg.eigvals(comp)
-        roots[rows, k:k + d - hi] = 0.0
-
-    mag = np.abs(roots)
-    im = np.abs(roots.imag)
-    real = im <= REAL_ROOT_RTOL * mag + REAL_ROOT_ATOL
-    optional = ~real & (im <= NEAR_REAL_RTOL * np.maximum(mag, 1.0))
-    x = np.where(real | optional, roots.real, np.nan)
-
-    order = np.argsort(x, axis=1)  # NaN last
-    index = np.arange(n)[:, None]
-    return x[index, order], optional[index, order], errors
+    rows = np.flatnonzero(finite & c.any(axis=1))
+    # each row scaled to a largest coefficient in [1/2, 1): exact
+    c = np.ldexp(c[rows], -np.frexp(np.abs(c[rows]).max(axis=1))[1][:, None])
+    crit, zero = np.zeros((rows.size, 0)), np.zeros((rows.size, 1))
+    for k in range(1, d + 1):  # p's (d - k)-th derivative, of degree k
+        q = c[:, :k + 1] * [math.perm(d - j, d - k) for j in range(k + 1)]
+        ends = np.concatenate((zero, np.fmin(crit, 1.0), zero + 1.0), 1)
+        v, _, bound = _horner(q, ends)
+        sign = np.where(np.abs(v) > bound, np.sign(v), 0.0)
+        # an undecided value is a root once, and below p only inside
+        double = sign == 0.0
+        double[:, 1:] &= ends[:, 1:] > ends[:, :-1]
+        if k < d:
+            double &= (ends > 0.0) & (ends < 1.0)
+        root = np.where(double, ends, np.nan)
+        index = np.zeros(root.shape, dtype=np.int8)
+        r, j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+        root[r, j] = _bracketed(q[r], ends[r, j], ends[r, j + 1], v[r, j],
+                                v[r, j + 1])
+        index[r, j] = sign[r, j + 1]
+        order = np.argsort(root, axis=1)[:, :k]  # NaN last
+        crit = np.take_along_axis(root, order, axis=1)
+    r, j = np.nonzero(np.isfinite(crit))
+    return rows[r], crit[r, j], np.take_along_axis(index, order, 1)[r, j], \
+        errors
 
 
 def _polish_defect(z: np.ndarray, rhs, active: bool) -> np.ndarray:
@@ -256,10 +279,10 @@ def _damped_newton4(x: np.ndarray, tol, rates: Rates,
 
     ``rates`` and the drives ``eta`` (M,) are at unit occupation;
     without ``eta`` the model is the active one. The only refinement
-    of the unpolished companion-matrix roots, which near double roots
-    are only about sqrt(eps) accurate: up to 8 damped Newton iterations
-    on the full steady-state system restore machine accuracy, and the
-    residual left is what admits a near-real candidate. Each row
+    of the reconstructed ``_real_roots``, which near a double root are
+    only about sqrt(eps) accurate: up to 8 damped Newton iterations on
+    the full steady-state system restore machine accuracy, and the
+    residual left is what admits a doublet mirror. Each row
     iterates on its own (``tol`` and the ``rates`` arrays broadcast
     over the rows) until its defect is below 1% of its tolerance, a
     step fails, or no damped step improves it. Returns the best iterate
@@ -313,7 +336,7 @@ def _columns(*values) -> list[np.ndarray]:
 
 
 def _polish(start: np.ndarray, r: Rates, eta: np.ndarray | None,
-            cell: np.ndarray, rate: np.ndarray, required: np.ndarray,
+            cell: np.ndarray, rate: np.ndarray, required: np.ndarray | bool,
             root: str, value: np.ndarray, errors: dict[int, Exception]
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One ``_damped_newton4`` call polishes the candidates ``start``
@@ -332,18 +355,21 @@ def _polish(start: np.ndarray, r: Rates, eta: np.ndarray | None,
     return z, res, ok & ~np.isin(cell, list(errors))
 
 
-def _finish(pts: Solution, extra: np.ndarray, extra_a0: np.ndarray,
-            rate: np.ndarray) -> Solution:
+def _finish(pts: Solution, index: np.ndarray, extra: np.ndarray,
+            extra_a0: np.ndarray, rate: np.ndarray) -> Solution:
     """The one ``Solution`` of a batch: rows of the cells ``extra`` that
     set only ``a0`` (the passive origin, the active photon-only limit
     cycle), then the points ``pts``, sorted by (cell, omega, n_m) and
-    merged by ``_merge_duplicates``."""
+    merged by ``_merge_duplicates`` with the ``index`` of their roots
+    (``_real_roots``; 0 for the extra rows)."""
     zero = np.zeros(extra.size)
     sol = Solution(pts.kind, *(np.r_[x, y] for x, y in zip(
         (extra, extra_a0, zero, zero, zero, zero), pts[1:-1])), pts.errors)
-    sol = sol.take(np.lexsort((sol.n_m, sol.omega, sol.cell)))
+    order = np.lexsort((sol.n_m, sol.omega, sol.cell))
+    sol = sol.take(order)
     return sol.take(_merge_duplicates(sol.cell, sol.omega, sol.n_m,
-                                      rate[sol.cell]))
+                                      rate[sol.cell],
+                                      np.r_[zero, index][order]))
 
 
 def passive_fixed_points(cells: Rates, eta) -> Solution:
@@ -355,10 +381,11 @@ def passive_fixed_points(cells: Rates, eta) -> Solution:
     (``model.bare_cavity_photons``); amplitudes are reconstructed from
     its real roots divided by s = sqrt(n0), and ``_polish`` and
     ``_finish`` make them one ``Solution``, with eta = 0 giving the
-    origin. A cell's error is the ConditioningError of an overflowing
-    n0 or cubic, of n0 = 0 (undamped resonant cavity, or eta^2
-    underflows) or of a singular magnon response, or the
-    InternalConsistencyError of a point that fails its residual check.
+    origin. A cell's error is the ValueError of a NaN drive or cavity
+    rate, the ConditioningError of an overflowing n0 or cubic, of
+    n0 = 0 (undamped resonant cavity, or eta^2 underflows) or of a
+    singular magnon response, or the InternalConsistencyError of a
+    point that fails its residual check.
     """
     *rates, eta = _columns(*cells, eta)
     c = Rates(*rates)
@@ -378,12 +405,16 @@ def passive_fixed_points(cells: Rates, eta) -> Solution:
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = passive_cubic_coefficients(c.take(solve), eta[solve]) \
             * np.float_power(n_ref[solve, None], np.arange(3.0, -1.0, -1.0))
-    x, optional, failed = _real_roots(coeffs, "passive cubic")
-    errors.update((int(solve[i]), e) for i, e in failed.items())
-
-    row, slot = np.nonzero(np.isfinite(x) & (x >= -1e-12))
-    cell, optional = solve[row], optional[row, slot]
-    n_m1 = np.maximum(x[row, slot], 0.0)  # in units of n_ref
+    row, y, index, failed = _real_roots(np.r_[coeffs, coeffs[:, ::-1]],
+                                        "passive cubic")
+    errors.update((int(solve[i % solve.size]), e) for i, e in failed.items())
+    flip = row >= solve.size  # roots y = 1 / x of the reversed cubic
+    with np.errstate(divide="ignore", over="ignore"):
+        n_m1 = np.where(flip, 1.0 / y, y)  # x = n_m / n_ref
+    keep = np.lexsort((n_m1, row % solve.size))  # in the points' order
+    keep = keep[~flip[keep] | (y[keep] > 0.0)]
+    cell, n_m1 = solve[row[keep] % solve.size], n_m1[keep]
+    index = np.where(flip, -index, index)[keep]  # dy/dx < 0
     # unit-occupation scaling for reconstruction and polish
     s = np.sqrt(n_ref[cell])
     r = c.take(cell).rescale(s)
@@ -398,25 +429,28 @@ def passive_fixed_points(cells: Rates, eta) -> Solution:
         m = -1j * r.g * a / d_m
         n_m = n_m1 * n_ref[cell]
     start = np.stack([a.real, a.imag, m.real, m.imag], axis=-1)
-    z, res, keep = _polish(start, r, eta_s, cell, rate, ~optional,
+    z, res, keep = _polish(start, r, eta_s, cell, rate, True,
                            "passive root n_m", n_m, errors)
     # (Re a, Im a, Re m, Im m) of each point
     a0, m0 = (z[keep] * s[keep, None]).view(complex).T
     zero = np.zeros(a0.size)  # omega and net gain
     return _finish(Solution("passive", cell[keep], a0, m0, zero, zero,
-                            res[keep], errors),
+                            res[keep], errors), index[keep],
                    origin, np.zeros(origin.size), rate)
 
 
 def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,
-                      rate: np.ndarray) -> np.ndarray:
+                      rate: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Mask keeping the first of each group of coinciding points.
 
     The one rule that merges fixed points, for both models. Points come
     grouped by cell and sorted by (omega, n_m) within it; a point is
     dropped when its omega and n_m both lie within 1e-7 (relative) of a
-    point already kept in its cell. Omega is relative to at least 1e-3
-    of the cell's ``rate``, so passive points (omega 0) merge by n_m.
+    point already kept in its cell, unless ``_real_roots`` proved the
+    two distinct: a root where the polynomial rises and one where it
+    falls (``index`` +1 and -1; a node and a saddle) never merge. Omega
+    is relative to at least 1e-3 of the cell's ``rate``, so passive
+    points (omega 0) merge by n_m.
     """
     keep = np.ones(cell.size, dtype=bool)
     if cell.size < 2:
@@ -434,7 +468,8 @@ def _merge_duplicates(cell: np.ndarray, omega: np.ndarray, n_m: np.ndarray,
                         np.maximum(np.abs(omega[at]), np.abs(omega[j])),
                         rate[at] * 1e-3))
                     & (np.abs(n_m[at] - n_m[j])
-                       <= 1e-7 * np.maximum(n_m[at], n_m[j])))
+                       <= 1e-7 * np.maximum(n_m[at], n_m[j]))
+                    & (index[at] * index[j] >= 0))
         keep[at] = ~dup
     return keep
 
@@ -483,19 +518,17 @@ def active_fixed_points(cells: Rates) -> Solution:
         mant, exp = np.frexp(a_hi[:, None])
         k = np.arange(5, -1, -1)
         coeffs = np.ldexp(active_quintic_coefficients(r) * mant ** k, exp * k)
-    x, optional, failed = _real_roots(coeffs, "active quintic")
+    row, x, index, failed = _real_roots(coeffs, "active quintic")
     errors.update((int(solve[i]), e) for i, e in failed.items())
-
-    row, slot = np.nonzero(np.isfinite(x))
-    x, optional, cell = x[row, slot], optional[row, slot], solve[row]
+    cell = solve[row]
     r = c.take(cell)
     # extreme finite rates overflow here; the masks and residuals drop them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a_val = np.minimum(x, 1.0) * a_hi[row]
+        a_val = x * a_hi[row]
         n_m1 = 2.0 * a_val * (r.gain_eff - a_val) / (r.gain_eff * r.gamma)
-        keep = (x > 1e-14) & (x <= 1.0 + 1e-9) & (n_m1 > 0.0)
-        cell, optional, a_val, n_m1 = (
-            v[keep] for v in (cell, optional, a_val, n_m1))
+        keep = (x > 1e-14) & (n_m1 > 0.0)
+        cell, a_val, n_m1, index = (v[keep]
+                                    for v in (cell, a_val, n_m1, index))
         # unit-occupation scaling: with s^2 = G_eff/gamma_sat the scaled
         # saturation is G_eff, so the photon amplitude p is O(1)
         s = np.sqrt(n_sat[cell])
@@ -507,17 +540,19 @@ def active_fixed_points(cells: Rates) -> Solution:
         w_ratio = 2.0 * a_val * u / (2.0 * a_val - r.gamma)
         # near the polariton doublet the ratio above is 0/0; take the
         # frequency from the gain constraint instead, appending the
-        # mirror -w and letting the residual filter decide
+        # mirror -w and letting the residual filter decide (and the
+        # merge: a mirror may land on the point of another root)
         w_gain = np.sqrt(np.maximum(q, 0.0))
         doublet = ~regular & (w_gain > 0.0)
         rep = np.r_[np.arange(cell.size), np.flatnonzero(doublet)]
         w = np.r_[np.where(regular, w_ratio, w_gain), -w_gain[doublet]]
         cell, a_val, p, s = (v[rep] for v in (cell, a_val, p, s))
-        optional = (optional | doublet)[rep]
+        required = ~doublet[rep]
+        index = np.where(doublet, 0, index)[rep]
         r = r.take(rep)
         start = np.stack([p, w, w * p / r.g, -a_val * p / r.g], axis=-1)
 
-    z, res, keep = _polish(start, r, None, cell, rate, ~optional,
+    z, res, keep = _polish(start, r, None, cell, rate, required,
                            "active root A", a_val, errors)
     p1, w1, mr1, mi1 = z.T
     flip = np.where(p1 < 0.0, -1.0, 1.0)  # phase gauge: a0 real positive
@@ -527,5 +562,5 @@ def active_fixed_points(cells: Rates) -> Solution:
     m0.real, m0.imag = mr1 * s, mi1 * s
     return _finish(Solution("active", cell, p1 * s + 0j, m0, w1,
                             r.gain_eff - r.gamma_sat * p1 * p1, res,
-                            errors).take(keep),
+                            errors).take(keep), index[keep],
                    photon, np.sqrt(n_sat[photon]), rate)

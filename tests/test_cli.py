@@ -960,19 +960,19 @@ def _run_cli(*argv):
 
 
 def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
-    """Overflowing quintic coefficients, or a leading one too small to
-    divide by, are reported, not warned about: stderr holds the one
-    error line of a fixed-points run and nothing for a map whose cells
-    all fail."""
-    def run(command, doc):
+    """Overflowing quintic coefficients are reported, not warned about:
+    stderr holds the one error line of a fixed-points run and nothing
+    for a map whose cells all fail. A subnormal Kerr term, whose
+    leading coefficient no reciprocal could take, is solved like no
+    Kerr term: same points, same map, and nothing on stderr."""
+    def run(command, doc, out=None):
         return _run_cli(command, "--config", _write_config(tmp_path, doc),
-                        "--out", str(tmp_path / command))
+                        "--out", str(tmp_path / (out or command)))
 
     for key, value in (("gain_mhz_over_2pi", 1e200),
                        ("kerr_mhz_over_2pi", 1e250),
                        ("gamma_sat_nhz_over_2pi", 1e-290),
-                       ("g_mhz_over_2pi", 1e200),
-                       ("kerr_uhz_over_2pi", 1e-160)):
+                       ("g_mhz_over_2pi", 1e200)):
         system = _active_system(gain_mhz_over_2pi=15.45)
         system.pop(key.rsplit("_", 3)[0] + "_uhz_over_2pi", None)
         system[key] = value
@@ -981,23 +981,38 @@ def test_extreme_active_rates_print_no_numpy_warnings(tmp_path):
         assert out.stderr == ("error: active quintic: non-finite "
                               "polynomial coefficients\n"), out.stderr
 
+    def map_doc(system, gains):
+        return {"format_version": 1, "system": system,
+                "grid": {"x_axis": "gain",
+                         "gain_min_mhz_over_2pi": gains[0],
+                         "gain_max_mhz_over_2pi": gains[1], "x_count": 2,
+                         "delta_m_min_mhz_over_2pi": -100.0,
+                         "delta_m_max_mhz_over_2pi": -60.0,
+                         "delta_m_count": 2}}
+
     for system, gains in ((_active_system(), (1e199, 1e200)),
-                          (_active_system(g_mhz_over_2pi=1e200), (5, 10)),
-                          (_active_system(kerr_uhz_over_2pi=1e-160),
-                           (15, 20))):
-        pd = {"format_version": 1, "system": system,
-              "grid": {"x_axis": "gain", "gain_min_mhz_over_2pi": gains[0],
-                       "gain_max_mhz_over_2pi": gains[1], "x_count": 2,
-                       "delta_m_min_mhz_over_2pi": -100.0,
-                       "delta_m_max_mhz_over_2pi": -60.0,
-                       "delta_m_count": 2}}
-        out = run("phase-diagram", pd)
+                          (_active_system(g_mhz_over_2pi=1e200), (5, 10))):
+        out = run("phase-diagram", map_doc(system, gains))
         assert out.returncode == 0 and out.stderr == "", out.stderr
         side = json.loads(
             (tmp_path / "phase-diagram" / "phase_diagram.json").read_text())
         assert set(side["error_messages"].values()) == {
             "ConditioningError: active quintic: non-finite polynomial "
             "coefficients"}
+
+    for kerr in (1e-160, 0.0):
+        system = _active_system(kerr_uhz_over_2pi=kerr)
+        for command, doc in (
+                ("fixed-points", {"format_version": 1, "system": {
+                    **system, "gain_mhz_over_2pi": 15.45}}),
+                ("phase-diagram", map_doc(system, (15, 20)))):
+            out = run(command, doc, f"{command}{kerr}")
+            assert out.returncode == 0 and out.stderr == "", out.stderr
+    for name in ("fixed_points.json", "stable_count.csv",
+                 "unstable_count.csv", "errors.csv"):
+        folder = "fixed-points" if name.endswith("json") else "phase-diagram"
+        assert (tmp_path / f"{folder}1e-160" / name).read_bytes() == \
+            (tmp_path / f"{folder}0.0" / name).read_bytes(), name
 
 
 def test_overflowing_magnon_scale_prints_no_numpy_warning(tmp_path):

@@ -21,6 +21,9 @@
   solver takes the drive as its amplitude ``eta``.
 - No module imports ``multiprocessing`` or
   ``concurrent.futures.process``: scans run on threads.
+- ``steady`` takes no eigenvalues and no ``np.roots``, and defines no
+  tolerance on the imaginary part of a root: its one root rule is the
+  derivative cascade of ``_real_roots``.
 """
 
 import ast
@@ -263,3 +266,21 @@ def test_no_process_machinery():
              if any(name == m or name.startswith(m + ".")
                     for m in PROCESS_MODULES)]
     assert not found, f"process machinery imported: {found}"
+
+
+def test_steady_state_roots_take_no_eigenvalues():
+    """The steady-state polynomials' real roots come from the
+    derivative cascade alone: ``steady`` calls no eigenvalue solver or
+    ``roots``, and binds no name of the companion route's imaginary-part
+    tolerances."""
+    tree = _tree(SRC / "steady.py")
+    calls = [f"{node.lineno} {name}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "attr",
+                                  getattr(node.func, "id", None))]
+             if name in ("eig", "eigvals", "roots", "polyroots")]
+    assert not calls, f"eigenvalue or root solver called in steady: {calls}"
+    tolerances = sorted(name for name in _bound(tree) | _referenced(tree)
+                        if name.startswith("REAL_ROOT_")
+                        or name == "NEAR_REAL_RTOL")
+    assert not tolerances, f"companion tolerances in steady: {tolerances}"

@@ -8,11 +8,13 @@ import pytest
 
 from _cases import broadline_params, narrowline_params
 from _oracles import complex_field
+from magpol.dynamics import integrate_segment
 from magpol.errors import ConditioningError
-from magpol.model import (TWO_PI, DriveSpec, SystemParams,
+from magpol.model import (TWO_PI, DriveSpec, ModeState, SystemParams,
                           bare_cavity_photons, batch_rates, eta_from_power,
                           power_from_drive, saturated_photons,
                           vector_field)
+from magpol.steady import passive_fixed_points
 
 # Frozen conversion at P = 1 uW, omega_d = 2pi x 3 GHz, critical
 # coupling kappa_ext = kappa/2 with kappa = 2pi x 1.5 MHz.
@@ -232,6 +234,28 @@ def test_bare_cavity_photons():
                         (broadline_params(delta_c=1e155), 0.0)):
         with pytest.raises(ConditioningError, match="overflows"):
             bare_cavity_photons(params, eta)
+
+
+def test_a_nan_drive_is_named_not_taken_for_an_overflow():
+    """A NaN drive amplitude is a ValueError that names the NaN, raised
+    by the integrator and recorded for its cell by the passive solve,
+    while an infinite one keeps the overflow's ConditioningError."""
+    p = SystemParams(kappa=10.0, gamma=10.0, g=20.0)
+    nan_text = ("bare cavity: NaN drive or rate (eta = nan /us, kappa = "
+                "1.000000e+01, delta_c = 0.000000e+00 rad/us)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            integrate_segment(ModeState(0j, 0j), p, 0.01, 1e-3,
+                              eta=float("nan"))
+        sol = passive_fixed_points(batch_rates(p), float("nan"))
+        overflow = passive_fixed_points(batch_rates(p), float("inf"))
+    assert type(raised.value) is ValueError and str(raised.value) == nan_text
+    assert type(sol.errors[0]) is ValueError and str(sol.errors[0]) == nan_text
+    assert type(overflow.errors[0]) is ConditioningError
+    assert str(overflow.errors[0]) == (
+        "bare cavity: eta^2 / ((kappa/2)^2 + delta_c^2) overflows (eta = "
+        "inf /us, kappa = 1.000000e+01, delta_c = 0.000000e+00 rad/us)")
 
 
 def test_occupation_scales_of_numpy_scalars_do_not_warn():

@@ -1,13 +1,13 @@
 """Grid scans, drive mappings, and phase-count bookkeeping."""
 
-import sys
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from _cases import active_fixed_points, broadline_params, \
-    narrowline_params, rows, verdict_of
+from _cases import ACCEPTANCE_GRIDS, active_fixed_points, \
+    broadline_params, narrowline_params, rows, verdict_of
 from _oracles import active_fixed_points_newton
 from magpol import phasemap, steady
 from magpol.model import TWO_PI, DriveSpec, SystemParams, batch_rates, \
@@ -671,21 +671,17 @@ def test_region_summary_matches_per_cell_labels():
 
 @pytest.mark.parametrize("name", ["active", "passive"])
 def test_map_verdicts_solve_no_eigenvalues(name, monkeypatch):
-    """Map cells are classified by the Hurwitz test alone: an
-    eigenvalue solve anywhere but the root finder's companion matrices
-    fails the run. Passive point errors are caught per point, so they
-    show as error texts."""
-    eigvals = np.linalg.eigvals
-    roots = steady._real_roots.__code__
+    """Map cells are solved and classified without one eigenvalue: the
+    roots come from the cascade of ``steady._real_roots`` and the
+    verdicts from the Hurwitz test, so any eigenvalue solve fails the
+    run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalue solve in a map scan")
 
-    def roots_only(mat):
-        if sys._getframe(1).f_code is not roots:
-            raise AssertionError("eigenvalue solve outside the root finder")
-        return eigvals(mat)
-
-    monkeypatch.setattr(np.linalg, "eigvals", roots_only)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     fp = active_fixed_points(narrowline_params())[0]
-    with pytest.raises(AssertionError, match="outside the root finder"):
+    with pytest.raises(AssertionError, match="eigenvalue solve"):
         spectrum(fp, narrowline_params())  # the guard is live
     grid = WORKER_GRIDS[name]()
     x = np.tile(grid.x_values(), grid.delta_m_count)
@@ -693,3 +689,26 @@ def test_map_verdicts_solve_no_eigenvalues(name, monkeypatch):
     counts, errors = phasemap.solve_cells(grid, x, delta_m)
     assert errors == {}
     assert counts[0].any() and counts[1].any()
+
+
+def test_passive_map_reports_its_points_at_huge_photon_numbers():
+    """The shipped detuned passive map's rates at n0 from 1e30 to 1e60:
+    the Kerr shift holds the magnon number near (g^2 n0 / kerr^2)^(1/3),
+    which falls from 2e-10 to 2e-30 of n0 with no absolute cut to drop
+    it, and every cell reports its one stable point, polished to
+    tolerance."""
+    grid = dataclasses.replace(ACCEPTANCE_GRIDS["detuned_map"], x_min=1e30,
+                               x_max=1e60, x_count=4, delta_m_count=2)
+    diagram = scan(grid)
+    assert diagram.error_messages == {}
+    assert (diagram.stable == 1).all() and not diagram.unstable.any()
+    x = np.tile(grid.x_values(), grid.delta_m_count)
+    cells = batch_rates(grid.base, delta_m=np.repeat(
+        grid.delta_m_values(), grid.x_count))
+    sol = steady.passive_fixed_points(cells, n0_to_drive_passive(
+        x, grid.base))
+    assert sol.cell.tolist() == list(range(8))
+    assert (sol.n_m < 1e-9 * x).all()
+    assert sol.n_m[1:4] / sol.n_m[:3] == pytest.approx(
+        [1e10 ** (1 / 3)] * 3, rel=1e-3)
+    assert (sol.residual <= steady.RESIDUAL_RTOL * cells.rate_scale()).all()
