@@ -3,9 +3,9 @@
 Every run writes a ``manifest.json`` next to its outputs: the fully
 resolved configuration (defaults materialized, resolution applied,
 seed state recorded). Re-running ``magpol <cmd> --config manifest.json
---out <dir>`` reproduces the data files byte for byte; thread count
-and output location are deliberately excluded from the manifest since
-they must not affect results.
+--out <dir>`` reproduces the data files byte for byte; the output
+location is deliberately excluded from the manifest since it must not
+affect results, and so is ``--threads``, which has no effect.
 
 Exit codes: 0 success (including sweeps that hit a divergence, which
 is an annotated physics outcome), 1 numeric failure (fit failure,
@@ -128,9 +128,8 @@ def cmd_fixed_points(run: config.RunConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_phase_diagram(run: config.RunConfig, out_dir: str,
-                      threads: int) -> int:
-    diagram = scan(run.grid, workers=threads)
+def cmd_phase_diagram(run: config.RunConfig, out_dir: str) -> int:
+    diagram = scan(run.grid)
     _write_matrix_csv(os.path.join(out_dir, "stable_count.csv"),
                       diagram.stable)
     _write_matrix_csv(os.path.join(out_dir, "unstable_count.csv"),
@@ -316,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "field, else current directory)")
         if name == "phase-diagram":
             p.add_argument("--threads", type=worker_count, default=1,
-                           help="worker threads that solve the grid's "
-                                "cell ranges (passive and active maps); "
-                                "at most one per usable CPU and per range")
+                           help="has no effect: the scan runs in the "
+                                "calling thread (still parsed, so existing "
+                                "scripts keep working)")
             p.add_argument("--resolution", default=None, metavar="NxM",
                            help="override grid size (x count x detuning "
                                 "count)")
@@ -337,7 +336,7 @@ def main(argv=None) -> int:
         if args.command == "fixed-points":
             return cmd_fixed_points(run, out_dir)
         if args.command == "phase-diagram":
-            return cmd_phase_diagram(run, out_dir, args.threads)
+            return cmd_phase_diagram(run, out_dir)
         if args.command == "sweep":
             return cmd_sweep(run, out_dir)
         if args.command == "fit-s11":

@@ -19,23 +19,18 @@ builds their rates, solves them in one batched call
 (``steady.passive_fixed_points`` or ``steady.active_fixed_points``),
 classifies all their fixed points in one ``stability.classify`` call
 and counts. ``scan`` is the layout around it: it builds both axes
-once, cuts the grid into row-major ranges, with at most ``BLOCK``
-cells in flight in all, and hands each range's points to
-``solve_cells`` on worker threads of the one process, one thread for
-``workers=1``. Two workers do not pay: the root stage is numpy
-arithmetic on arrays of a few thousand entries, whose every short
-operation hands the GIL over and takes it back. In process on a 2-core
-Xeon shared with other load, the shipped 151x151 gain map scans in a
-median 0.14 s on one worker and 0.16 s on two. Scans are
-deterministic: every cell's result depends only on that cell and is
-assembled by index, so it is identical for any worker count.
+once, cuts the grid into row-major ranges of at most ``BLOCK`` cells
+and hands each range's points to ``solve_cells`` in the calling
+thread. Threads would not pay: the root stage is numpy arithmetic on
+arrays of a few thousand entries, whose every short operation hands
+the GIL over and takes it back, so a second thread only adds CPU time.
+Scans are deterministic: every cell's result depends only on that
+cell and is assembled by index.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -46,11 +41,9 @@ from .steady import active_fixed_points, passive_fixed_points
 _VALID_SYSTEMS = ("passive", "active")
 _VALID_AXES = ("n0", "gain")
 
-# Most cells a scan has in flight at once, over all its worker threads:
-# a range holds at most BLOCK // workers of them. An active range's
-# stacked arrays take about 3 kB per cell, so this bounds the scan's
-# memory for any grid size and worker count; on one thread larger
-# ranges are no faster.
+# Most cells a range holds. An active range's stacked arrays take
+# about 3 kB per cell, so this bounds the scan's memory for any grid
+# size; larger ranges are no faster.
 BLOCK = 4096
 
 
@@ -211,24 +204,11 @@ def solve_cells(grid: GridSpec, x: np.ndarray, delta_m: np.ndarray):
     return counts, {k: _error_text(e) for k, e in sorted(failed.items())}
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the
-    platform has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
+def scan(grid: GridSpec) -> PhaseDiagram:
     """Evaluate every cell of the grid; see the module docstring.
 
-    ``workers`` is capped at the CPUs this process may run on: more
-    threads than CPUs only add scheduling. The cells are cut into
-    row-major ranges of at most ``BLOCK // workers`` cells (at least
-    one), about four per worker, and a pool of ``workers`` threads, at
-    most one per range, solves them. Results do not depend on the
-    worker count.
+    The cells are cut into row-major ranges of at most ``BLOCK`` cells,
+    solved one after the other by ``solve_cells``.
     """
     n = grid.x_count * grid.delta_m_count
     shape = (grid.delta_m_count, grid.x_count)
@@ -236,24 +216,15 @@ def scan(grid: GridSpec, workers: int = 1) -> PhaseDiagram:
     # any range is solved
     counts = np.empty((4, n), dtype=np.int16)
     errors = np.zeros(shape, dtype=bool)
-    workers = max(1, min(workers, _usable_cpus()))
-    size = min(max(1, BLOCK // workers), -(-n // (4 * workers)))
-    los = range(0, n, size)
-    workers = min(workers, len(los))
-    # every cell's point, row-major; a range sends only its own slice
+    # every cell's point, row-major; each range solves a slice of them
     x = np.tile(grid.x_values(), grid.delta_m_count)
     delta_m = np.repeat(grid.delta_m_values(), grid.x_count)
-    tasks = (repeat(grid), (x[lo:lo + size] for lo in los),
-             (delta_m[lo:lo + size] for lo in los))
     messages = {}
-    # imported here: no other command needs concurrent.futures at
-    # start-up
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # each range's results are stored as they come, not held
-        for lo, (block, errs) in zip(los, pool.map(solve_cells, *tasks)):
-            counts[:, lo:lo + block.shape[1]] = block
-            messages.update((lo + k, msg) for k, msg in errs.items())
+    for lo in range(0, n, BLOCK):
+        block, errs = solve_cells(grid, x[lo:lo + BLOCK],
+                                  delta_m[lo:lo + BLOCK])
+        counts[:, lo:lo + BLOCK] = block
+        messages.update((lo + k, msg) for k, msg in errs.items())
     ns, nu, nm, ntot = counts.reshape((4,) + shape)
     errors.flat[list(messages)] = True
     return PhaseDiagram(

@@ -89,15 +89,14 @@ def _read_csv_rows(path):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    """Start-up loads neither scipy (only fit-s11 needs it) nor
-    concurrent.futures (only phase-diagram uses it, for its worker
-    threads), and a multi-worker phase-diagram loads no process
-    machinery: its workers are threads."""
+    """Neither start-up nor a phase-diagram run, even with
+    ``--threads 2``, loads scipy (only fit-s11 needs it),
+    ``concurrent.futures`` or ``multiprocessing``: a scan runs in the
+    calling thread."""
     import magpol
     src = Path(magpol.__file__).resolve().parents[1]
     root = src.parent
     lazy = ("scipy", "multiprocessing", "concurrent.futures")
-    process = ("multiprocessing", "concurrent.futures.process")
     argv = ["phase-diagram", "--config",
             str(root / "configs" / "active_gain_map.json"), "--threads", "2",
             "--resolution", "12x9", "--out", str(tmp_path)]
@@ -108,7 +107,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
     for code in (f"import sys, magpol.cli; {loaded(lazy)}",
                  f"import sys, magpol.cli; "
-                 f"assert magpol.cli.main({argv!r}) == 0; {loaded(process)}"):
+                 f"assert magpol.cli.main({argv!r}) == 0; {loaded(lazy)}"):
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
@@ -277,17 +276,22 @@ def test_resolution_override(tmp_path):
 
 @pytest.mark.parametrize("config", ["active_gain_map", "passive_detuned_map"])
 def test_phase_diagram_files_do_not_depend_on_threads(tmp_path, config):
+    """``--threads`` has no effect: without it, with 1 and with 2 the
+    run writes the same files, byte for byte."""
     cfg = str(ROOT / "configs" / f"{config}.json")
-    for threads in ("1", "2"):
+    runs = {"none": [], "1": ["--threads", "1"], "2": ["--threads", "2"]}
+    for name, flag in runs.items():
         assert main(["phase-diagram", "--config", cfg,
-                     "--out", str(tmp_path / threads),
-                     "--resolution", "12x9", "--threads", threads]) == 0
-    names = sorted(os.listdir(tmp_path / "1"))
-    assert names == sorted(os.listdir(tmp_path / "2"))
+                     "--out", str(tmp_path / name),
+                     "--resolution", "12x9", *flag]) == 0
+    names = sorted(os.listdir(tmp_path / "none"))
     assert "phase_diagram.json" in names and "errors.csv" in names
-    for name in names:
-        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
-                           shallow=False), name
+    for other in ("1", "2"):
+        assert sorted(os.listdir(tmp_path / other)) == names, other
+        for name in names:
+            assert filecmp.cmp(tmp_path / "none" / name,
+                               tmp_path / other / name, shallow=False), \
+                (other, name)
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

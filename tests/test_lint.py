@@ -19,8 +19,8 @@
   outside its ``raise``: the equations are written into it.
 - Only ``model``, ``config`` and ``__init__`` name ``DriveSpec``: every
   solver takes the drive as its amplitude ``eta``.
-- No module imports ``multiprocessing`` or
-  ``concurrent.futures.process``: scans run on threads.
+- No module imports ``multiprocessing`` or ``concurrent.futures``:
+  scans run in the calling thread.
 - ``steady`` takes no eigenvalues and no ``np.roots``, and defines no
   tolerance on the imaginary part of a root: its one root rule is the
   derivative cascade of ``_real_roots``.
@@ -241,31 +241,30 @@ def test_drive_spec_stays_at_the_boundary():
         f"DriveSpec named in {sorted(naming - DRIVE_MODULES)}"
 
 
-PROCESS_MODULES = ("multiprocessing", "concurrent.futures.process")
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 
 def _imported_modules(node) -> list[str]:
     """Modules an import statement loads, a ``from`` import's names
-    counted as submodules (``from concurrent.futures import process``),
-    and ``ProcessPoolExecutor`` as the module that defines it."""
+    counted as submodules (``from concurrent import futures``)."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom) and node.module:
-        names = ["process" if alias.name == "ProcessPoolExecutor"
-                 else alias.name for alias in node.names]
-        return [node.module] + [f"{node.module}.{n}" for n in names]
+        return [node.module] + [f"{node.module}.{alias.name}"
+                                for alias in node.names]
     return []
 
 
-def test_no_process_machinery():
-    """A scan's workers are threads of the one process, so no module
-    loads the process pool or ``multiprocessing``."""
+def test_no_pool_machinery():
+    """A scan runs in the calling thread, so no module loads a thread
+    or process pool: neither ``concurrent.futures`` nor
+    ``multiprocessing``."""
     found = [f"{path.name}:{node.lineno} {name}" for path in MODULES
              for node in ast.walk(_tree(path))
              for name in _imported_modules(node)
              if any(name == m or name.startswith(m + ".")
-                    for m in PROCESS_MODULES)]
-    assert not found, f"process machinery imported: {found}"
+                    for m in POOL_MODULES)]
+    assert not found, f"pool machinery imported: {found}"
 
 
 def test_steady_state_roots_take_no_eigenvalues():

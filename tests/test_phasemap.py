@@ -1,6 +1,7 @@
 """Grid scans, drive mappings, and phase-count bookkeeping."""
 
 import dataclasses
+import threading
 import warnings
 
 import numpy as np
@@ -129,83 +130,61 @@ WORKER_GRIDS = {
 }
 
 
+def _all_points(grid):
+    """Every cell's (x, delta_m), row-major, as ``scan`` orders them."""
+    return (np.tile(grid.x_values(), grid.delta_m_count),
+            np.repeat(grid.delta_m_values(), grid.x_count))
+
+
 @pytest.mark.parametrize("name", sorted(WORKER_GRIDS))
-def test_scan_deterministic_and_worker_invariant(name, monkeypatch):
-    """Any worker count gives the same scan, and worker threads, which
-    share the process's warning filters, warn about nothing, on the
-    error grid too."""
-    monkeypatch.setattr(phasemap, "_usable_cpus", lambda: 3)
+def test_scan_matches_one_solve_cells_call(name, monkeypatch):
+    """Cut into ranges of 4 cells, a scan gives the counts, blanks,
+    errors and error texts of one ``solve_cells`` call over all its
+    cells, and warns about nothing, on the error grid too."""
     grid = WORKER_GRIDS[name]()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        one = scan(grid, workers=1)
-        others = {w: scan(grid, workers=w) for w in (1, 2, 3)}
-    for workers, other in others.items():
-        for field in ("stable", "unstable", "marginal", "blank", "errors"):
-            assert np.array_equal(getattr(one, field),
-                                  getattr(other, field)), (workers, field)
-        assert other.error_messages == one.error_messages, workers
-    assert len(one.region_summary()) > 1
+        counts, messages = phasemap.solve_cells(grid, *_all_points(grid))
+        monkeypatch.setattr(phasemap, "BLOCK", 4)
+        diagram = scan(grid)
+    shape = (grid.delta_m_count, grid.x_count)
+    errors = np.zeros(grid.x_count * grid.delta_m_count, dtype=bool)
+    errors[list(messages)] = True
+    expected = {"stable": counts[0], "unstable": counts[1],
+                "marginal": counts[2], "errors": errors,
+                "blank": (counts[3] == 0) & ~errors}
+    for field, want in expected.items():
+        assert np.array_equal(getattr(diagram, field), want.reshape(shape)), \
+            field
+    assert diagram.error_messages == {divmod(k, grid.x_count): msg
+                                      for k, msg in messages.items()}
+    assert len(diagram.region_summary()) > 1
     if name == "active_with_errors":
-        assert one.errors[:, grid.x_values() > 0].all()
-        assert one.blank[:, grid.x_values() <= 0].all()
+        assert diagram.errors[:, grid.x_values() > 0].all()
+        assert diagram.blank[:, grid.x_values() <= 0].all()
     else:
-        assert not one.errors.any()
+        assert not diagram.errors.any()
 
 
-def test_pool_is_capped_at_cpus_and_ranges(monkeypatch):
-    """``workers`` never starts more threads than usable CPUs or cell
-    ranges, the ranges are cut for the capped count, and no range holds
-    more than its share of ``BLOCK``, so the cells in flight stay within
-    ``BLOCK`` for any count. A stand-in executor records its size and
-    its ranges and maps in the calling thread."""
-    import concurrent.futures
+@pytest.mark.parametrize("block", [4, 7, 4096])
+def test_scan_solves_ranges_in_the_calling_thread(block, monkeypatch):
+    """Every range is solved in the calling thread and holds at most
+    ``BLOCK`` cells, and the ranges, in order, cover each cell once."""
+    grid = active_gain_grid(n=9)
+    solve, ranges = phasemap.solve_cells, []
 
-    sizes, ranges = [], []
+    def spy(grid, x, delta_m):
+        ranges.append((threading.get_ident(), x, delta_m))
+        return solve(grid, x, delta_m)
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, grids, xs, delta_ms):
-            xs = list(xs)
-            ranges.extend(len(x) for x in xs)
-            return map(fn, grids, xs, delta_ms)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(phasemap, "BLOCK", 4)
-    small, grid = active_gain_grid(n=2), active_gain_grid(n=9)
-    one = scan(grid, workers=1)
-    for cpus, workers, case, pool in ((2, 8, grid, 2), (64, 8, grid, 8),
-                                      (64, 8, small, 4), (1, 8, grid, 1)):
-        monkeypatch.setattr(phasemap, "_usable_cpus", lambda: cpus)
-        sizes.clear()
-        ranges.clear()
-        other = scan(case, workers=workers)
-        assert sizes == [pool], (cpus, workers)
-        cells = case.x_count * case.delta_m_count
-        assert sum(ranges) == cells, (cpus, workers)
-        assert max(ranges) <= max(1, phasemap.BLOCK // pool), \
-            (cpus, workers, max(ranges))
-        if case is grid:
-            for field in ("stable", "unstable", "marginal", "blank"):
-                assert np.array_equal(getattr(one, field),
-                                      getattr(other, field)), (cpus, field)
-
-
-def test_usable_cpus_without_an_affinity_mask(monkeypatch):
-    """Where the platform has no affinity mask the CPU count stands in
-    for it, and 1 where that is unknown too."""
-    monkeypatch.delattr(phasemap.os, "sched_getaffinity", raising=False)
-    for count, usable in ((6, 6), (None, 1)):
-        monkeypatch.setattr(phasemap.os, "cpu_count", lambda: count)
-        assert phasemap._usable_cpus() == usable
+    monkeypatch.setattr(phasemap, "solve_cells", spy)
+    monkeypatch.setattr(phasemap, "BLOCK", block)
+    scan(grid)
+    assert {ident for ident, _, _ in ranges} == {threading.get_ident()}
+    assert max(len(x) for _, x, _ in ranges) <= block
+    x, delta_m = _all_points(grid)
+    assert np.array_equal(np.concatenate([r[1] for r in ranges]), x)
+    assert np.array_equal(np.concatenate([r[2] for r in ranges]), delta_m)
 
 
 def test_kerr_detuning_mirror_symmetry():
@@ -268,7 +247,7 @@ def test_bistable_onset_and_monotonicity():
                     x_count=25, delta_m_min=TWO_PI * (-100.0),
                     delta_m_max=TWO_PI * (-60.0), delta_m_count=21,
                     base=base)
-    diagram = scan(grid, workers=4)
+    diagram = scan(grid)
     onset = bistable_onset(diagram)
     assert onset.shape == (21,)
     assert (onset >= 0).any(), "no bistable cells in the scanned window"
